@@ -22,7 +22,10 @@ README for the full grammar.
 """
 
 from .curve import (
+    ALL_PLUS,
+    ALTERNATING,
     DigitWord,
+    SignSequence,
     d_expression_residual,
     eval_approx,
     eval_dyadic,
@@ -41,15 +44,10 @@ from .humps import (
     level_points,
     truncated_hits,
 )
-from .levelsets import (
-    local_level_set_count,
-    local_partner_count,
-    local_partners,
-)
+from .levelsets import local_partner_count, local_partners
 from .machine import (
     BudgetExceededError,
     LevelSetReport,
-    PreimagePath,
     StateGraph,
     Verdict,
     analyze,
@@ -58,7 +56,6 @@ from .machine import (
     envelope_max,
     envelope_min,
     leftmost_preimage,
-    reconstruct_preimages,
 )
 from .rationals import (
     BinaryExpansion,
@@ -71,9 +68,6 @@ from .rationals import (
     to_binary,
 )
 from .signed import (
-    ALL_PLUS,
-    ALTERNATING,
-    SignSequence,
     SignedExtrema,
     eval_signed_dyadic,
     eval_signed_rational,
@@ -106,7 +100,6 @@ __all__ = [
     "Hump",
     "LevelSetReport",
     "NotBalancedError",
-    "PreimagePath",
     "ROOT_HUMP",
     "SignSequence",
     "SignedExtrema",
@@ -142,13 +135,11 @@ __all__ = [
     "is_supported",
     "leftmost_preimage",
     "level_points",
-    "local_level_set_count",
     "local_partner_count",
     "local_partners",
     "make_rational",
     "ordinate_depth",
     "parse_rational",
-    "reconstruct_preimages",
     "signed_constant",
     "signed_extrema",
     "to_binary",

@@ -5,8 +5,8 @@ piped back in without losing exactness, and identical invocations produce
 byte-identical output (JSON key order and SVG attribute order are fixed).
 
 Exit codes: 0 success; 2 usage errors (including non-balanced plot
-highlights); 3 unsupported denominator; 4 budget exhaustion — the
-indeterminate result is still printed.
+highlights and search budgets below 1); 3 unsupported denominator; 4 budget
+exhaustion — the indeterminate result is still printed.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .curve import eval_approx, eval_dyadic, eval_rational
+from .curve import TWO_THIRDS, eval_approx, eval_dyadic, eval_rational
 from .humps import NotBalancedError, analyze_word, balanced_word_of, census
 from .humps import enumerate_balanced
 from .machine import BudgetExceededError, DEFAULT_MAX_STATES, Verdict, classify
@@ -33,8 +33,6 @@ from .stats import (
     expected_local_series_partial,
     grid_experiment,
 )
-
-TWO_THIRDS = Fraction(2, 3)
 
 # Fixed canvas: 768 x 512 makes the [0,1] x [0,2/3] viewport square-scaled
 # (768 * 2/3 = 512) and keeps every sample coordinate dyadic.
@@ -331,6 +329,21 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= ``low``, else a usage error naming the flag."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="takagi",
@@ -350,20 +363,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser("classify", help="finite / countable / uncountable verdict")
-    p.add_argument("--y", required=True, help="ordinate p/q (denominator 2^k or 3*2^k)")
-    p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
+    p.add_argument(
+        "--y",
+        required=True,
+        help="ordinate p/q (denominator 2^k or 3*2^k; use --y=-1/4 if negative)",
+    )
+    p.add_argument("--max-states", type=_int_at_least(1), default=DEFAULT_MAX_STATES)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("levelset", help="full level-set report with preimages")
-    p.add_argument("--y", required=True)
-    p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
+    p.add_argument("--y", required=True, help="ordinate p/q (use --y=-1/4 if negative)")
+    p.add_argument("--max-states", type=_int_at_least(1), default=DEFAULT_MAX_STATES)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_levelset)
 
     p = sub.add_parser("census", help="hump counts against the closed forms")
-    p.add_argument("--max-order", type=int, required=True)
+    p.add_argument("--max-order", type=_int_at_least(0), required=True)
     p.add_argument("--filter", choices=("leading", "gen1"), default=None)
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.add_argument("--out", default=None)
@@ -377,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grid", help="classify every ordinate j/(3*4^depth)")
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
+    p.add_argument("--max-states", type=_int_at_least(1), default=DEFAULT_MAX_STATES)
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_grid)
@@ -391,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--preperiod", default="", help="signs before the repeating block")
     p.add_argument("--x", default=None)
-    p.add_argument("--y", default=None)
+    p.add_argument("--y", default=None, help="ordinate p/q (use --y=-1/4 if negative)")
     p.add_argument("--max-order", type=int, default=12)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_signed)

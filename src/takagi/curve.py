@@ -12,16 +12,21 @@ left end); appending 1 crosses the tent of every earlier level plus the new
 one, which is what the (D + 1) accounts for.  From the walk one also gets a
 closed form on eventually periodic expansions, i.e. exact values at every
 rational, and certified two-sided truncation error at any depth.
+
+The same walk with step i weighted by a sign r_{i-1} = +-1 computes the
+signed relatives sum_n r_n 2^-n dist(2^n x, Z) of :mod:`takagi.signed`; T is
+the all-plus case and the default.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .rationals import BinaryExpansion, to_binary
+from .rationals import ZERO, BinaryExpansion, _word_numerator, to_binary
 
-ZERO = Fraction(0)
+HALF = Fraction(1, 2)
 TWO_THIRDS = Fraction(2, 3)
 
 
@@ -31,17 +36,118 @@ def triangle_wave(x: Fraction) -> Fraction:
     return min(f, 1 - f)
 
 
+def _canonical(preperiod: tuple[int, ...], period: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # primitive period
+    p = len(period)
+    for d in range(1, p + 1):
+        if p % d == 0 and period == period[:d] * (p // d):
+            period = period[:d]
+            break
+    # minimal preperiod: absorb matching tail signs into the rotation
+    preperiod = tuple(preperiod)
+    while preperiod and preperiod[-1] == period[-1]:
+        preperiod = preperiod[:-1]
+        period = (period[-1],) + period[:-1]
+    return preperiod, period
+
+
+@dataclass(frozen=True)
+class SignSequence:
+    """Eventually periodic sequence of +-1 signs, canonicalized on creation.
+
+    ``term(n)`` is r_n (0-based).  Construction normalizes to the primitive
+    period and minimal preperiod, so equal sequences compare equal.
+    """
+
+    preperiod: tuple[int, ...]
+    period: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if not self.period:
+            raise ValueError("period must be nonempty")
+        if any(s not in (-1, 1) for s in self.preperiod + self.period):
+            raise ValueError("signs must be +1 or -1")
+        pre, per = _canonical(self.preperiod, self.period)
+        object.__setattr__(self, "preperiod", pre)
+        object.__setattr__(self, "period", per)
+
+    @classmethod
+    def parse(cls, period: str, preperiod: str = "") -> "SignSequence":
+        """Build from '+'/'-' strings, e.g. parse("++-") or parse("+-", "+")."""
+        def decode(text: str) -> tuple[int, ...]:
+            out = []
+            for ch in text:
+                if ch == "+":
+                    out.append(1)
+                elif ch == "-":
+                    out.append(-1)
+                else:
+                    raise ValueError(f"sign string may contain only + and -: {text!r}")
+            return tuple(out)
+
+        return cls(decode(preperiod), decode(period))
+
+    def __str__(self) -> str:
+        render = lambda signs: "".join("+" if s > 0 else "-" for s in signs)
+        head = render(self.preperiod)
+        return f"{head}({render(self.period)})" if head else f"({render(self.period)})"
+
+    def term(self, n: int) -> int:
+        if n < 0:
+            raise IndexError("sign index must be >= 0")
+        q = len(self.preperiod)
+        if n < q:
+            return self.preperiod[n]
+        return self.period[(n - q) % len(self.period)]
+
+    def shift(self, k: int) -> "SignSequence":
+        """The sequence (r_k, r_{k+1}, ...)."""
+        q = len(self.preperiod)
+        if k <= q:
+            return SignSequence(self.preperiod[k:], self.period)
+        r = (k - q) % len(self.period)
+        return SignSequence((), self.period[r:] + self.period[:r])
+
+    def flipped(self) -> "SignSequence":
+        return SignSequence(
+            tuple(-s for s in self.preperiod), tuple(-s for s in self.period)
+        )
+
+    @property
+    def transient(self) -> int:
+        return len(self.preperiod)
+
+    @property
+    def period_length(self) -> int:
+        return len(self.period)
+
+    @property
+    def drift(self) -> int:
+        """Net movement of the sign walk over one period."""
+        return sum(self.period)
+
+
+ALL_PLUS = SignSequence((), (1,))
+ALTERNATING = SignSequence((), (1, -1))
+
+
 class DigitWord:
     """A finite binary word with its slope walk and exact partial values.
 
+    Step i is weighted by the sign r_{i-1}: D moves by +r_{i-1} on a 0 and by
+    -r_{i-1} on a 1, and v_i = v_{i-1} + eps_i (D_{i-1} + r_{i-1}) / 2^i.
+    The default all-plus signs give the curve T itself; other signs give the
+    signed relatives of :mod:`takagi.signed`.
+
     Push/pop are O(1), which makes this the right carrier for depth-first
-    searches over words.  ``value`` is the exact curve value at the dyadic
+    searches over words.  ``value`` is the exact function value at the dyadic
     point 0.eps_1...eps_k (all series terms beyond the word vanish there).
     """
 
-    __slots__ = ("_digits", "_slopes", "_values")
+    __slots__ = ("signs", "_digits", "_slopes", "_values")
 
-    def __init__(self, digits: Iterable[int] = ()) -> None:
+    def __init__(self, digits: Iterable[int] = (), signs: SignSequence = ALL_PLUS) -> None:
+        self.signs = signs
         self._digits: list[int] = []
         self._slopes: list[int] = [0]
         self._values: list[Fraction] = [ZERO]
@@ -51,13 +157,15 @@ class DigitWord:
     def push(self, bit: int) -> None:
         if bit not in (0, 1):
             raise ValueError(f"binary digit expected, got {bit!r}")
+        i = len(self._digits)
+        r = self.signs.term(i)
         d = self._slopes[-1]
         v = self._values[-1]
         if bit:
-            v = v + Fraction(d + 1, 1 << (len(self._digits) + 1))
-            d -= 1
+            v = v + Fraction(d + r, 1 << (i + 1))
+            d -= r
         else:
-            d += 1
+            d += r
         self._digits.append(bit)
         self._slopes.append(d)
         self._values.append(v)
@@ -77,7 +185,7 @@ class DigitWord:
 
     @property
     def slope(self) -> int:
-        """D_k = #zeros - #ones over the whole word."""
+        """D_k over the whole word (#zeros - #ones when all signs are plus)."""
         return self._slopes[-1]
 
     def slope_at(self, j: int) -> int:
@@ -86,7 +194,7 @@ class DigitWord:
 
     @property
     def value(self) -> Fraction:
-        """Exact curve value at the word's dyadic point."""
+        """Exact function value at the word's dyadic point."""
         return self._values[-1]
 
     def value_at(self, j: int) -> Fraction:
@@ -94,10 +202,7 @@ class DigitWord:
 
     def point(self) -> Fraction:
         """The dyadic rational 0.eps_1...eps_k."""
-        n = 0
-        for b in self._digits:
-            n = (n << 1) | b
-        return Fraction(n, 1 << len(self._digits))
+        return Fraction(_word_numerator(self._digits), 1 << len(self._digits))
 
     @classmethod
     def from_expansion(cls, expansion: BinaryExpansion, depth: int) -> "DigitWord":
@@ -154,10 +259,7 @@ def eval_rational(x: Fraction) -> Fraction:
         return head.value
     q = len(expansion.preperiod)
     cycle = DigitWord(expansion.period)
-    tail = Fraction(
-        sum(b << (len(expansion.period) - 1 - i) for i, b in enumerate(expansion.period)),
-        (1 << len(expansion.period)) - 1,
-    )
+    tail = Fraction(_word_numerator(expansion.period), (1 << len(cycle)) - 1)
     t_value = _periodic_value(cycle, tail)
     return head.value + (head.slope * tail + t_value) / (1 << q)
 
@@ -201,5 +303,5 @@ def d_expression_residual(x: Fraction, terms: int) -> Fraction:
     for n in range(1, terms + 1):
         sign = -1 if expansion.digit(n + 1) else 1
         acc += Fraction(sign * word.slope_at(n), 1 << n)
-    partial = Fraction(1, 2) - acc / 4
+    partial = HALF - acc / 4
     return abs(eval_rational(x) - partial)

@@ -16,11 +16,8 @@ from fractions import Fraction
 from math import comb
 from typing import Iterator, Optional, Sequence
 
-from .curve import DigitWord
+from .curve import HALF, TWO_THIRDS, DigitWord
 from .rationals import to_binary
-
-HALF = Fraction(1, 2)
-TWO_THIRDS = Fraction(2, 3)
 
 
 class NotBalancedError(ValueError):

@@ -1,10 +1,10 @@
-"""Level-set facade: classification plus local-level-set combinatorics.
+"""Local level sets at the word level: partner words and their count.
 
-The heavy lifting (state graph, verdicts, exact preimages) lives in
-:mod:`takagi.machine`; this module re-exports it and adds the word-level
-side: two prefixes belong to the same local level set when their slope walks
+Two prefixes belong to the same local level set when their slope walks
 agree in absolute value, and the partners of a word are produced by flipping
-whole blocks between returns of the walk to zero.
+whole blocks between returns of the walk to zero.  Classification itself
+(state graph, verdicts, exact preimages and the number of local level sets
+of a finite L(y)) lives in :mod:`takagi.machine`.
 """
 
 from __future__ import annotations
@@ -12,36 +12,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from .curve import DigitWord
-from .machine import (
-    BudgetExceededError,
-    LevelSetReport,
-    PreimagePath,
-    StateGraph,
-    Verdict,
-    analyze,
-    classify,
-    close_graph,
-    group_by_profile,
-    leftmost_preimage,
-    reconstruct_preimages,
-)
-
-__all__ = [
-    "BudgetExceededError",
-    "LevelSetReport",
-    "PreimagePath",
-    "StateGraph",
-    "Verdict",
-    "analyze",
-    "classify",
-    "close_graph",
-    "group_by_profile",
-    "leftmost_preimage",
-    "local_level_set_count",
-    "local_partner_count",
-    "local_partners",
-    "reconstruct_preimages",
-]
 
 
 def _zero_positions(word: DigitWord) -> list[int]:
@@ -77,12 +47,3 @@ def local_partners(word: Sequence[int]) -> list[tuple[int, ...]]:
 def local_partner_count(word: Sequence[int]) -> int:
     """2^(number of blocks) without materializing the partner list."""
     return 1 << len(_zero_positions(DigitWord(word)))
-
-
-def local_level_set_count(report: LevelSetReport) -> int:
-    """Number of local level sets in a Finite report (profile classes)."""
-    if report.verdict is not Verdict.FINITE or report.paths is None:
-        raise ValueError(f"level set of {report.ordinate} is not finite")
-    if report.n_local is not None:
-        return report.n_local
-    return len(group_by_profile(list(report.paths)))

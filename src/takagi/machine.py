@@ -36,10 +36,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator, Optional, Union
 
-from .rationals import ordinate_depth, require_supported
-
-ZERO = Fraction(0)
-TWO_THIRDS = Fraction(2, 3)
+from .curve import TWO_THIRDS
+from .rationals import ZERO, BinaryExpansion, ordinate_depth, require_supported
 
 DEFAULT_MAX_STATES = 100_000
 DEFAULT_MAX_SLOPE = 64
@@ -186,55 +184,12 @@ class Verdict(Enum):
 
 
 @dataclass(frozen=True)
-class PreimagePath:
-    """An eventually periodic binary expansion of one preimage.
-
-    The empty period means an all-zeros tail; x = 1 is carried as the pure
-    period (1,).  ``abs_slopes`` is the |D_j| profile used to group preimages
-    into local level sets.
-    """
-
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
-
-    def digit(self, i: int) -> int:
-        q = len(self.preperiod)
-        if i <= q:
-            return self.preperiod[i - 1]
-        if not self.period:
-            return 0
-        return self.period[(i - q - 1) % len(self.period)]
-
-    def value(self) -> Fraction:
-        q = len(self.preperiod)
-        acc = 0
-        for b in self.preperiod:
-            acc = (acc << 1) | b
-        x = Fraction(acc, 1 << q) if q else ZERO
-        if self.period:
-            p = len(self.period)
-            cyc = 0
-            for b in self.period:
-                cyc = (cyc << 1) | b
-            x += Fraction(cyc, (1 << p) - 1) / (1 << q)
-        return x
-
-    def abs_slopes(self, count: int) -> tuple[int, ...]:
-        out = []
-        d = 0
-        for i in range(1, count + 1):
-            d += 1 if self.digit(i) == 0 else -1
-            out.append(abs(d))
-        return tuple(out)
-
-
-@dataclass(frozen=True)
 class LevelSetReport:
     ordinate: Fraction
     verdict: Verdict
     cardinality: Optional[int] = None
     preimages: Optional[tuple[Fraction, ...]] = None
-    paths: Optional[tuple[PreimagePath, ...]] = None
+    paths: Optional[tuple[BinaryExpansion, ...]] = None
     n_local: Optional[int] = None
     witness: Optional[str] = None
     witness_preimage: Optional[Fraction] = None
@@ -354,23 +309,22 @@ def _dyadic_witness(graph: StateGraph) -> Optional[Fraction]:
         bits.append(bit)
         key = parent
     bits.reverse()
-    acc = 0
-    for b in bits:
-        acc = (acc << 1) | b
-    return Fraction(acc, 1 << len(bits)) if bits else ZERO
+    return BinaryExpansion(tuple(bits), ()).value()
 
 
 def _finite_paths(
     graph: StateGraph, live: set[Key], cycle_nodes: set[Key]
-) -> list[PreimagePath]:
+) -> list[BinaryExpansion]:
     """Every root-to-cycle path as an eventually periodic expansion.
 
     Only called once the verdict is Finite, so cycles are exit-free and
-    simple and the DAG part is revisit-free; bit-0-first exploration emits
-    preimages already in increasing numeric order.
+    simple and the DAG part is revisit-free.  The depth-first walk keeps its
+    own stack, so prefixes of thousands of digits are fine, and it takes the
+    0-digit branch first, so preimages come out in increasing numeric order.
+    The paths are not canonicalised: a cycle entered mid-period gives a
+    rotated period, e.g. 0^10 (0110) where :func:`to_binary` has 0^9 (0011).
     """
-    paths: list[PreimagePath] = []
-    prefix: list[int] = []
+    paths: list[BinaryExpansion] = []
 
     def ride_cycle(entry: Key) -> tuple[int, ...]:
         digits: list[int] = []
@@ -387,24 +341,25 @@ def _finite_paths(
             if key == entry:
                 return tuple(digits)
 
-    def descend(key: Key) -> None:
+    if graph.root is None or graph.root not in live:
+        return paths
+    prefix: list[int] = []
+    # (state, prefix length before the edge into it, that edge's digit)
+    stack: list[tuple[Key, int, tuple[int, ...]]] = [(graph.root, 0, ())]
+    while stack:
+        key, depth, edge = stack.pop()
+        prefix[depth:] = edge
         if key in cycle_nodes:
-            paths.append(PreimagePath(tuple(prefix), ride_cycle(key)))
-            return
+            paths.append(BinaryExpansion(tuple(prefix), ride_cycle(key)))
+            continue
         node = graph.nodes[key]
         if node.is_zero_ray:  # unreachable under a Finite verdict; kept exact
-            paths.append(PreimagePath(tuple(prefix), ()))
-            return
-        for bit in (0, 1):
+            paths.append(BinaryExpansion(tuple(prefix), ()))
+            continue
+        for bit in (1, 0):  # popped in reverse: the 0-branch runs first
             child = node.edges.get(bit)
-            if child is None or child not in live:
-                continue
-            prefix.append(bit)
-            descend(child)
-            prefix.pop()
-
-    if graph.root is not None and graph.root in live:
-        descend(graph.root)
+            if child is not None and child in live:
+                stack.append((child, len(prefix), (bit,)))
     return paths
 
 
@@ -424,7 +379,7 @@ def analyze(graph: StateGraph) -> LevelSetReport:
         diagnostics["budget_reason"] = graph.budget_reason
 
     if y == 0:
-        paths = (PreimagePath((), ()), PreimagePath((), (1,)))
+        paths = (BinaryExpansion((), ()), BinaryExpansion((), (1,)))
         return LevelSetReport(
             ordinate=y,
             verdict=Verdict.FINITE,
@@ -540,14 +495,6 @@ def analyze(graph: StateGraph) -> LevelSetReport:
     )
 
 
-def reconstruct_preimages(graph: StateGraph) -> list[Fraction]:
-    """Exact preimage list of a Finite ordinate (see :func:`analyze`)."""
-    report = analyze(graph)
-    if report.verdict is not Verdict.FINITE:
-        raise ValueError(f"level set of {graph.ordinate} is not finite: {report.verdict.value}")
-    return list(report.preimages)
-
-
 def leftmost_preimage(
     y: Fraction,
     *,
@@ -583,10 +530,10 @@ def leftmost_preimage(
     while True:
         node = graph.nodes[key]
         if node.is_zero_ray:
-            return PreimagePath(tuple(digits), ()).value()
+            return BinaryExpansion(tuple(digits), ()).value()
         if key in first_seen:
             start = first_seen[key]
-            return PreimagePath(tuple(digits[:start]), tuple(digits[start:])).value()
+            return BinaryExpansion(tuple(digits[:start]), tuple(digits[start:])).value()
         first_seen[key] = len(digits)
         for bit in (0, 1):
             child = node.edges.get(bit)
@@ -598,7 +545,7 @@ def leftmost_preimage(
             raise AssertionError("live state with no live successor")
 
 
-def local_profile_window(paths: list[PreimagePath]) -> int:
+def local_profile_window(paths: list[BinaryExpansion]) -> int:
     """Digits needed to compare |D| profiles: max preperiod + 3 * lcm(periods).
 
     Machine preimages have drift-free cycles, so each |D_j| tail is periodic
@@ -612,10 +559,10 @@ def local_profile_window(paths: list[PreimagePath]) -> int:
     return q + 3 * p
 
 
-def group_by_profile(paths: list[PreimagePath]) -> list[list[PreimagePath]]:
+def group_by_profile(paths: list[BinaryExpansion]) -> list[list[BinaryExpansion]]:
     """Partition preimage paths by their |D_j| profile (local level sets)."""
     window = local_profile_window(paths)
-    groups: dict[tuple[int, ...], list[PreimagePath]] = {}
+    groups: dict[tuple[int, ...], list[BinaryExpansion]] = {}
     for path in paths:
         groups.setdefault(path.abs_slopes(window), []).append(path)
     return list(groups.values())

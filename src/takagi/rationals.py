@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Union
 
 RationalLike = Union[Fraction, int, str]
+
+ZERO = Fraction(0)
 
 
 class UnsupportedDenominatorError(ValueError):
@@ -90,12 +92,14 @@ def format_rational(x: Fraction) -> str:
 
 @dataclass(frozen=True)
 class BinaryExpansion:
-    """Eventually periodic binary expansion of a rational in [0, 1).
+    """Eventually periodic binary expansion 0.u(c)^inf of a rational in [0, 1].
 
-    ``preperiod`` is minimal and ``period`` is primitive; both are unique, so
-    equal rationals always produce identical expansions.  A terminating
-    (dyadic) expansion has an empty period, and digits past the end are read
-    as zeros — the all-zeros tail convention used throughout.
+    Any preperiod u and period c are allowed, so one rational can have
+    several expansions: 0.0000000000(0110) and 0.000000000(0011) are both
+    1/2560, and x = 1 is the pure period (1,).  :func:`to_binary` returns the
+    canonical one.  A terminating (dyadic) expansion has an empty period, and
+    digits past the end are read as zeros — the all-zeros tail convention
+    used throughout.
     """
 
     preperiod: tuple[int, ...]
@@ -132,11 +136,20 @@ class BinaryExpansion:
     def value(self) -> Fraction:
         q, p = len(self.preperiod), len(self.period)
         head = _word_numerator(self.preperiod)
-        total = Fraction(head, 1 << q) if q else Fraction(0)
+        total = Fraction(head, 1 << q) if q else ZERO
         if p:
             tail = Fraction(_word_numerator(self.period), (1 << p) - 1)
             total += tail / (1 << q)
         return total
+
+    def abs_slopes(self, count: int) -> tuple[int, ...]:
+        """|D_1|, ..., |D_count| of the slope walk (D_j = #zeros - #ones)."""
+        out = []
+        d = 0
+        for i in range(1, count + 1):
+            d += 1 if self.digit(i) == 0 else -1
+            out.append(abs(d))
+        return tuple(out)
 
     def render(self) -> str:
         """Human form: '0.101', '0.(01)', '0.0(01)'."""
@@ -147,7 +160,8 @@ class BinaryExpansion:
         return f"0.{head}({cyc})"
 
 
-def _word_numerator(word: tuple[int, ...]) -> int:
+def _word_numerator(word: Iterable[int]) -> int:
+    """The integer whose binary digits are ``word``: (1, 0, 1) -> 5."""
     n = 0
     for b in word:
         n = (n << 1) | b
@@ -155,11 +169,12 @@ def _word_numerator(word: tuple[int, ...]) -> int:
 
 
 def to_binary(x: Fraction) -> BinaryExpansion:
-    """Binary expansion of any rational in [0, 1) by long division.
+    """Canonical binary expansion of any rational in [0, 1) by long division.
 
-    The first repeated remainder marks the (minimal) preperiod, and the cycle
-    of remainders gives the primitive period, e.g. 5/8 -> 0.101,
-    1/3 -> 0.(01), 1/6 -> 0.0(01).
+    The first repeated remainder marks the preperiod and the cycle of
+    remainders gives the period, e.g. 5/8 -> 0.101, 1/3 -> 0.(01),
+    1/6 -> 0.0(01).  The preperiod is minimal and the period primitive; both
+    are unique, so equal rationals always produce identical expansions.
     """
     if not 0 <= x < 1:
         raise ValueError(f"expansion needs 0 <= x < 1, got {x}")

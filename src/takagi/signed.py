@@ -1,10 +1,10 @@
-"""Signed relatives f(x) = sum_n r_n 2^-n dist(2^n x, Z) for периодic signs.
+"""Signed relatives f(x) = sum_n r_n 2^-n dist(2^n x, Z) for periodic signs.
 
 Only eventually periodic sign sequences r are representable — exactly the
-class where everything below stays exact: the digit walk picks up the sign
-r_{i-1} at step i, evaluation at rationals closes over one aligned period,
-and the max/min come from first-passage times of the sign walk
-s_n = r_0 + ... + r_{n-1}:
+class where everything below stays exact: the digit walk
+(:class:`takagi.curve.DigitWord`) picks up the sign r_{i-1} at step i,
+evaluation at rationals closes over one aligned period, and the max/min
+come from first-passage times of the sign walk s_n = r_0 + ... + r_{n-1}:
 
     max f = sum_k (1/2)^{tau_{2k-1}},   min f = -sum_k (1/2)^{tau_{1-2k}},
 
@@ -24,166 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
-from .curve import TWO_THIRDS, ZERO
-from .rationals import require_supported, to_binary
+# ALL_PLUS, ALTERNATING and SignSequence live beside the digit walk that reads
+# them and stay importable from here.
+from .curve import ALL_PLUS, ALTERNATING, HALF, TWO_THIRDS, DigitWord, SignSequence  # noqa: F401
+from .rationals import ZERO, require_supported, to_binary
 from .stats import catalan
-
-HALF = Fraction(1, 2)
-
-
-def _canonical(preperiod: tuple[int, ...], period: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # primitive period
-    p = len(period)
-    for d in range(1, p + 1):
-        if p % d == 0 and period == period[:d] * (p // d):
-            period = period[:d]
-            break
-    # minimal preperiod: absorb matching tail signs into the rotation
-    preperiod = tuple(preperiod)
-    while preperiod and preperiod[-1] == period[-1]:
-        preperiod = preperiod[:-1]
-        period = (period[-1],) + period[:-1]
-    return preperiod, period
-
-
-@dataclass(frozen=True)
-class SignSequence:
-    """Eventually periodic sequence of +-1 signs, canonicalized on creation.
-
-    ``term(n)`` is r_n (0-based).  Construction normalizes to the primitive
-    period and minimal preperiod, so equal sequences compare equal.
-    """
-
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.period:
-            raise ValueError("period must be nonempty")
-        if any(s not in (-1, 1) for s in self.preperiod + self.period):
-            raise ValueError("signs must be +1 or -1")
-        pre, per = _canonical(self.preperiod, self.period)
-        object.__setattr__(self, "preperiod", pre)
-        object.__setattr__(self, "period", per)
-
-    @classmethod
-    def parse(cls, period: str, preperiod: str = "") -> "SignSequence":
-        """Build from '+'/'-' strings, e.g. parse("++-") or parse("+-", "+")."""
-        def decode(text: str) -> tuple[int, ...]:
-            out = []
-            for ch in text:
-                if ch == "+":
-                    out.append(1)
-                elif ch == "-":
-                    out.append(-1)
-                else:
-                    raise ValueError(f"sign string may contain only + and -: {text!r}")
-            return tuple(out)
-
-        return cls(decode(preperiod), decode(period))
-
-    def __str__(self) -> str:
-        render = lambda signs: "".join("+" if s > 0 else "-" for s in signs)
-        head = render(self.preperiod)
-        return f"{head}({render(self.period)})" if head else f"({render(self.period)})"
-
-    def term(self, n: int) -> int:
-        if n < 0:
-            raise IndexError("sign index must be >= 0")
-        q = len(self.preperiod)
-        if n < q:
-            return self.preperiod[n]
-        return self.period[(n - q) % len(self.period)]
-
-    def shift(self, k: int) -> "SignSequence":
-        """The sequence (r_k, r_{k+1}, ...)."""
-        q = len(self.preperiod)
-        if k <= q:
-            return SignSequence(self.preperiod[k:], self.period)
-        r = (k - q) % len(self.period)
-        return SignSequence((), self.period[r:] + self.period[:r])
-
-    def flipped(self) -> "SignSequence":
-        return SignSequence(
-            tuple(-s for s in self.preperiod), tuple(-s for s in self.period)
-        )
-
-    @property
-    def transient(self) -> int:
-        return len(self.preperiod)
-
-    @property
-    def period_length(self) -> int:
-        return len(self.period)
-
-    @property
-    def drift(self) -> int:
-        """Net movement of the sign walk over one period."""
-        return sum(self.period)
-
-
-ALL_PLUS = SignSequence((), (1,))
-ALTERNATING = SignSequence((), (1, -1))
-
-
-class SignedWord:
-    """Binary word with the sign-weighted walk and exact partial values.
-
-    Mirrors :class:`takagi.curve.DigitWord` with step i weighted by r_{i-1}:
-    v_i = v_{i-1} + eps_i (D_{i-1} + r_{i-1}) / 2^i and D moves by ±r_{i-1}.
-    """
-
-    __slots__ = ("signs", "_digits", "_slopes", "_values")
-
-    def __init__(self, signs: SignSequence, digits: Iterable[int] = ()) -> None:
-        self.signs = signs
-        self._digits: list[int] = []
-        self._slopes: list[int] = [0]
-        self._values: list[Fraction] = [ZERO]
-        for bit in digits:
-            self.push(bit)
-
-    def push(self, bit: int) -> None:
-        if bit not in (0, 1):
-            raise ValueError(f"binary digit expected, got {bit!r}")
-        i = len(self._digits) + 1
-        r = self.signs.term(i - 1)
-        d = self._slopes[-1]
-        v = self._values[-1]
-        if bit:
-            v = v + Fraction(d + r, 1 << i)
-            d -= r
-        else:
-            d += r
-        self._digits.append(bit)
-        self._slopes.append(d)
-        self._values.append(v)
-
-    def pop(self) -> int:
-        bit = self._digits.pop()
-        self._slopes.pop()
-        self._values.pop()
-        return bit
-
-    def __len__(self) -> int:
-        return len(self._digits)
-
-    @property
-    def digits(self) -> tuple[int, ...]:
-        return tuple(self._digits)
-
-    @property
-    def slope(self) -> int:
-        return self._slopes[-1]
-
-    def slope_at(self, j: int) -> int:
-        return self._slopes[j]
-
-    @property
-    def value(self) -> Fraction:
-        return self._values[-1]
 
 
 def eval_signed_dyadic(x: Fraction, signs: SignSequence) -> Fraction:
@@ -195,7 +42,7 @@ def eval_signed_dyadic(x: Fraction, signs: SignSequence) -> Fraction:
     expansion = to_binary(x)
     if not expansion.is_terminating:
         raise ValueError(f"{x} is not dyadic")
-    return SignedWord(signs, expansion.preperiod).value
+    return DigitWord(expansion.preperiod, signs).value
 
 
 def eval_signed_rational(x: Fraction, signs: SignSequence) -> Fraction:
@@ -212,13 +59,13 @@ def eval_signed_rational(x: Fraction, signs: SignSequence) -> Fraction:
         return ZERO
     expansion = to_binary(x)
     if expansion.is_terminating:
-        return SignedWord(signs, expansion.preperiod).value
+        return DigitWord(expansion.preperiod, signs).value
     q = max(len(expansion.preperiod), signs.transient)
     block = lcm(len(expansion.period), signs.period_length)
-    head = SignedWord(signs, expansion.digits(q))
+    head = DigitWord(expansion.digits(q), signs)
     scaled = x * (1 << q)
     tail = scaled - (scaled.numerator // scaled.denominator)
-    cycle = SignedWord(signs.shift(q), tuple(expansion.digit(q + 1 + i) for i in range(block)))
+    cycle = DigitWord((expansion.digit(q + 1 + i) for i in range(block)), signs.shift(q))
     scale = Fraction(1, 1 << block)
     tail_value = (cycle.value + cycle.slope * tail * scale) / (1 - scale)
     return head.value + (head.slope * tail + tail_value) / (1 << q)
@@ -243,7 +90,7 @@ def signed_d_expression_residual(x: Fraction, signs: SignSequence, terms: int) -
     if terms < 1:
         raise ValueError("terms must be >= 1")
     expansion = to_binary(x)
-    word = SignedWord(signs, tuple(expansion.digit(i) for i in range(1, terms + 2)))
+    word = DigitWord(expansion.digits(terms + 1), signs)
     acc = ZERO
     for n in range(1, terms + 1):
         sign = -1 if expansion.digit(n + 1) else 1
@@ -420,7 +267,7 @@ def truncated_local_count(y: Fraction, signs: SignSequence, max_order: int) -> i
     y = require_supported(y)
     depth_cap = 2 * max_order
     suffix = _suffix_extrema_table(signs, depth_cap + 1)
-    word = SignedWord(signs)
+    word = DigitWord(signs=signs)
     count = 0
 
     def descend() -> None:

@@ -29,9 +29,8 @@ from fractions import Fraction
 from math import comb
 from typing import Optional, Union
 
+from .curve import TWO_THIRDS
 from .machine import DEFAULT_MAX_SLOPE, DEFAULT_MAX_STATES, Verdict, classify
-
-TWO_THIRDS = Fraction(2, 3)
 
 #: Largest order for which the exact (Fraction) series mode is offered.
 EXACT_SERIES_LIMIT = 64

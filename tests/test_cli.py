@@ -83,6 +83,22 @@ def test_classify_budget_exhaustion_exits_4_with_result():
     assert payload["states_explored"] == 3
 
 
+def test_nonpositive_state_budget_is_usage_error():
+    for command in ("classify", "levelset", "grid"):
+        target = ("--depth", "1") if command == "grid" else ("--y", "1/8")
+        for budget in ("0", "-5"):
+            code, out, err = run(command, *target, "--max-states", budget)
+            assert (code, out) == (2, "")
+            assert "--max-states" in err
+
+
+def test_negative_ordinate_needs_equals_form():
+    code, out, _ = run("classify", "--y=-1/4")
+    assert code == 0
+    assert json.loads(out)["count"] == 0
+    assert run("classify", "--y", "-1/4")[0] == 2
+
+
 def test_levelset_json_roundtrip():
     code, out, _ = run("levelset", "--y", "7/12")
     assert code == 0
@@ -130,6 +146,12 @@ def test_census_filters():
     rows = json.loads(out)["rows"]
     assert [r["count"] for r in rows] == [0, 2, 2, 4, 10]  # 2 * Catalan(m-1)
     assert all(r["match"] for r in rows)
+
+
+def test_census_negative_order_is_usage_error():
+    code, out, err = run("census", "--max-order", "-1")
+    assert (code, out) == (2, "")
+    assert "--max-order" in err
 
 
 def test_series_values():

@@ -1,19 +1,13 @@
-"""Local level sets: partner words, profile classes, and the facade."""
+"""Local level sets: partner words and profile classes."""
 
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from takagi.curve import DigitWord, eval_dyadic
-from takagi.levelsets import (
-    Verdict,
-    classify,
-    local_level_set_count,
-    local_partner_count,
-    local_partners,
-)
+from takagi.levelsets import local_partner_count, local_partners
+from takagi.machine import Verdict, classify
 
 
 def test_partner_pins():
@@ -86,11 +80,10 @@ def test_count_is_two_to_the_blocks():
 
 
 def test_local_count_golden_pins():
-    assert local_level_set_count(classify(Fraction(0))) == 1
-    assert local_level_set_count(classify(Fraction(1, 8))) == 1
-    assert local_level_set_count(classify(Fraction(7, 12))) == 1
-    with pytest.raises(ValueError):
-        local_level_set_count(classify(Fraction(1, 2)))
+    assert classify(Fraction(0)).n_local == 1
+    assert classify(Fraction(1, 8)).n_local == 1
+    assert classify(Fraction(7, 12)).n_local == 1
+    assert classify(Fraction(1, 2)).n_local is None
 
 
 def test_first_depth4_ordinate_with_two_local_sets():

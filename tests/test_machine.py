@@ -18,7 +18,6 @@ from takagi.machine import (
     is_feasible,
     leftmost_preimage,
     local_profile_window,
-    reconstruct_preimages,
     step,
 )
 from takagi.rationals import UnsupportedDenominatorError
@@ -113,6 +112,25 @@ def test_finite_reports_carry_exact_preimages():
         assert eval_rational(x) == Fraction(7, 12)
     # paths and points line up one-to-one
     assert tuple(p.value() for p in report.paths) == report.preimages
+
+
+def test_deep_ordinates_enumerate_without_recursion():
+    """Preimage prefixes run to 2n = 2000 digits at n = 1000, past the
+    interpreter's default recursion limit; path enumeration must not care.
+    The draws j / (3 * 4^n) with 3 not dividing j are never values of T at
+    dyadic points, and a slope budget of 2n lets each of them close."""
+    n = 1000
+    rng = random.Random(20000)
+    for _ in range(3):
+        j = rng.randrange(2 * 4**n + 1)
+        while j % 3 == 0:
+            j = rng.randrange(2 * 4**n + 1)
+        y = Fraction(j, 3 * 4**n)
+        report = classify(y, max_slope=2 * n)
+        assert report.verdict is Verdict.FINITE
+        assert report.cardinality == len(report.preimages) > 0
+        for x in report.preimages:
+            assert eval_rational(x) == y
 
 
 def test_countable_witness_attains_the_level():

@@ -123,3 +123,15 @@ def test_expansion_canonical(x):
         assert e.preperiod[-1] != e.period[-1]
     # dyadic iff terminating
     assert e.is_terminating == (x.denominator & (x.denominator - 1) == 0)
+
+
+def test_non_canonical_expansions():
+    # x = 1 is the pure period (1,), which to_binary never produces
+    assert BinaryExpansion((), (1,)).value() == 1
+    # a rotated period entered one digit late names the same rational
+    rotated = BinaryExpansion((0,) * 10, (0, 1, 1, 0))
+    canonical = to_binary(Fraction(1, 2560))
+    assert rotated.value() == Fraction(1, 2560) == canonical.value()
+    assert rotated != canonical
+    assert canonical == BinaryExpansion((0,) * 9, (0, 0, 1, 1))
+    assert rotated.abs_slopes(20) == canonical.abs_slopes(20)

@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles as oracles
-from takagi.curve import d_expression_residual, eval_rational
+from takagi.curve import DigitWord, d_expression_residual, eval_rational
 from takagi.signed import (
     ALL_PLUS,
     ALTERNATING,
     SignSequence,
-    SignedWord,
     eval_signed_dyadic,
     eval_signed_rational,
     expected_local_window,
@@ -96,7 +95,7 @@ def test_eval_against_series_window(x, signs):
 
 def test_signed_word_matches_evaluator():
     signs = P("+-+")
-    word = SignedWord(signs, (0, 1, 1, 0, 1))
+    word = DigitWord((0, 1, 1, 0, 1), signs)
     x = sum(Fraction(bit, 1 << (j + 1)) for j, bit in enumerate(word.digits))
     assert word.value == eval_signed_dyadic(x, signs)
 
@@ -218,7 +217,7 @@ def brute_local_count(y, signs, max_order):
                     break
             if not ok or d != 0:
                 continue
-            word = SignedWord(signs)
+            word = DigitWord(signs=signs)
             for bit in bits:
                 word.push(bit)
             v = word.value
