@@ -38,7 +38,9 @@ from .humps import (
     ROOT_HUMP,
     analyze_word,
     balanced_word_of,
+    catalan,
     census,
+    central_binomial,
     dyadic_partner,
     enumerate_balanced,
     level_points,
@@ -80,9 +82,7 @@ from .signed import (
 )
 from .stats import (
     GridReport,
-    catalan,
     catalan_series_partial,
-    central_binomial,
     expected_cardinality_series_partial,
     expected_local_series_partial,
     grid_experiment,

@@ -5,8 +5,9 @@ piped back in without losing exactness, and identical invocations produce
 byte-identical output (JSON key order and SVG attribute order are fixed).
 
 Exit codes: 0 success; 2 usage errors (including non-balanced plot
-highlights and search budgets below 1); 3 unsupported denominator; 4 budget
-exhaustion — the indeterminate result is still printed.
+highlights, search budgets below 1, and census orders or plot depths out of
+range); 3 unsupported denominator; 4 budget exhaustion — the indeterminate
+result is still printed.
 """
 
 from __future__ import annotations
@@ -20,19 +21,21 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .curve import TWO_THIRDS, eval_approx, eval_dyadic, eval_rational
-from .humps import NotBalancedError, analyze_word, balanced_word_of, census
-from .humps import enumerate_balanced
+from .humps import MAX_ENUMERATION_ORDER, NotBalancedError, analyze_word, balanced_word_of
+from .humps import catalan, census, enumerate_balanced
 from .machine import BudgetExceededError, DEFAULT_MAX_STATES, Verdict, classify
 from .rationals import UnsupportedDenominatorError, format_rational, parse_rational
 from .signed import SignSequence, eval_signed_rational, signed_extrema
 from .signed import truncated_local_count
 from .stats import (
-    catalan,
     catalan_series_partial,
     expected_cardinality_series_partial,
     expected_local_series_partial,
     grid_experiment,
 )
+
+# Largest plot --depth: 2^16 + 1 exact samples already take seconds.
+MAX_PLOT_DEPTH = 16
 
 # Fixed canvas: 768 x 512 makes the [0,1] x [0,2/3] viewport square-scaled
 # (768 * 2/3 = 512) and keeps every sample coordinate dyadic.
@@ -45,15 +48,10 @@ HIGHLIGHT_STROKE = "#b3432b"
 
 @dataclass(frozen=True)
 class PlotSpec:
-    """What to draw: sampling density, hump highlights, and the viewport."""
+    """What to draw: sampling density and hump highlights."""
 
     resolution: int = 512  # samples per unit; power of two keeps abscissas dyadic
     highlights: tuple[Fraction, ...] = ()
-    viewport: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]] = (
-        (Fraction(0), Fraction(1)),
-        (Fraction(0), TWO_THIRDS),
-    )
-    output: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.resolution < 1 or self.resolution & (self.resolution - 1):
@@ -84,14 +82,8 @@ def render_svg(spec: PlotSpec) -> str:
     I(x0) x J(x0), e.g. 1/4 -> [1/4, 1/2] x [1/2, 2/3].  Raises
     :class:`NotBalancedError` for non-corner highlights.
     """
-    (x_lo, x_hi), (y_lo, y_hi) = spec.viewport
-    x_span, y_span = x_hi - x_lo, y_hi - y_lo
-
     def place(x: Fraction, y: Fraction) -> tuple[Fraction, Fraction]:
-        return (
-            (x - x_lo) / x_span * CANVAS_WIDTH,
-            CANVAS_HEIGHT - (y - y_lo) / y_span * CANVAS_HEIGHT,
-        )
+        return x * CANVAS_WIDTH, CANVAS_HEIGHT - y / TWO_THIRDS * CANVAS_HEIGHT
 
     points = []
     for k in range(spec.resolution + 1):
@@ -116,8 +108,8 @@ def render_svg(spec: PlotSpec) -> str:
         px, py = place(left, top)
         lines.append(
             f'<rect x="{_decimal(px)}" y="{_decimal(py)}" '
-            f'width="{_decimal((right - left) / x_span * CANVAS_WIDTH)}" '
-            f'height="{_decimal((top - bottom) / y_span * CANVAS_HEIGHT)}" '
+            f'width="{_decimal((right - left) * CANVAS_WIDTH)}" '
+            f'height="{_decimal((top - bottom) / TWO_THIRDS * CANVAS_HEIGHT)}" '
             f'fill="none" stroke="{HIGHLIGHT_STROKE}" stroke-width="1.5"/>'
         )
     lines.append("</svg>")
@@ -217,13 +209,13 @@ def _cmd_census(args: argparse.Namespace) -> int:
     for m in range(args.max_order + 1):
         total, leading = census(m)
         if args.filter == "leading":
-            count = len(enumerate_balanced(m, leading=True, budget=args.max_order))
+            count = len(enumerate_balanced(m, leading=True))
             expected = leading
         elif args.filter == "gen1":
-            count = len(enumerate_balanced(m, generation=1, budget=args.max_order))
+            count = len(enumerate_balanced(m, generation=1))
             expected = 2 * catalan(m - 1) if m >= 1 else 0
         else:
-            count = len(enumerate_balanced(m, budget=args.max_order))
+            count = len(enumerate_balanced(m))
             expected = total
         rows.append((m, count, expected))
     if args.format == "json":
@@ -322,15 +314,13 @@ def _cmd_plot(args: argparse.Namespace) -> int:
         for token in (args.highlight.split(",") if args.highlight else [])
         if token.strip()
     )
-    spec = PlotSpec(
-        resolution=1 << args.depth, highlights=highlights, output=args.out
-    )
+    spec = PlotSpec(resolution=1 << args.depth, highlights=highlights)
     _emit(render_svg(spec), args.out)
     return 0
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer >= ``low``, else a usage error naming the flag."""
+def _int_at_least(low: int, at_most: Optional[int] = None):
+    """argparse type: an integer in [low, at_most], else a usage error naming the flag."""
 
     def parse(text: str) -> int:
         try:
@@ -339,6 +329,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if at_most is not None and value > at_most:
+            raise argparse.ArgumentTypeError(f"must be <= {at_most}, got {value}")
         return value
 
     return parse
@@ -380,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_levelset)
 
     p = sub.add_parser("census", help="hump counts against the closed forms")
-    p.add_argument("--max-order", type=_int_at_least(0), required=True)
+    p.add_argument("--max-order", type=_int_at_least(0, MAX_ENUMERATION_ORDER), required=True)
     p.add_argument("--filter", choices=("leading", "gen1"), default=None)
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.add_argument("--out", default=None)
@@ -414,7 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_signed)
 
     p = sub.add_parser("plot", help="SVG of the curve with optional hump boxes")
-    p.add_argument("--depth", type=int, default=9, help="log2 of samples per unit")
+    p.add_argument(
+        "--depth", type=_int_at_least(0, MAX_PLOT_DEPTH), default=9, help="log2 of samples per unit"
+    )
     p.add_argument("--highlight", default="", help="comma-separated hump corners p/q")
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_plot)

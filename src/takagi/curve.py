@@ -197,9 +197,6 @@ class DigitWord:
         """Exact function value at the word's dyadic point."""
         return self._values[-1]
 
-    def value_at(self, j: int) -> Fraction:
-        return self._values[j]
-
     def point(self) -> Fraction:
         """The dyadic rational 0.eps_1...eps_k."""
         return Fraction(_word_numerator(self._digits), 1 << len(self._digits))

@@ -20,6 +20,11 @@ from .curve import HALF, TWO_THIRDS, DigitWord
 from .rationals import to_binary
 
 
+#: Largest order :func:`enumerate_balanced` lists: binomial(24, 12) = 2704156
+#: humps, each a full exact word analysis.
+MAX_ENUMERATION_ORDER = 12
+
+
 class NotBalancedError(ValueError):
     """Word (or dyadic point) does not mark a hump corner."""
 
@@ -76,18 +81,18 @@ def enumerate_balanced(
     *,
     leading: bool = False,
     generation: Optional[int] = None,
-    budget: int = 12,
 ) -> list[Hump]:
     """All humps of the given order, ascending by corner.
 
     ``leading=True`` keeps Dyck words only; ``generation=g`` filters on the
     number of returns of the slope walk to zero.  Counts: binomial(2m, m)
-    in total, Catalan(m) leading.
+    in total, Catalan(m) leading; orders above :data:`MAX_ENUMERATION_ORDER`
+    are refused.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    if order > budget:
-        raise ValueError(f"order {order} exceeds budget {budget}")
+    if order > MAX_ENUMERATION_ORDER:
+        raise ValueError(f"order {order} exceeds the limit {MAX_ENUMERATION_ORDER}")
     result: list[Hump] = []
     word = DigitWord()
 
@@ -115,9 +120,23 @@ def enumerate_balanced(
     return result
 
 
+def catalan(n: int) -> int:
+    """C_n = binom(2n, n) / (n + 1): 1, 1, 2, 5, 14, 42, ..."""
+    if n < 0:
+        raise ValueError("Catalan numbers need n >= 0")
+    return comb(2 * n, n) // (n + 1)
+
+
+def central_binomial(m: int) -> int:
+    """binom(2m, m): 1, 2, 6, 20, 70, ..."""
+    if m < 0:
+        raise ValueError("central binomial coefficients need m >= 0")
+    return comb(2 * m, m)
+
+
 def census(order: int) -> tuple[int, int]:
     """(humps, leading humps) of the given order: (binom(2m, m), Catalan(m))."""
-    return comb(2 * order, order), comb(2 * order, order) // (order + 1)
+    return central_binomial(order), catalan(order)
 
 
 def truncated_hits(

@@ -24,7 +24,11 @@ finite graph, and the shape of that graph decides the cardinality of L(y):
 
 States with R = D and D <= -1 admit only the all-ones suffix, the
 non-canonical twin of a dyadic expansion counted elsewhere; they are dead
-ends and are the only feasible dead ends.
+ends and are the only feasible dead ends.  Every other state gets a count of
+infinite continuations in one children-first pass over the strongly
+connected components (1 on a cycle or a zero ray, else the sum over its
+children); a state is live exactly when its count is positive, and under a
+Finite verdict the root's count is the cardinality.
 """
 
 from __future__ import annotations
@@ -81,16 +85,12 @@ def step(state: State, bit: int) -> State:
 class StateNode:
     slope: int
     residue: Fraction
-    depth: int  # depth of first discovery (lattice nodes keep the smallest)
-    on_lattice: bool
     is_zero_ray: bool
     is_ones_ray: bool
     is_max_ray: bool
     edges: dict[int, "Key"] = field(default_factory=dict)
-
-    @property
-    def is_terminal(self) -> bool:
-        return self.is_zero_ray or self.is_ones_ray
+    # (key, digit) of the edge that first reached this state; None at the root
+    parent: Optional[tuple["Key", int]] = None
 
 
 # Pre-lattice states carry their depth; collapsed states are keyed (D, R).
@@ -132,16 +132,15 @@ def close_graph(
             return (depth, state[0], state[1])
         return state
 
-    def make_node(depth: int, state: State) -> StateNode:
+    def make_node(state: State, parent: Optional[tuple[Key, int]]) -> StateNode:
         slope, residue = state
         return StateNode(
             slope=slope,
             residue=residue,
-            depth=depth,
-            on_lattice=depth >= lattice_depth,
             is_zero_ray=residue == 0 and slope >= 0,
             is_ones_ray=residue == slope and slope <= -1,
             is_max_ray=residue == envelope_max(slope),
+            parent=parent,
         )
 
     root_state: State = (0, y)
@@ -149,14 +148,14 @@ def close_graph(
         return StateGraph(y, lattice_depth, None, {}, closed=True)
 
     root_key = make_key(0, root_state)
-    nodes: dict[Key, StateNode] = {root_key: make_node(0, root_state)}
+    nodes: dict[Key, StateNode] = {root_key: make_node(root_state, None)}
     queue: deque[tuple[Key, int, State]] = deque([(root_key, 0, root_state)])
     reason: Optional[str] = None
 
     while queue and reason is None:
         key, depth, state = queue.popleft()
         node = nodes[key]
-        if node.is_terminal:
+        if node.is_zero_ray or node.is_ones_ray:
             continue
         for bit in (0, 1):
             child = step(state, bit)
@@ -170,7 +169,7 @@ def close_graph(
                 if len(nodes) >= max_states:
                     reason = "states"
                     break
-                nodes[child_key] = make_node(depth + 1, child)
+                nodes[child_key] = make_node(child, (key, bit))
                 queue.append((child_key, depth + 1, child))
             node.edges[bit] = child_key
     return StateGraph(y, lattice_depth, root_key, nodes, closed=reason is None, budget_reason=reason)
@@ -254,60 +253,41 @@ def _strong_components(graph: StateGraph) -> list[list[Key]]:
     return comps
 
 
-def _live_set(graph: StateGraph, cycle_nodes: set[Key]) -> set[Key]:
-    """Keys with at least one infinite canonical continuation.
+def _continuation_counts(graph: StateGraph, comps: list[list[Key]]) -> dict[Key, int]:
+    """Infinite canonical continuations per state, over children-first ``comps``.
 
     Infinite paths in a finite graph must reach a cycle or stop on the
-    all-zeros ray, so live = can-reach(cycles | zero rays).
+    all-zeros ray, so live = count > 0.  Under a Finite verdict (exit-free
+    simple cycles) the counts are exact path counts.  Dead ends get no entry.
     """
-    seeds = set(cycle_nodes)
-    seeds.update(k for k, n in graph.nodes.items() if n.is_zero_ray)
-    preds: dict[Key, list[Key]] = {k: [] for k in graph.nodes}
-    for key in graph.nodes:
-        if graph.nodes[key].is_ones_ray:
+    counts: dict[Key, int] = {}
+    for comp in comps:
+        if len(comp) > 1:
+            counts.update(dict.fromkeys(comp, 1))
             continue
-        for child in _live_children(graph, key):
-            preds[child].append(key)
-    live = set(seeds)
-    frontier = deque(seeds)
-    while frontier:
-        k = frontier.popleft()
-        for p in preds[k]:
-            if p not in live:
-                live.add(p)
-                frontier.append(p)
-    return live
+        (key,) = comp
+        if graph.nodes[key].is_zero_ray:
+            counts[key] = 1
+        else:
+            counts[key] = sum(counts[c] for c in _live_children(graph, key))
+    return counts
 
 
 def _state_label(node: StateNode) -> str:
     return f"(D={node.slope}, R={node.residue})"
 
 
-def _dyadic_witness(graph: StateGraph) -> Optional[Fraction]:
-    """Digits of a shortest root-to-zero-ray path, as a dyadic preimage."""
-    if graph.root is None:
-        return None
-    seen = {graph.root: (None, None)}  # key -> (parent, bit)
-    queue = deque([graph.root])
-    target = None
-    while queue:
-        key = queue.popleft()
-        if graph.nodes[key].is_zero_ray:
-            target = key
-            break
-        for bit in (0, 1):
-            child = graph.nodes[key].edges.get(bit)
-            if child is not None and child not in seen:
-                seen[child] = (key, bit)
-                queue.append(child)
-    if target is None:
-        return None
+def _dyadic_witness(graph: StateGraph) -> Fraction:
+    """Digits of a shortest root-to-zero-ray path, as a dyadic preimage.
+
+    close_graph is breadth-first, 0-digit first: the first zero ray in node
+    order, walked back through parents, is the leftmost shortest such path.
+    """
+    key = next(k for k, n in graph.nodes.items() if n.is_zero_ray)
     bits: list[int] = []
-    key = target
-    while seen[key][0] is not None:
-        parent, bit = seen[key]
+    while graph.nodes[key].parent is not None:
+        key, bit = graph.nodes[key].parent
         bits.append(bit)
-        key = parent
     bits.reverse()
     return BinaryExpansion(tuple(bits), ()).value()
 
@@ -409,7 +389,8 @@ def analyze(graph: StateGraph) -> LevelSetReport:
     comps = _strong_components(graph)
     nontrivial = [c for c in comps if len(c) > 1]
     cycle_nodes = {k for comp in nontrivial for k in comp}
-    live = _live_set(graph, cycle_nodes)
+    counts = _continuation_counts(graph, comps)
+    live = {k for k, n in counts.items() if n}
     diagnostics["cycles"] = len(nontrivial)
     diagnostics["live_states"] = len(live)
 
@@ -421,10 +402,6 @@ def analyze(graph: StateGraph) -> LevelSetReport:
                 witness=f"max-envelope state {_state_label(node)} reached",
                 diagnostics=diagnostics,
             )
-    comp_of: dict[Key, int] = {}
-    for i, comp in enumerate(comps):
-        for k in comp:
-            comp_of[k] = i
     for comp in nontrivial:
         members = set(comp)
         inner = sum(
@@ -439,14 +416,12 @@ def analyze(graph: StateGraph) -> LevelSetReport:
                 diagnostics=diagnostics,
             )
 
-    zero_rays = [k for k, n in graph.nodes.items() if n.is_zero_ray]
-    if zero_rays:
-        witness_x = _dyadic_witness(graph)
+    if any(n.is_zero_ray for n in graph.nodes.values()):
         return LevelSetReport(
             ordinate=y,
             verdict=Verdict.COUNTABLY_INFINITE,
             witness="attained at a dyadic point",
-            witness_preimage=witness_x,
+            witness_preimage=_dyadic_witness(graph),
             diagnostics=diagnostics,
         )
     for comp in nontrivial:
@@ -465,22 +440,8 @@ def analyze(graph: StateGraph) -> LevelSetReport:
                         diagnostics=diagnostics,
                     )
 
-    # Finite: count root-to-cycle paths over the condensation (children-first
-    # order from Tarjan makes a single pass enough).
-    counts: dict[Key, int] = {}
-    for comp in comps:
-        if len(comp) > 1:
-            for k in comp:
-                counts[k] = 1
-            continue
-        (k,) = comp
-        if k not in live:
-            counts[k] = 0
-        elif graph.nodes[k].is_zero_ray:
-            counts[k] = 1
-        else:
-            counts[k] = sum(counts[c] for c in _live_children(graph, k) if c in live)
-    total = counts.get(graph.root, 0)
+    # Finite: the root's count is the number of root-to-cycle paths.
+    total = counts[graph.root]
     path_list = _finite_paths(graph, live, cycle_nodes)
     assert len(path_list) == total, "path enumeration disagrees with path count"
     preimages = tuple(p.value() for p in path_list)
@@ -519,9 +480,8 @@ def leftmost_preimage(
         raise BudgetExceededError(
             f"state graph for {y} did not close ({graph.budget_reason})"
         )
-    comps = _strong_components(graph)
-    cycle_nodes = {k for comp in comps if len(comp) > 1 for k in comp}
-    live = _live_set(graph, cycle_nodes)
+    counts = _continuation_counts(graph, _strong_components(graph))
+    live = {k for k, n in counts.items() if n}
 
     digits: list[int] = []
     first_seen: dict[Key, int] = {}
@@ -580,10 +540,6 @@ def classify(
     and the number of local level sets (profile classes).  Ordinates outside
     [0, 2/3] are Finite(0); blown budgets give Indeterminate, never a guess.
     """
-    y = require_supported(y)
-    if not 0 <= y <= TWO_THIRDS:
-        graph = StateGraph(y, 0, None, {}, closed=True)
-        return analyze(graph)
     report = analyze(close_graph(y, max_states=max_states, max_slope=max_slope))
     if report.verdict is Verdict.FINITE and report.paths is not None:
         report = replace(report, n_local=len(group_by_profile(list(report.paths))))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -119,15 +119,6 @@ class BinaryExpansion:
     def digits(self, count: int) -> tuple[int, ...]:
         """First ``count`` digits."""
         return tuple(self.digit(i) for i in range(1, count + 1))
-
-    def iter_digits(self) -> Iterator[int]:
-        yield from self.preperiod
-        if self.period:
-            while True:
-                yield from self.period
-        else:
-            while True:
-                yield 0
 
     @property
     def is_terminating(self) -> bool:

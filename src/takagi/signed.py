@@ -29,8 +29,8 @@ from typing import Optional
 # ALL_PLUS, ALTERNATING and SignSequence live beside the digit walk that reads
 # them and stay importable from here.
 from .curve import ALL_PLUS, ALTERNATING, HALF, TWO_THIRDS, DigitWord, SignSequence  # noqa: F401
+from .humps import catalan
 from .rationals import ZERO, require_supported, to_binary
-from .stats import catalan
 
 
 def eval_signed_dyadic(x: Fraction, signs: SignSequence) -> Fraction:
@@ -269,10 +269,24 @@ def truncated_local_count(y: Fraction, signs: SignSequence, max_order: int) -> i
     suffix = _suffix_extrema_table(signs, depth_cap + 1)
     word = DigitWord(signs=signs)
     count = 0
-
-    def descend() -> None:
-        nonlocal count
-        depth = len(word)
+    # Depth-first on an explicit stack, so orders in the thousands are fine:
+    # (word length before the edge, that edge's digit); the root has no edge.
+    stack: list[tuple[int, Optional[int]]] = [(0, None)]
+    while stack:
+        depth, bit = stack.pop()
+        while len(word) > depth:
+            word.pop()
+        if bit is not None:
+            word.push(bit)
+            depth += 1
+            d, v = word.slope, word.value
+            scale = Fraction(1, 1 << depth)
+            slack = HALF / (1 << (2 * ((depth + 1) // 2)))
+            lo_suffix, hi_suffix = suffix[depth]
+            lo = v + (min(0, d) + lo_suffix) * scale
+            hi = v + (max(0, d) + hi_suffix) * scale
+            if not lo - slack <= y <= hi + slack:
+                continue
         if depth % 2 == 0 and word.slope == 0:
             a = word.value
             band = HALF / (1 << depth)
@@ -283,24 +297,10 @@ def truncated_local_count(y: Fraction, signs: SignSequence, max_order: int) -> i
             if hit:
                 count += 1
         if depth == depth_cap:
-            return
-        scale = Fraction(1, 1 << (depth + 1))
-        m_min = max((depth + 2) // 2, 1)
-        slack = HALF / (1 << (2 * m_min))
-        lo_suffix, hi_suffix = suffix[depth + 1]
-        for bit in (0, 1):
-            d = word.slope + signs.term(depth) * (1 if bit == 0 else -1)
-            if d < 0:  # leading humps only
-                continue
-            word.push(bit)
-            v = word.value
-            lo = v + (min(0, d) + lo_suffix) * scale
-            hi = v + (max(0, d) + hi_suffix) * scale
-            if lo - slack <= y <= hi + slack:
-                descend()
-            word.pop()
-
-    descend()
+            continue
+        for bit in (1, 0):
+            if word.slope + signs.term(depth) * (1 if bit == 0 else -1) >= 0:  # leading only
+                stack.append((depth, bit))
     return count
 
 

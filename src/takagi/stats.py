@@ -26,28 +26,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Optional, Union
 
 from .curve import TWO_THIRDS
+from .humps import catalan, central_binomial
 from .machine import DEFAULT_MAX_SLOPE, DEFAULT_MAX_STATES, Verdict, classify
 
 #: Largest order for which the exact (Fraction) series mode is offered.
 EXACT_SERIES_LIMIT = 64
-
-
-def catalan(n: int) -> int:
-    """C_n = binom(2n, n) / (n + 1): 1, 1, 2, 5, 14, 42, ..."""
-    if n < 0:
-        raise ValueError("Catalan numbers need n >= 0")
-    return comb(2 * n, n) // (n + 1)
-
-
-def central_binomial(m: int) -> int:
-    """binom(2m, m): 1, 2, 6, 20, 70, ..."""
-    if m < 0:
-        raise ValueError("central binomial coefficients need m >= 0")
-    return comb(2 * m, m)
 
 
 def _exact_partial(coefficient, max_order: int) -> Fraction:

@@ -154,6 +154,14 @@ def test_census_negative_order_is_usage_error():
     assert "--max-order" in err
 
 
+def test_census_order_above_limit_is_usage_error():
+    # Order 12 already enumerates binomial(24, 12) humps; 13 is refused at
+    # parse time instead of running for hours.
+    code, out, err = run("census", "--max-order", "13")
+    assert (code, out) == (2, "")
+    assert "--max-order" in err and "<= 12" in err
+
+
 def test_series_values():
     code, out, _ = run("series", "--which", "catalan", "--terms", "0")
     assert code == 0 and json.loads(out)["value"] == 1.0
@@ -210,6 +218,14 @@ def test_signed_subcommands():
     assert json.loads(out)["count"] == 1
 
 
+def test_signed_localcount_high_order():
+    # The hump search runs 2 * 2000 digits deep, far past the interpreter's
+    # recursion limit.
+    code, out, _ = run("signed", "localcount", "--signs", "+", "--y", "1/3", "--max-order", "2000")
+    assert code == 0
+    assert json.loads(out)["count"] == 1
+
+
 def test_signed_missing_point_is_usage_error():
     code, out, err = run("signed", "eval", "--signs", "+-")
     assert (code, out) == (2, "")
@@ -228,6 +244,16 @@ def test_plot_svg_structure():
     points = polyline.split('points="')[1].split('"')[0].split()
     assert len(points) == 17  # 2^4 + 1 samples
     assert points[0] == "0,512" and points[-1] == "768,512"
+
+
+def test_plot_depth_bounds():
+    code, out, _ = run("plot", "--depth", "0")
+    assert code == 0
+    assert 'points="0,512 768,512"' in out
+    for depth in ("-1", "17", "40"):
+        code, out, err = run("plot", "--depth", depth)
+        assert (code, out) == (2, "")
+        assert "--depth" in err
 
 
 def test_plot_highlight_box():

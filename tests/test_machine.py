@@ -9,7 +9,10 @@ import _oracles as oracles
 from takagi.curve import eval_rational
 from takagi.machine import (
     BudgetExceededError,
+    StateGraph,
+    StateNode,
     Verdict,
+    analyze,
     classify,
     close_graph,
     envelope_max,
@@ -147,6 +150,49 @@ def test_uncountable_reports():
     assert report.verdict is Verdict.UNCOUNTABLE
     assert report.preimages is None
     assert report.witness  # a state label describing the certificate
+
+
+def _hand_graph(y, edges):
+    """A closed graph keyed by (D, R): the first key is the root, ``edges``
+    maps each key to its {digit: child} edges, and the ray flags are the
+    ones close_graph would set."""
+    nodes = {
+        (slope, residue): StateNode(
+            slope=slope,
+            residue=residue,
+            is_zero_ray=residue == 0 and slope >= 0,
+            is_ones_ray=residue == slope and slope <= -1,
+            is_max_ray=residue == envelope_max(slope),
+            edges=dict(out),
+        )
+        for (slope, residue), out in edges.items()
+    }
+    return StateGraph(y, 0, next(iter(edges)), nodes, closed=True)
+
+
+def test_cycle_exit_is_countable():
+    """A cycle {a, b} that can be left towards the exit-free cycle {c, d}:
+    no sampled ordinate reaches this branch, so the graph is built by hand."""
+    a, b = (0, Fraction(1, 3)), (1, Fraction(2, 3))
+    c, d = (2, Fraction(4, 3)), (1, Fraction(1))
+    graph = _hand_graph(Fraction(1, 3), {a: {0: b}, b: {0: c, 1: a}, c: {1: d}, d: {0: c}})
+    report = analyze(graph)
+    assert report.verdict is Verdict.COUNTABLY_INFINITE
+    assert report.witness == "cycle through (D=1, R=2/3) can be left towards (D=2, R=4/3)"
+    assert report.witness_preimage == Fraction(1, 6)  # leftmost walk 0.00(10)
+    assert report.diagnostics["cycles"] == 2
+    assert report.diagnostics["live_states"] == 4
+
+
+def test_branching_cycle_cluster_is_uncountable():
+    """Both digits lead from a to b and b returns to a: three edges inside a
+    two-state cycle cluster pump a Cantor set of suffixes."""
+    a, b = (0, Fraction(1, 3)), (1, Fraction(2, 3))
+    graph = _hand_graph(Fraction(1, 3), {a: {0: b, 1: b}, b: {1: a}})
+    report = analyze(graph)
+    assert report.verdict is Verdict.UNCOUNTABLE
+    assert report.witness == "branching cycle cluster {(D=0, R=1/3), (D=1, R=2/3)}"
+    assert report.preimages is None
 
 
 def test_out_of_range_is_empty():
