@@ -37,6 +37,11 @@ from .stats import (
 # Largest plot --depth: 2^16 + 1 exact samples already take seconds.
 MAX_PLOT_DEPTH = 16
 
+# Largest eval --approx-depth: the bound's denominator has about 0.3 digits
+# per unit of depth, and 4096 keeps it far below the interpreter's
+# 4300-digit limit on int-to-string conversion.
+MAX_APPROX_DEPTH = 4096
+
 # Fixed canvas: 768 x 512 makes the [0,1] x [0,2/3] viewport square-scaled
 # (768 * 2/3 = 512) and keeps every sample coordinate dyadic.
 CANVAS_WIDTH = 768
@@ -347,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True, help="abscissa p/q in [0, 1]")
     p.add_argument(
         "--approx-depth",
-        type=int,
+        type=_int_at_least(0, MAX_APPROX_DEPTH),
         default=None,
         help="truncate the series at this depth and report the error bound",
     )

@@ -29,6 +29,21 @@ infinite continuations in one children-first pass over the strongly
 connected components (1 on a cycle or a zero ray, else the sum over its
 children); a state is live exactly when its count is positive, and under a
 Finite verdict the root's count is the cardinality.
+
+The closure runs on integers.  With S = den(y) it carries (D, N), N = R * S,
+which is an integer at every depth: R * S = num(y) * 2^j - v_j 2^j * S, and
+the prefix value v_j is a multiple of 2^-j.  The steps become
+
+    eps = 0:  (D + 1, 2N)          eps = 1:  (D - 1, 2N - (D + 1) S)
+
+and feasibility becomes  min(0, D) S <= N  and
+3 * 2^|D| * (N - max(0, D) S) <= 2S,  with equality on the right exactly at
+a max ray; N = 0, D >= 0 is a zero ray and N = D S, D <= -1 a ones ray.
+Nothing assumes the shape of S.  Graph keys are int tuples; each node also
+keeps its exact residue R = N / S for labels.  :func:`step`,
+:func:`is_feasible` and the ``envelope_*`` functions state the same rules on
+(D, R) with Fractions and are the exact reference the closure is tested
+against.
 """
 
 from __future__ import annotations
@@ -93,8 +108,8 @@ class StateNode:
     parent: Optional[tuple["Key", int]] = None
 
 
-# Pre-lattice states carry their depth; collapsed states are keyed (D, R).
-Key = Union[tuple[int, int, Fraction], tuple[int, Fraction]]
+# Pre-lattice states carry their depth; collapsed states are keyed (D, N).
+Key = Union[tuple[int, int, int], tuple[int, int]]
 
 
 @dataclass
@@ -111,6 +126,12 @@ class StateGraph:
         return len(self.nodes)
 
 
+def _headroom(slope: int, num: int, scale: int) -> int:
+    """2S - 3 * 2^|D| * (N - max(0, D) * S): the gap to the envelope g(D),
+    scaled by 3 * 2^|D| * S, so >= 0 iff R <= g(D) and == 0 iff R = g(D)."""
+    return 2 * scale - (3 * (num - max(0, slope) * scale) << abs(slope))
+
+
 def close_graph(
     y: Fraction,
     *,
@@ -122,55 +143,55 @@ def close_graph(
     Stops early (closed=False) if more than ``max_states`` states appear or
     some slope exceeds ``max_slope`` in absolute value; analysis then reports
     Indeterminate rather than guessing.  Terminal rays are kept as nodes but
-    never expanded.
+    never expanded.  The walk runs on integer states (D, N), N = R * S.
     """
     y = require_supported(y)
     lattice_depth = 2 * ordinate_depth(y) if 0 <= y <= TWO_THIRDS else 0
+    scale = y.denominator
 
-    def make_key(depth: int, state: State) -> Key:
-        if depth < lattice_depth:
-            return (depth, state[0], state[1])
-        return state
-
-    def make_node(state: State, parent: Optional[tuple[Key, int]]) -> StateNode:
-        slope, residue = state
+    def make_node(slope: int, num: int, parent: Optional[tuple[Key, int]]) -> StateNode:
         return StateNode(
             slope=slope,
-            residue=residue,
-            is_zero_ray=residue == 0 and slope >= 0,
-            is_ones_ray=residue == slope and slope <= -1,
-            is_max_ray=residue == envelope_max(slope),
+            residue=Fraction(num, scale),
+            is_zero_ray=num == 0 and slope >= 0,
+            is_ones_ray=num == slope * scale and slope <= -1,
+            is_max_ray=_headroom(slope, num, scale) == 0,
             parent=parent,
         )
 
-    root_state: State = (0, y)
-    if not is_feasible(root_state):
+    root_num = y.numerator
+    if root_num < 0 or _headroom(0, root_num, scale) < 0:
         return StateGraph(y, lattice_depth, None, {}, closed=True)
 
-    root_key = make_key(0, root_state)
-    nodes: dict[Key, StateNode] = {root_key: make_node(root_state, None)}
-    queue: deque[tuple[Key, int, State]] = deque([(root_key, 0, root_state)])
+    root_key: Key = (0, 0, root_num) if lattice_depth > 0 else (0, root_num)
+    nodes: dict[Key, StateNode] = {root_key: make_node(0, root_num, None)}
+    queue: deque[tuple[Key, int, int, int]] = deque([(root_key, 0, 0, root_num)])
     reason: Optional[str] = None
 
     while queue and reason is None:
-        key, depth, state = queue.popleft()
+        key, depth, slope, num = queue.popleft()
         node = nodes[key]
         if node.is_zero_ray or node.is_ones_ray:
             continue
-        for bit in (0, 1):
-            child = step(state, bit)
-            if not is_feasible(child):
+        depth += 1
+        for bit, child_slope, child_num in (
+            (0, slope + 1, 2 * num),
+            (1, slope - 1, 2 * num - (slope + 1) * scale),
+        ):
+            if child_num < min(0, child_slope) * scale or _headroom(child_slope, child_num, scale) < 0:
                 continue
-            if abs(child[0]) > max_slope:
+            if abs(child_slope) > max_slope:
                 reason = "slope"
                 break
-            child_key = make_key(depth + 1, child)
+            child_key = (
+                (depth, child_slope, child_num) if depth < lattice_depth else (child_slope, child_num)
+            )
             if child_key not in nodes:
                 if len(nodes) >= max_states:
                     reason = "states"
                     break
-                nodes[child_key] = make_node(child, (key, bit))
-                queue.append((child_key, depth + 1, child))
+                nodes[child_key] = make_node(child_slope, child_num, (key, bit))
+                queue.append((child_key, depth, child_slope, child_num))
             node.edges[bit] = child_key
     return StateGraph(y, lattice_depth, root_key, nodes, closed=reason is None, budget_reason=reason)
 
@@ -408,7 +429,10 @@ def analyze(graph: StateGraph) -> LevelSetReport:
             1 for k in comp for child in _live_children(graph, k) if child in members
         )
         if inner > len(comp):
-            labels = ", ".join(_state_label(graph.nodes[k]) for k in sorted(comp, key=str))
+            # sort on the (D, R) form of each key: the listing then depends
+            # on the residues, not on the scale S of the integer keys
+            ordered = sorted(comp, key=lambda k: str(k[:-1] + (graph.nodes[k].residue,)))
+            labels = ", ".join(_state_label(graph.nodes[k]) for k in ordered)
             return LevelSetReport(
                 ordinate=y,
                 verdict=Verdict.UNCOUNTABLE,

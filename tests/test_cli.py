@@ -45,6 +45,16 @@ def test_eval_approx_reports_certificate():
     assert abs(eval_rational(Fraction(1, 3)) - value) <= bound
 
 
+def test_eval_approx_depth_bounds():
+    code, out, err = run("eval", "--x", "1/3", "--approx-depth", "4096")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["method"] == "truncated(depth=4096)"
+    for depth in ("-1", "100000"):
+        code, out, err = run("eval", "--x", "1/3", "--approx-depth", depth)
+        assert (code, out) == (2, "")
+        assert "--approx-depth" in err
+
+
 # ---------------------------------------------------------------------------
 # classify / levelset
 

@@ -276,6 +276,40 @@ def test_residuals_recompute_along_graph():
     assert count > 1000
 
 
+def test_integer_closure_matches_fraction_reference():
+    """Every edge of the integer closure, present or omitted, against the
+    Fraction rules: a present child is step() of its parent and feasible, an
+    omitted one is infeasible, and each node's ray flags match their (D, R)
+    definitions.  The deep draws push |D| past 40, where 2^|D| is big."""
+    rng = random.Random(1102)
+    ordinates = [Fraction(2, 3), Fraction(1, 2), Fraction(37, 96)]
+    for n in (4, 16, 64, 128):
+        for den in (4**n, 3 * 4**n):
+            ordinates += [Fraction(rng.randrange(2 * den // 3 + 1), den) for _ in range(4)]
+    widest = 0
+    for y in ordinates:
+        graph = close_graph(y, max_slope=256)
+        assert graph.closed, y
+        for node in graph.nodes.values():
+            state = (node.slope, node.residue)
+            assert is_feasible(state)
+            assert node.is_zero_ray == (node.residue == 0 and node.slope >= 0)
+            assert node.is_ones_ray == (node.residue == node.slope and node.slope <= -1)
+            assert node.is_max_ray == (node.residue == envelope_max(node.slope))
+            widest = max(widest, abs(node.slope))
+            if node.is_zero_ray or node.is_ones_ray:
+                assert not node.edges
+                continue
+            for bit in (0, 1):
+                ref = step(state, bit)
+                if bit in node.edges:
+                    child = graph.nodes[node.edges[bit]]
+                    assert (child.slope, child.residue) == ref
+                else:
+                    assert not is_feasible(ref), (y, state, bit)
+    assert widest > 40
+
+
 def test_profile_grouping():
     report = classify(Fraction(7, 12))
     groups = group_by_profile(list(report.paths))
