@@ -5,7 +5,7 @@ piped back in without losing exactness, and identical invocations produce
 byte-identical output (JSON key order and SVG attribute order are fixed).
 
 Exit codes: 0 success; 2 usage errors (including non-balanced plot
-highlights, search budgets below 1, and census orders or plot depths out of
+highlights, search budgets below 1, and orders, depths or term counts out of
 range); 3 unsupported denominator; 4 budget exhaustion — the indeterminate
 result is still printed.
 """
@@ -28,6 +28,7 @@ from .rationals import UnsupportedDenominatorError, format_rational, parse_ratio
 from .signed import SignSequence, eval_signed_rational, signed_extrema
 from .signed import truncated_local_count
 from .stats import (
+    MAX_GRID_DEPTH,
     catalan_series_partial,
     expected_cardinality_series_partial,
     expected_local_series_partial,
@@ -41,6 +42,9 @@ MAX_PLOT_DEPTH = 16
 # per unit of depth, and 4096 keeps it far below the interpreter's
 # 4300-digit limit on int-to-string conversion.
 MAX_APPROX_DEPTH = 4096
+
+# Largest series --terms: 10^6 float terms take well under a second.
+MAX_SERIES_TERMS = 10**6
 
 # Fixed canvas: 768 x 512 makes the [0,1] x [0,2/3] viewport square-scaled
 # (768 * 2/3 = 512) and keeps every sample coordinate dyadic.
@@ -385,12 +389,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="partial sums of the expectation series")
     p.add_argument("--which", choices=("catalan", "cardinality", "local"), required=True)
-    p.add_argument("--terms", type=int, required=True)
+    p.add_argument("--terms", type=_int_at_least(0, MAX_SERIES_TERMS), required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_series)
 
     p = sub.add_parser("grid", help="classify every ordinate j/(3*4^depth)")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_int_at_least(0, MAX_GRID_DEPTH), required=True)
     p.add_argument("--max-states", type=_int_at_least(1), default=DEFAULT_MAX_STATES)
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.add_argument("--out", default=None)
@@ -406,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preperiod", default="", help="signs before the repeating block")
     p.add_argument("--x", default=None)
     p.add_argument("--y", default=None, help="ordinate p/q (use --y=-1/4 if negative)")
-    p.add_argument("--max-order", type=int, default=12)
+    p.add_argument("--max-order", type=_int_at_least(0), default=12)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_signed)
 

@@ -155,9 +155,25 @@ def truncated_hits(
         raise ValueError("max_order must be >= 0")
     hits: list[Hump] = []
     word = DigitWord()
-
-    def descend() -> None:
-        depth = len(word)
+    depths = range(2 * max_order + 1)
+    scales = [Fraction(1, 1 << j) for j in depths]
+    # at length j, hits have order >= m_min(j) = ceil(j / 2)
+    window_lo = [y - HALF / (1 << (2 * ((j + 1) // 2))) for j in depths]
+    # Depth-first on an explicit stack, so orders in the hundreds are fine:
+    # (word length before the edge, that edge's digit); the root has no edge.
+    stack: list[tuple[int, Optional[int]]] = [(0, None)]
+    while stack:
+        depth, bit = stack.pop()
+        for _ in range(len(word) - depth):
+            word.pop()
+        if bit is not None:
+            word.push(bit)
+            depth += 1
+            d, v = word.slope, word.value
+            lo = v + min(0, d) * scales[depth]
+            hi = v + (max(0, d) + TWO_THIRDS) * scales[depth]
+            if hi < window_lo[depth] or lo > y:
+                continue
         if depth % 2 == 0 and word.slope == 0:
             a = word.value
             half_width = HALF / (1 << depth)  # (1/2) * 4^-m at depth 2m
@@ -166,23 +182,11 @@ def truncated_hits(
                 if not leading_only or hump.is_leading:
                     hits.append(hump)
         if depth == 2 * max_order:
-            return
-        scale = Fraction(1, 1 << (depth + 1))
-        m_min = max((depth + 2) // 2, 1)
-        window_lo = y - HALF / (1 << (2 * m_min))
-        for bit in (0, 1):
-            d = word.slope + (1 if bit == 0 else -1)
-            if leading_only and d < 0:
-                continue
-            word.push(bit)
-            v = word.value
-            lo = v + min(0, d) * scale
-            hi = v + (max(0, d) + TWO_THIRDS) * scale
-            if hi >= window_lo and lo <= y:
-                descend()
-            word.pop()
+            continue
+        for bit in (1, 0):  # popped in reverse: the 0-branch runs first
+            if not leading_only or word.slope + (1 if bit == 0 else -1) >= 0:
+                stack.append((depth, bit))
 
-    descend()
     hits.sort(key=lambda h: (h.order, h.corner))
     return hits
 

@@ -30,6 +30,12 @@ connected components (1 on a cycle or a zero ray, else the sum over its
 children); a state is live exactly when its count is positive, and under a
 Finite verdict the root's count is the cardinality.
 
+Preimages come from one depth-first walk over the live states that takes
+the 0-digit first.  A path ends on the all-zeros ray (a terminating
+expansion) or when it first revisits one of its own states (the period is
+the digits since that state's first visit).  Its first path is min L(y);
+under a Finite verdict its paths are the whole of L(y), in increasing order.
+
 The closure runs on integers.  With S = den(y) it carries (D, N), N = R * S,
 which is an integer at every depth: R * S = num(y) * 2^j - v_j 2^j * S, and
 the prefix value v_j is a multiple of 2^-j.  The steps become
@@ -313,55 +319,43 @@ def _dyadic_witness(graph: StateGraph) -> Fraction:
     return BinaryExpansion(tuple(bits), ()).value()
 
 
-def _finite_paths(
-    graph: StateGraph, live: set[Key], cycle_nodes: set[Key]
-) -> list[BinaryExpansion]:
-    """Every root-to-cycle path as an eventually periodic expansion.
-
-    Only called once the verdict is Finite, so cycles are exit-free and
-    simple and the DAG part is revisit-free.  The depth-first walk keeps its
-    own stack, so prefixes of thousands of digits are fine, and it takes the
-    0-digit branch first, so preimages come out in increasing numeric order.
-    The paths are not canonicalised: a cycle entered mid-period gives a
-    rotated period, e.g. 0^10 (0110) where :func:`to_binary` has 0^9 (0011).
+def _paths(graph: StateGraph, live: set[Key]) -> Iterator[BinaryExpansion]:
+    """Root paths through ``live`` states, depth-first, 0-digit first (the
+    module docstring says how a path ends).  Under a Finite verdict a path
+    goes once round its exit-free cycle, keeping the rotation it entered at,
+    e.g. 0^10 (0110) where :func:`to_binary` has 0^9 (0011).  The walk keeps
+    its own stack, so prefixes of thousands of digits are fine.
     """
-    paths: list[BinaryExpansion] = []
-
-    def ride_cycle(entry: Key) -> tuple[int, ...]:
-        digits: list[int] = []
-        key = entry
-        while True:
-            nexts = [
-                (bit, child)
-                for bit, child in sorted(graph.nodes[key].edges.items())
-                if child in live
-            ]
-            assert len(nexts) == 1, "finite-verdict cycle must be a simple loop"
-            bit, key = nexts[0]
-            digits.append(bit)
-            if key == entry:
-                return tuple(digits)
-
-    if graph.root is None or graph.root not in live:
-        return paths
-    prefix: list[int] = []
-    # (state, prefix length before the edge into it, that edge's digit)
+    digits: list[int] = []
+    first_seen: dict[Key, int] = {}  # the path's states, in order, with positions
+    # (state, digits before the edge into it, that edge's digit)
     stack: list[tuple[Key, int, tuple[int, ...]]] = [(graph.root, 0, ())]
     while stack:
         key, depth, edge = stack.pop()
-        prefix[depth:] = edge
-        if key in cycle_nodes:
-            paths.append(BinaryExpansion(tuple(prefix), ride_cycle(key)))
-            continue
-        node = graph.nodes[key]
-        if node.is_zero_ray:  # unreachable under a Finite verdict; kept exact
-            paths.append(BinaryExpansion(tuple(prefix), ()))
-            continue
-        for bit in (1, 0):  # popped in reverse: the 0-branch runs first
-            child = node.edges.get(bit)
-            if child is not None and child in live:
-                stack.append((child, len(prefix), (bit,)))
-    return paths
+        digits[depth:] = edge
+        for _ in range(len(first_seen) - len(digits)):  # backtrack
+            first_seen.popitem()
+        while True:  # follow live 0-digits, leaving each live 1-branch on the stack
+            node = graph.nodes[key]
+            if node.is_zero_ray:
+                yield BinaryExpansion(tuple(digits), ())
+                break
+            start = first_seen.get(key)
+            if start is not None:
+                yield BinaryExpansion(tuple(digits[:start]), tuple(digits[start:]))
+                break
+            first_seen[key] = len(digits)
+            zero, one = node.edges.get(0), node.edges.get(1)
+            if zero in live:
+                if one in live:
+                    stack.append((one, len(digits), (1,)))
+                digits.append(0)
+                key = zero
+            elif one in live:
+                digits.append(1)
+                key = one
+            else:
+                raise AssertionError("live state with no live successor")
 
 
 def analyze(graph: StateGraph) -> LevelSetReport:
@@ -409,7 +403,6 @@ def analyze(graph: StateGraph) -> LevelSetReport:
 
     comps = _strong_components(graph)
     nontrivial = [c for c in comps if len(c) > 1]
-    cycle_nodes = {k for comp in nontrivial for k in comp}
     counts = _continuation_counts(graph, comps)
     live = {k for k, n in counts.items() if n}
     diagnostics["cycles"] = len(nontrivial)
@@ -453,6 +446,7 @@ def analyze(graph: StateGraph) -> LevelSetReport:
         for k in comp:
             for child in _live_children(graph, k):
                 if child not in members and child in live:
+                    assert graph.root in live
                     return LevelSetReport(
                         ordinate=y,
                         verdict=Verdict.COUNTABLY_INFINITE,
@@ -460,13 +454,13 @@ def analyze(graph: StateGraph) -> LevelSetReport:
                             f"cycle through {_state_label(graph.nodes[k])} "
                             f"can be left towards {_state_label(graph.nodes[child])}"
                         ),
-                        witness_preimage=leftmost_preimage(y, graph=graph),
+                        witness_preimage=next(_paths(graph, live)).value(),
                         diagnostics=diagnostics,
                     )
 
     # Finite: the root's count is the number of root-to-cycle paths.
     total = counts[graph.root]
-    path_list = _finite_paths(graph, live, cycle_nodes)
+    path_list = list(_paths(graph, live))
     assert len(path_list) == total, "path enumeration disagrees with path count"
     preimages = tuple(p.value() for p in path_list)
     assert all(a < b for a, b in zip(preimages, preimages[1:])), "preimages not sorted"
@@ -483,50 +477,29 @@ def analyze(graph: StateGraph) -> LevelSetReport:
 def leftmost_preimage(
     y: Fraction,
     *,
-    graph: Optional[StateGraph] = None,
     max_states: int = DEFAULT_MAX_STATES,
     max_slope: int = DEFAULT_MAX_SLOPE,
 ) -> Fraction:
-    """min L(y), exactly, by steering left whenever the 0-digit child is live.
+    """min L(y), exactly: the first path of the 0-digit-first walk.
 
-    The walk either stops on the all-zeros ray (dyadic answer) or revisits a
-    collapsed state, closing an eventually periodic expansion, e.g.
-    leftmost(1/2) = 1/6 = 0.0(01) and leftmost(2/3) = 1/3 = 0.(01).
+    That path either stops on the all-zeros ray (dyadic answer) or first
+    revisits one of its states, closing an eventually periodic expansion,
+    e.g. leftmost(1/2) = 1/6 = 0.0(01) and leftmost(2/3) = 1/3 = 0.(01).
     """
     y = require_supported(y)
     if not 0 <= y <= TWO_THIRDS:
         raise ValueError(f"level set of {y} is empty")
     if y == 0:
         return ZERO
-    if graph is None:
-        graph = close_graph(y, max_states=max_states, max_slope=max_slope)
+    graph = close_graph(y, max_states=max_states, max_slope=max_slope)
     if not graph.closed:
         raise BudgetExceededError(
             f"state graph for {y} did not close ({graph.budget_reason})"
         )
     counts = _continuation_counts(graph, _strong_components(graph))
     live = {k for k, n in counts.items() if n}
-
-    digits: list[int] = []
-    first_seen: dict[Key, int] = {}
-    key = graph.root
-    assert key is not None and key in live
-    while True:
-        node = graph.nodes[key]
-        if node.is_zero_ray:
-            return BinaryExpansion(tuple(digits), ()).value()
-        if key in first_seen:
-            start = first_seen[key]
-            return BinaryExpansion(tuple(digits[:start]), tuple(digits[start:])).value()
-        first_seen[key] = len(digits)
-        for bit in (0, 1):
-            child = node.edges.get(bit)
-            if child is not None and child in live:
-                digits.append(bit)
-                key = child
-                break
-        else:
-            raise AssertionError("live state with no live successor")
+    assert graph.root in live
+    return next(_paths(graph, live)).value()
 
 
 def local_profile_window(paths: list[BinaryExpansion]) -> int:

@@ -35,6 +35,9 @@ from .machine import DEFAULT_MAX_SLOPE, DEFAULT_MAX_STATES, Verdict, classify
 #: Largest order for which the exact (Fraction) series mode is offered.
 EXACT_SERIES_LIMIT = 64
 
+#: Largest grid depth: depth 6 is already 8193 classifications.
+MAX_GRID_DEPTH = 6
+
 
 def _exact_partial(coefficient, max_order: int) -> Fraction:
     if max_order > EXACT_SERIES_LIMIT:
@@ -168,7 +171,6 @@ class GridReport:
 def grid_experiment(
     depth: int,
     *,
-    max_depth: int = 6,
     max_states: int = DEFAULT_MAX_STATES,
     max_slope: int = DEFAULT_MAX_SLOPE,
 ) -> GridReport:
@@ -182,8 +184,8 @@ def grid_experiment(
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if depth > max_depth:
-        raise ValueError(f"depth {depth} exceeds the configured maximum {max_depth}")
+    if depth > MAX_GRID_DEPTH:
+        raise ValueError(f"depth {depth} exceeds the maximum {MAX_GRID_DEPTH}")
     mesh = 1 << (2 * depth)
     rows = []
     for j in range(2 * mesh + 1):

@@ -1,6 +1,7 @@
 """End-to-end CLI checks: schemas, exit codes, determinism, SVG output."""
 
 import contextlib
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -181,6 +182,15 @@ def test_series_values():
     assert json.loads(out)["value"] == 2.25
 
 
+def test_series_terms_bounds():
+    for terms in ("-1", "1000001", "1000000000"):
+        code, out, err = run("series", "--which", "local", "--terms", terms)
+        assert (code, out) == (2, "")
+        assert "--terms" in err
+    code, out, err = run("series", "--which", "cardinality", "--terms", "1000000")
+    assert (code, err) == (0, "")
+
+
 def test_grid_csv_depth1():
     code, out, _ = run("grid", "--depth", "1")
     assert code == 0
@@ -205,6 +215,28 @@ def test_grid_json_schema():
         "indeterminate": 0,
     }
     assert payload["finite_fraction"] == pytest.approx(6 / 9)
+
+
+def test_grid_depth_bounds():
+    for depth in ("-1", "7"):
+        code, out, err = run("grid", "--depth", depth)
+        assert (code, out) == (2, "")
+        assert "--depth" in err
+
+
+@pytest.mark.parametrize(
+    "depth, digest",
+    [
+        ("5", "843212d7482204167158f63073e22fa0cd3de91e3914dbde71a39876dc166f63"),
+        ("6", "4aa074b2b22f134f6f4d5eb2ed392804f3e1cb1d043c3355c7ebcdae9e8112b1"),
+    ],
+)
+def test_grid_csv_fingerprint(depth, digest):
+    """The grid's byte contract: any moved verdict, count or state total in
+    the 2049 (depth 5) or 8193 (depth 6) rows changes the digest."""
+    code, out, err = run("grid", "--depth", depth, "--format", "csv")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +266,15 @@ def test_signed_localcount_high_order():
     code, out, _ = run("signed", "localcount", "--signs", "+", "--y", "1/3", "--max-order", "2000")
     assert code == 0
     assert json.loads(out)["count"] == 1
+
+
+def test_signed_max_order_bounds():
+    code, out, err = run("signed", "localcount", "--signs", "+", "--y", "1/3", "--max-order", "-1")
+    assert (code, out) == (2, "")
+    assert "--max-order" in err
+    code, out, _ = run("signed", "localcount", "--signs", "+", "--y", "1/3", "--max-order", "0")
+    assert code == 0
+    assert json.loads(out)["count"] == 1  # the root hump's band [0, 1/2]
 
 
 def test_signed_missing_point_is_usage_error():

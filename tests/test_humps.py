@@ -19,6 +19,7 @@ from takagi.humps import (
     level_points,
     truncated_hits,
 )
+from takagi.signed import ALL_PLUS, truncated_local_count
 
 
 def test_root_hump():
@@ -104,6 +105,14 @@ def test_truncated_hits_against_enumeration(y, max_order):
     direct = oracles._direct_hits(y, max_order)
     assert direct.total == len(hits)
     assert direct.leading == len(leading)
+
+
+def test_truncated_hits_high_order_without_recursion():
+    """Order 600 walks words of 1200 digits, past the interpreter's default
+    recursion limit; the signed all-plus count is the reference."""
+    y = Fraction(1, 3)
+    hits = truncated_hits(y, 600, leading_only=True)
+    assert len(hits) == truncated_local_count(y, ALL_PLUS, 600) == 1
 
 
 def test_balanced_word_pins():

@@ -23,7 +23,7 @@ from takagi.machine import (
     local_profile_window,
     step,
 )
-from takagi.rationals import UnsupportedDenominatorError
+from takagi.rationals import UnsupportedDenominatorError, to_binary
 
 
 def test_envelope_pins():
@@ -238,6 +238,30 @@ def test_leftmost_agrees_with_finite_reports():
         elif report.verdict is not Verdict.FINITE:
             x = leftmost_preimage(y)
             assert eval_rational(x) == y
+
+
+def _word(digits):
+    return "".join(map(str, digits))
+
+
+# y: ((preperiod, period) of each path of the Finite report, leftmost preimage)
+WALKER_PINS = {
+    "3/128": ([("00000000", "10"), ("11111111", "01")], "1/384"),
+    "7/96": ([("000000", "10"), ("111111", "01")], "1/96"),
+    "29/384": ([("00000010", "1100"), ("11111101", "0011")], "7/640"),
+    "11/128": ([("00000011", "01"), ("11111100", "10")], "5/384"),
+}
+
+
+def test_walker_paths_and_leftmost_pins():
+    """A path ends at the first revisit of one of its states, so a cycle
+    entered mid-period keeps the rotation it was entered at."""
+    for y, (paths, leftmost) in WALKER_PINS.items():
+        report = classify(Fraction(y))
+        assert [(_word(p.preperiod), _word(p.period)) for p in report.paths] == paths
+        assert leftmost_preimage(Fraction(y)) == report.preimages[0] == Fraction(leftmost)
+    canonical = to_binary(Fraction(7, 640))
+    assert (_word(canonical.preperiod), _word(canonical.period)) == ("0000001", "0110")
 
 
 def test_residuals_recompute_along_graph():
