@@ -9,9 +9,12 @@ x, and the exact value at the truncated point updates in O(1) per digit:
 
 Appending digit 0 leaves the value unchanged (the new breakpoint sits at the
 left end); appending 1 crosses the tent of every earlier level plus the new
-one, which is what the (D + 1) accounts for.  From the walk one also gets a
+one, which is what the (D + 1) accounts for.  The walk itself runs on
+integers: w_j = v_j 2^j obeys w_j = 2 w_{j-1} + eps_j (D_{j-1} + 1), and a
+Fraction is built only when a value is read.  From the walk one also gets a
 closed form on eventually periodic expansions, i.e. exact values at every
-rational, and certified two-sided truncation error at any depth.
+rational (one integer expression over the preperiod and period words), and
+certified two-sided truncation error at any depth.
 
 The same walk with step i weighted by a sign r_{i-1} = +-1 computes the
 signed relatives sum_n r_n 2^-n dist(2^n x, Z) of :mod:`takagi.signed`; T is
@@ -139,18 +142,24 @@ class DigitWord:
     The default all-plus signs give the curve T itself; other signs give the
     signed relatives of :mod:`takagi.signed`.
 
+    The walk runs on integers: it keeps w_i = v_i 2^i, which obeys
+
+        w_i = 2 w_{i-1} + eps_i (D_{i-1} + r_{i-1}),
+
+    and reads r_{i-1} straight off the sign sequence's preperiod and period.
     Push/pop are O(1), which makes this the right carrier for depth-first
-    searches over words.  ``value`` is the exact function value at the dyadic
-    point 0.eps_1...eps_k (all series terms beyond the word vanish there).
+    searches over words.  ``scaled_value`` is w_k; ``value`` is the exact
+    function value w_k / 2^k at the dyadic point 0.eps_1...eps_k (all series
+    terms beyond the word vanish there), built as a Fraction only on read.
     """
 
-    __slots__ = ("signs", "_digits", "_slopes", "_values")
+    __slots__ = ("signs", "_digits", "_slopes", "_scaled")
 
     def __init__(self, digits: Iterable[int] = (), signs: SignSequence = ALL_PLUS) -> None:
         self.signs = signs
         self._digits: list[int] = []
         self._slopes: list[int] = [0]
-        self._values: list[Fraction] = [ZERO]
+        self._scaled: list[int] = [0]
         for bit in digits:
             self.push(bit)
 
@@ -158,22 +167,23 @@ class DigitWord:
         if bit not in (0, 1):
             raise ValueError(f"binary digit expected, got {bit!r}")
         i = len(self._digits)
-        r = self.signs.term(i)
+        head, period = self.signs.preperiod, self.signs.period
+        r = head[i] if i < len(head) else period[(i - len(head)) % len(period)]
         d = self._slopes[-1]
-        v = self._values[-1]
+        w = self._scaled[-1] << 1
         if bit:
-            v = v + Fraction(d + r, 1 << (i + 1))
+            w += d + r
             d -= r
         else:
             d += r
         self._digits.append(bit)
         self._slopes.append(d)
-        self._values.append(v)
+        self._scaled.append(w)
 
     def pop(self) -> int:
         bit = self._digits.pop()
         self._slopes.pop()
-        self._values.pop()
+        self._scaled.pop()
         return bit
 
     def __len__(self) -> int:
@@ -193,9 +203,14 @@ class DigitWord:
         return self._slopes[j]
 
     @property
+    def scaled_value(self) -> int:
+        """w_k = 2^k times the value at the word's dyadic point."""
+        return self._scaled[-1]
+
+    @property
     def value(self) -> Fraction:
         """Exact function value at the word's dyadic point."""
-        return self._values[-1]
+        return Fraction(self._scaled[-1], 1 << len(self._digits))
 
     def point(self) -> Fraction:
         """The dyadic rational 0.eps_1...eps_k."""
@@ -224,27 +239,21 @@ def eval_dyadic(x: Fraction) -> Fraction:
     return DigitWord(expansion.preperiod).value
 
 
-def _periodic_value(cycle_word: DigitWord, tail: Fraction) -> Fraction:
-    """T(t) for t = 0.(c)^inf with tail = t, using self-affinity over one period.
-
-    One pass over the period scales the picture by 2^-p and shifts by the
-    period's own walk: T(t) = v_p + 2^-p (D_p t + T(t)), solved for T(t).
-    """
-    p = len(cycle_word)
-    scale = Fraction(1, 1 << p)
-    return (cycle_word.value + cycle_word.slope * tail * scale) / (1 - scale)
-
-
 def eval_rational(x: Fraction) -> Fraction:
     """T at any rational in [0, 1] — general denominators welcome (1/5 included).
 
-    Dyadic arguments terminate; otherwise the expansion's preperiod u and
-    primitive period c give
+    Dyadic arguments terminate; otherwise the expansion's preperiod u of q
+    digits and primitive period c of p digits give, with t = 0.(c)^inf,
 
-        T(x) = v_q(u) + 2^-q (D_q(u) * t + T(t)),   t = 0.(c)^inf,
+        T(x) = v_q(u) + 2^-q (D_q(u) t + T(t)),   T(t) = v_p(c) + 2^-p (D_p(c) t + T(t)),
 
-    with T(t) from the one-period self-affinity.  Everything is a Fraction,
-    so the result is exact, e.g. T(1/3) = 2/3, T(1/6) = 1/2, T(1/5) = 8/15.
+    the second by self-affinity over one period.  With m = 2^p - 1, the
+    period's numerator c (so t = c / m) and the scaled values w = v 2^len of
+    both words, this closes over the integers:
+
+        T(x) = ((w_q m + D_q c + w_c) m + D_c c) / (m^2 2^q),
+
+    one Fraction at the end, e.g. T(1/3) = 2/3, T(1/6) = 1/2, T(1/5) = 8/15.
     """
     if not 0 <= x <= 1:
         raise ValueError(f"need 0 <= x <= 1, got {x}")
@@ -254,11 +263,12 @@ def eval_rational(x: Fraction) -> Fraction:
     head = DigitWord(expansion.preperiod)
     if expansion.is_terminating:
         return head.value
-    q = len(expansion.preperiod)
     cycle = DigitWord(expansion.period)
-    tail = Fraction(_word_numerator(expansion.period), (1 << len(cycle)) - 1)
-    t_value = _periodic_value(cycle, tail)
-    return head.value + (head.slope * tail + t_value) / (1 << q)
+    m = (1 << len(cycle)) - 1
+    c = _word_numerator(expansion.period)
+    w_q, w_c = head.scaled_value, cycle.scaled_value
+    numerator = (w_q * m + head.slope * c + w_c) * m + cycle.slope * c
+    return Fraction(numerator, m * m << len(head))
 
 
 def eval_approx(x: Fraction, depth: int) -> tuple[Fraction, Fraction]:

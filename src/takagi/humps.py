@@ -144,21 +144,33 @@ def truncated_hits(
 ) -> list[Hump]:
     """Humps of order <= max_order whose truncated projection contains y.
 
-    Works for any rational y (exact arithmetic throughout).  The search walks
-    the word tree pruning by the reachable-value window: below a prefix of
-    length j with slope D, every curve value lies within
-    [v + min(0, D) 2^-j, v + (max(0, D) + 2/3) 2^-j], and a hit of order
-    m >= m_min(j) needs T(x0) within (1/2) 4^-m_min of y.  The root hump
-    counts whenever 0 <= y <= 1/2.  Results sorted by (order, corner).
+    Works for any rational y = a/b (exact arithmetic throughout).  The search
+    walks the word tree pruning by the reachable-value window: below a prefix
+    of length j with slope D and scaled value w = v 2^j, every curve value
+    lies within [(w + min(0, D)) 2^-j, (w + max(0, D) + 2/3) 2^-j], and a hit
+    of order m >= m_min(j) = ceil(j/2) needs T(x0) within (1/2) 4^-m_min =
+    2^-e of y.  Scaled by b, 3 and powers of two, a prefix survives while
+
+        (w + min(0, D)) b <= a 2^j   and   (3 (w + max(0, D)) + 2) b 2^(e-j) >= 3 (a 2^e - b),
+
+    and a balanced word of length j = 2m hits when w b <= a 2^j <= (w + 1/2) b.
+    Fractions are built only for the humps returned.  The root hump counts
+    whenever 0 <= y <= 1/2.  Results sorted by (order, corner).
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
+    a, b = y.numerator, y.denominator
+    depths = range(2 * max_order + 2)
+    scaled_y = [a << j for j in depths]  # y 2^j b
+    # Per length j, the upper window test as (w + max(0, D)) * high_k[j] >= high_c[j].
+    high_k, high_c = [], []
+    for j in depths:
+        e = 2 * ((j + 1) // 2) + 1
+        k = b << (e - j)
+        high_k.append(3 * k)
+        high_c.append(3 * ((a << e) - b) - 2 * k)
     hits: list[Hump] = []
     word = DigitWord()
-    depths = range(2 * max_order + 1)
-    scales = [Fraction(1, 1 << j) for j in depths]
-    # at length j, hits have order >= m_min(j) = ceil(j / 2)
-    window_lo = [y - HALF / (1 << (2 * ((j + 1) // 2))) for j in depths]
     # Depth-first on an explicit stack, so orders in the hundreds are fine:
     # (word length before the edge, that edge's digit); the root has no edge.
     stack: list[tuple[int, Optional[int]]] = [(0, None)]
@@ -169,22 +181,19 @@ def truncated_hits(
         if bit is not None:
             word.push(bit)
             depth += 1
-            d, v = word.slope, word.value
-            lo = v + min(0, d) * scales[depth]
-            hi = v + (max(0, d) + TWO_THIRDS) * scales[depth]
-            if hi < window_lo[depth] or lo > y:
-                continue
-        if depth % 2 == 0 and word.slope == 0:
-            a = word.value
-            half_width = HALF / (1 << depth)  # (1/2) * 4^-m at depth 2m
-            if a <= y <= a + half_width:
+        d, w = word.slope, word.scaled_value
+        low, high = w + min(0, d), w + max(0, d)
+        if low * b > scaled_y[depth] or high * high_k[depth] < high_c[depth]:
+            continue
+        if depth % 2 == 0 and d == 0:
+            if w * b <= scaled_y[depth] and scaled_y[depth + 1] <= (2 * w + 1) * b:
                 hump = analyze_word(word.digits)
                 if not leading_only or hump.is_leading:
                     hits.append(hump)
         if depth == 2 * max_order:
             continue
         for bit in (1, 0):  # popped in reverse: the 0-branch runs first
-            if not leading_only or word.slope + (1 if bit == 0 else -1) >= 0:
+            if not leading_only or d + (1 if bit == 0 else -1) >= 0:
                 stack.append((depth, bit))
 
     hits.sort(key=lambda h: (h.order, h.corner))

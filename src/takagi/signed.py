@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, cycle, islice
 from math import lcm
 from typing import Optional
 
@@ -30,7 +31,7 @@ from typing import Optional
 # them and stay importable from here.
 from .curve import ALL_PLUS, ALTERNATING, HALF, TWO_THIRDS, DigitWord, SignSequence  # noqa: F401
 from .humps import catalan
-from .rationals import ZERO, require_supported, to_binary
+from .rationals import ZERO, _word_numerator, require_supported, to_binary
 
 
 def eval_signed_dyadic(x: Fraction, signs: SignSequence) -> Fraction:
@@ -51,7 +52,10 @@ def eval_signed_rational(x: Fraction, signs: SignSequence) -> Fraction:
     Align both periodicities: past q = max(expansion preperiod, sign
     transient), a block of P = lcm(digit period, sign period) digits repeats
     with the same signs, so the tail value solves a one-block self-affinity
-    just as in the unsigned case.
+    just as in the unsigned case.  With m = 2^P - 1, the block's numerator c
+    and the scaled values w of the head and block words, over the integers:
+
+        f(x) = ((w_q m + D_q c + w_c) m + D_c c) / (m^2 2^q).
     """
     if not 0 <= x <= 1:
         raise ValueError(f"need 0 <= x <= 1, got {x}")
@@ -62,13 +66,14 @@ def eval_signed_rational(x: Fraction, signs: SignSequence) -> Fraction:
         return DigitWord(expansion.preperiod, signs).value
     q = max(len(expansion.preperiod), signs.transient)
     block = lcm(len(expansion.period), signs.period_length)
-    head = DigitWord(expansion.digits(q), signs)
-    scaled = x * (1 << q)
-    tail = scaled - (scaled.numerator // scaled.denominator)
-    cycle = DigitWord((expansion.digit(q + 1 + i) for i in range(block)), signs.shift(q))
-    scale = Fraction(1, 1 << block)
-    tail_value = (cycle.value + cycle.slope * tail * scale) / (1 - scale)
-    return head.value + (head.slope * tail + tail_value) / (1 << q)
+    digits = tuple(islice(chain(expansion.preperiod, cycle(expansion.period)), q + block))
+    head = DigitWord(digits[:q], signs)
+    block_word = DigitWord(digits[q:], signs.shift(q))
+    m = (1 << block) - 1
+    c = _word_numerator(digits[q:])
+    w_q, w_c = head.scaled_value, block_word.scaled_value
+    numerator = (w_q * m + head.slope * c + w_c) * m + block_word.slope * c
+    return Fraction(numerator, m * m << q)
 
 
 def signed_constant(signs: SignSequence) -> Fraction:
@@ -261,12 +266,38 @@ def truncated_local_count(y: Fraction, signs: SignSequence, max_order: int) -> i
     direction of the first suffix sign r_{2m}.  The count for the all-plus
     sequence reproduces the unsigned leading-hit count; the root hump is
     included (its band is [0, 1/2] when r_0 = +1).
+
+    Below a prefix of length j with slope D and scaled value w = v 2^j, the
+    values lie in [(w + min(0, D) + lo_j) 2^-j, (w + max(0, D) + hi_j) 2^-j]
+    with lo_j = ln/ld and hi_j = hn/hd the extrema of the shifted function;
+    a prefix survives while y = a/b is within 2^-e of that window, with
+    e = 2 ceil(j/2) + 1.  Scaled by b, ld or hd and 2^e, both tests are
+    integer comparisons (k = b 2^(e-j)):
+
+        ((w + min(0, D)) ld + ln) k <= ld (a 2^e + b),
+        ((w + max(0, D)) hd + hn) k >= hd (a 2^e - b),
+
+    and a hump at j = 2m hits when a 2^(j+1) lies between 2 w b and
+    (2 w + r_j) b, both ends included.
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
     y = require_supported(y)
+    a, b = y.numerator, y.denominator
     depth_cap = 2 * max_order
-    suffix = _suffix_extrema_table(signs, depth_cap + 1)
+    depths = range(depth_cap + 2)
+    scaled_y = [a << j for j in depths]  # y 2^j b
+    terms = [signs.term(j) for j in depths]
+    # Per length j, the window tests as (w + min(0, D)) * low_k[j] <= low_c[j]
+    # and (w + max(0, D)) * high_k[j] >= high_c[j].
+    low_k, low_c, high_k, high_c = [], [], [], []
+    for j, (lo, hi) in enumerate(_suffix_extrema_table(signs, depth_cap + 1)):
+        e = 2 * ((j + 1) // 2) + 1
+        k = b << (e - j)
+        low_k.append(lo.denominator * k)
+        low_c.append(lo.denominator * ((a << e) + b) - lo.numerator * k)
+        high_k.append(hi.denominator * k)
+        high_c.append(hi.denominator * ((a << e) - b) - hi.numerator * k)
     word = DigitWord(signs=signs)
     count = 0
     # Depth-first on an explicit stack, so orders in the thousands are fine:
@@ -279,27 +310,20 @@ def truncated_local_count(y: Fraction, signs: SignSequence, max_order: int) -> i
         if bit is not None:
             word.push(bit)
             depth += 1
-            d, v = word.slope, word.value
-            scale = Fraction(1, 1 << depth)
-            slack = HALF / (1 << (2 * ((depth + 1) // 2)))
-            lo_suffix, hi_suffix = suffix[depth]
-            lo = v + (min(0, d) + lo_suffix) * scale
-            hi = v + (max(0, d) + hi_suffix) * scale
-            if not lo - slack <= y <= hi + slack:
-                continue
-        if depth % 2 == 0 and word.slope == 0:
-            a = word.value
-            band = HALF / (1 << depth)
-            if signs.term(depth) > 0:
-                hit = a <= y <= a + band
-            else:
-                hit = a - band <= y <= a
-            if hit:
+        d, w = word.slope, word.scaled_value
+        low, high = w + min(0, d), w + max(0, d)
+        if low * low_k[depth] > low_c[depth] or high * high_k[depth] < high_c[depth]:
+            continue
+        if depth % 2 == 0 and d == 0:
+            end = 2 * w * b
+            other = end + terms[depth] * b
+            if min(end, other) <= scaled_y[depth + 1] <= max(end, other):
                 count += 1
         if depth == depth_cap:
             continue
+        r = terms[depth]
         for bit in (1, 0):
-            if word.slope + signs.term(depth) * (1 if bit == 0 else -1) >= 0:  # leading only
+            if d + (r if bit == 0 else -r) >= 0:  # leading only
                 stack.append((depth, bit))
     return count
 

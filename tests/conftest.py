@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from takagi.stats import grid_experiment
+
+# Every @given test draws the same examples on every run, so a tier-1 pass is
+# reproducible; each test's own max_examples and deadline still apply.
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")

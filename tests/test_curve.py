@@ -1,6 +1,8 @@
 """Exact evaluation: digit words, closed forms, certified approximation."""
 
+import hashlib
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,7 +18,9 @@ from takagi.curve import (
     triangle_wave,
     walk_of,
 )
+from takagi.humps import truncated_hits
 from takagi.rationals import to_binary
+from takagi.signed import ALL_PLUS, SignSequence, eval_signed_rational, truncated_local_count
 
 
 def test_triangle_wave():
@@ -137,3 +141,39 @@ def test_digitword_from_expansion():
     w = DigitWord.from_expansion(e, 8)
     assert w.digits == (0, 1, 0, 0, 0, 1, 0, 1)
     assert w.slope_at(5) == 3  # deepest excursion of this prefix
+
+
+def _walk_records(count, seed):
+    """Seeded (x, signs, y): x = p/q with q <= 1024, signs with preperiod <= 2
+    and period <= 5, y = j / (3 * 4^8) in [0, 2/3]."""
+    rng = random.Random(seed)
+
+    def signs(n):
+        return tuple(rng.choice((1, -1)) for _ in range(n))
+
+    records = []
+    for _ in range(count):
+        q = rng.randint(1, 1024)
+        x = Fraction(rng.randrange(q), q)
+        sequence = SignSequence(signs(rng.randint(0, 2)), signs(rng.randint(1, 5)))
+        y = Fraction(rng.randint(0, 2 * 4**8), 3 * 4**8)
+        records.append((x, sequence, y))
+    return records
+
+
+def test_digit_walk_fingerprint():
+    """The digit-walk layer's exact outputs on 300 seeded records: any moved
+    expansion, value, hump word or local count changes the digest."""
+    digest = hashlib.sha256()
+    for x, signs, y in _walk_records(300, seed=20111):
+        results = (
+            to_binary(x),
+            eval_rational(x),
+            eval_signed_rational(x, ALL_PLUS),
+            eval_signed_rational(x, signs),
+            [h.word for h in truncated_hits(y, 8, leading_only=True)],
+            truncated_local_count(y, ALL_PLUS, 8),
+        )
+        for result in results:
+            digest.update(repr(result).encode())
+    assert digest.hexdigest() == "0dea0848d56a8e4bfe2b93253b74c6e538931cf93878e905f6841d81630709c2"

@@ -107,6 +107,26 @@ def test_truncated_hits_against_enumeration(y, max_order):
     assert direct.leading == len(leading)
 
 
+def test_truncated_hits_band_ends():
+    """At both ends of every truncated band of order <= 5, and one
+    1/(3*4^6) step outside each end, the search agrees with the enumeration
+    filter: a flipped strictness in its window or hit tests shows here."""
+    humps = [h for m in range(6) for h in enumerate_balanced(m)]
+    step = Fraction(1, 3 * 4**6)
+    ordinates = set()
+    for h in humps:
+        lo, hi = h.y_projection_truncated
+        ordinates.update((lo - step, lo, hi, hi + step))
+    for y in sorted(ordinates):
+        by_hand = [
+            h for h in humps if h.y_projection_truncated[0] <= y <= h.y_projection_truncated[1]
+        ]
+        leading = [h.word for h in by_hand if h.is_leading]
+        assert [h.word for h in truncated_hits(y, 5)] == [h.word for h in by_hand]
+        assert [h.word for h in truncated_hits(y, 5, leading_only=True)] == leading
+        assert truncated_local_count(y, ALL_PLUS, 5) == len(leading)
+
+
 def test_truncated_hits_high_order_without_recursion():
     """Order 600 walks words of 1200 digits, past the interpreter's default
     recursion limit; the signed all-plus count is the reference."""

@@ -252,6 +252,31 @@ def test_local_count_against_brute_scan():
         assert truncated_local_count(y, signs, 3) == brute_local_count(y, signs, 3)
 
 
+def test_local_count_band_ends_against_brute_scan():
+    """Ends of every leading signed band of order <= 4, and one 1/(3*4^6)
+    step outside each, against the no-prune rescan.  The alternating
+    sequence has r_{2m} = +1 at every hump end, so its bands open upwards;
+    (+--) and (-+) supply the bands that open downwards."""
+    step = Fraction(1, 3 * 4**6)
+    for signs in [ALTERNATING, SignSequence((), (1, -1, -1)), SignSequence((), (-1, 1))]:
+        ordinates, downwards = set(), 0
+        for m in range(5):
+            for bits in itertools.product((0, 1), repeat=2 * m):
+                walk = list(itertools.accumulate(
+                    signs.term(j) * (1 if bit == 0 else -1) for j, bit in enumerate(bits)
+                ))
+                if any(d < 0 for d in walk) or (walk and walk[-1] != 0):
+                    continue
+                a = DigitWord(bits, signs).value
+                r = signs.term(2 * m)
+                band = Fraction(r, 2 * 4**m)
+                downwards += r < 0
+                ordinates.update((a - r * step, a, a + band, a + band + r * step))
+        assert downwards > 0 or signs == ALTERNATING
+        for y in sorted(ordinates):
+            assert truncated_local_count(y, signs, 4) == brute_local_count(y, signs, 4)
+
+
 def test_unsigned_local_count_matches_hump_hits():
     from takagi.humps import truncated_hits
 
