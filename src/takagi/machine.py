@@ -30,6 +30,15 @@ connected components (1 on a cycle or a zero ray, else the sum over its
 children); a state is live exactly when its count is positive, and under a
 Finite verdict the root's count is the cardinality.
 
+The fold (D, R) -> (-D, R - D) is the state of the complemented suffix
+1 - t (T(1 - t) = T(t)).  It keeps |D| and commutes with the steps (a 0 on
+one side is a 1 on the other), so the closed graph is fold-symmetric and at
+D = 0 the 1-child is the fold of the 0-child.  The same pass counts each
+state's distinct |D_j| sequences (profiles): like the continuations, except
+that a D = 0 state takes one child's count, both children having the same
+profiles.  Under a Finite verdict the root's profile count is n_local, the
+number of local level sets.
+
 Preimages come from one depth-first walk over the live states that takes
 the 0-digit first.  A path ends on the all-zeros ray (a terminating
 expansion) or when it first revisits one of its own states (the period is
@@ -55,10 +64,9 @@ against.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import lcm
 from typing import Iterator, Optional, Union
 
 from .curve import TWO_THIRDS
@@ -280,23 +288,32 @@ def _strong_components(graph: StateGraph) -> list[list[Key]]:
     return comps
 
 
-def _continuation_counts(graph: StateGraph, comps: list[list[Key]]) -> dict[Key, int]:
-    """Infinite canonical continuations per state, over children-first ``comps``.
+def _continuation_counts(graph: StateGraph, comps: list[list[Key]]) -> dict[Key, tuple[int, int]]:
+    """(continuations, profiles) per state, over children-first ``comps``.
 
     Infinite paths in a finite graph must reach a cycle or stop on the
-    all-zeros ray, so live = count > 0.  Under a Finite verdict (exit-free
-    simple cycles) the counts are exact path counts.  Dead ends get no entry.
+    all-zeros ray, so live = continuations > 0.  Under a Finite verdict
+    (exit-free simple cycles) both are exact: path counts and counts of
+    distinct |D_j| sequences.  Dead ends get no entry.
     """
-    counts: dict[Key, int] = {}
+    counts: dict[Key, tuple[int, int]] = {}
     for comp in comps:
         if len(comp) > 1:
-            counts.update(dict.fromkeys(comp, 1))
+            counts.update(dict.fromkeys(comp, (1, 1)))
             continue
         (key,) = comp
-        if graph.nodes[key].is_zero_ray:
-            counts[key] = 1
-        else:
-            counts[key] = sum(counts[c] for c in _live_children(graph, key))
+        node = graph.nodes[key]
+        if node.is_zero_ray:
+            counts[key] = (1, 1)
+            continue
+        total = profiles = 0
+        for child in node.edges.values():
+            if child in counts:  # children come first; only dead ends are missing
+                n, p = counts[child]
+                total += n
+                # at D = 0 the children are folds of each other: same profiles
+                profiles = p if node.slope == 0 else profiles + p
+        counts[key] = (total, profiles)
     return counts
 
 
@@ -381,6 +398,7 @@ def analyze(graph: StateGraph) -> LevelSetReport:
             cardinality=2,
             preimages=(ZERO, Fraction(1)),
             paths=paths,
+            n_local=1,
             diagnostics=diagnostics,
         )
     if graph.root is None:  # y outside [0, 2/3]
@@ -404,7 +422,7 @@ def analyze(graph: StateGraph) -> LevelSetReport:
     comps = _strong_components(graph)
     nontrivial = [c for c in comps if len(c) > 1]
     counts = _continuation_counts(graph, comps)
-    live = {k for k, n in counts.items() if n}
+    live = {k for k, (n, _) in counts.items() if n}
     diagnostics["cycles"] = len(nontrivial)
     diagnostics["live_states"] = len(live)
 
@@ -416,11 +434,19 @@ def analyze(graph: StateGraph) -> LevelSetReport:
                 witness=f"max-envelope state {_state_label(node)} reached",
                 diagnostics=diagnostics,
             )
+    exit_witness: Optional[str] = None  # names the first edge leaving a cycle
     for comp in nontrivial:
         members = set(comp)
-        inner = sum(
-            1 for k in comp for child in _live_children(graph, k) if child in members
-        )
+        inner = 0
+        for k in comp:
+            for child in _live_children(graph, k):
+                if child in members:
+                    inner += 1
+                elif exit_witness is None and child in live:
+                    exit_witness = (
+                        f"cycle through {_state_label(graph.nodes[k])} "
+                        f"can be left towards {_state_label(graph.nodes[child])}"
+                    )
         if inner > len(comp):
             # sort on the (D, R) form of each key: the listing then depends
             # on the residues, not on the scale S of the integer keys
@@ -441,25 +467,18 @@ def analyze(graph: StateGraph) -> LevelSetReport:
             witness_preimage=_dyadic_witness(graph),
             diagnostics=diagnostics,
         )
-    for comp in nontrivial:
-        members = set(comp)
-        for k in comp:
-            for child in _live_children(graph, k):
-                if child not in members and child in live:
-                    assert graph.root in live
-                    return LevelSetReport(
-                        ordinate=y,
-                        verdict=Verdict.COUNTABLY_INFINITE,
-                        witness=(
-                            f"cycle through {_state_label(graph.nodes[k])} "
-                            f"can be left towards {_state_label(graph.nodes[child])}"
-                        ),
-                        witness_preimage=next(_paths(graph, live)).value(),
-                        diagnostics=diagnostics,
-                    )
+    if exit_witness is not None:
+        assert graph.root in live
+        return LevelSetReport(
+            ordinate=y,
+            verdict=Verdict.COUNTABLY_INFINITE,
+            witness=exit_witness,
+            witness_preimage=next(_paths(graph, live)).value(),
+            diagnostics=diagnostics,
+        )
 
-    # Finite: the root's count is the number of root-to-cycle paths.
-    total = counts[graph.root]
+    # Finite: the root's counts are the root-to-cycle paths and their profiles.
+    total, n_local = counts[graph.root]
     path_list = list(_paths(graph, live))
     assert len(path_list) == total, "path enumeration disagrees with path count"
     preimages = tuple(p.value() for p in path_list)
@@ -470,6 +489,7 @@ def analyze(graph: StateGraph) -> LevelSetReport:
         cardinality=total,
         preimages=preimages,
         paths=tuple(path_list),
+        n_local=n_local,
         diagnostics=diagnostics,
     )
 
@@ -497,32 +517,9 @@ def leftmost_preimage(
             f"state graph for {y} did not close ({graph.budget_reason})"
         )
     counts = _continuation_counts(graph, _strong_components(graph))
-    live = {k for k, n in counts.items() if n}
+    live = {k for k, (n, _) in counts.items() if n}
     assert graph.root in live
     return next(_paths(graph, live)).value()
-
-
-def local_profile_window(paths: list[BinaryExpansion]) -> int:
-    """Digits needed to compare |D| profiles: max preperiod + 3 * lcm(periods).
-
-    Machine preimages have drift-free cycles, so each |D_j| tail is periodic
-    with period dividing the lcm; three full periods past the longest
-    preperiod pin equality of eventually periodic integer sequences.
-    """
-    if not paths:
-        return 1
-    q = max((len(p.preperiod) for p in paths), default=0)
-    p = lcm(*(len(p.period) or 1 for p in paths))
-    return q + 3 * p
-
-
-def group_by_profile(paths: list[BinaryExpansion]) -> list[list[BinaryExpansion]]:
-    """Partition preimage paths by their |D_j| profile (local level sets)."""
-    window = local_profile_window(paths)
-    groups: dict[tuple[int, ...], list[BinaryExpansion]] = {}
-    for path in paths:
-        groups.setdefault(path.abs_slopes(window), []).append(path)
-    return list(groups.values())
 
 
 def classify(
@@ -534,10 +531,8 @@ def classify(
     """Full classification of L(y) for a supported ordinate.
 
     Finite verdicts come back with exact sorted preimages, their expansions,
-    and the number of local level sets (profile classes).  Ordinates outside
-    [0, 2/3] are Finite(0); blown budgets give Indeterminate, never a guess.
+    and the number of local level sets: the root's profile count, read off
+    the fold-symmetric graph (module docstring).  Ordinates outside [0, 2/3]
+    are Finite(0); blown budgets give Indeterminate, never a guess.
     """
-    report = analyze(close_graph(y, max_states=max_states, max_slope=max_slope))
-    if report.verdict is Verdict.FINITE and report.paths is not None:
-        report = replace(report, n_local=len(group_by_profile(list(report.paths))))
-    return report
+    return analyze(close_graph(y, max_states=max_states, max_slope=max_slope))

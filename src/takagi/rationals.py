@@ -133,15 +133,6 @@ class BinaryExpansion:
             total += tail / (1 << q)
         return total
 
-    def abs_slopes(self, count: int) -> tuple[int, ...]:
-        """|D_1|, ..., |D_count| of the slope walk (D_j = #zeros - #ones)."""
-        out = []
-        d = 0
-        for i in range(1, count + 1):
-            d += 1 if self.digit(i) == 0 else -1
-            out.append(abs(d))
-        return tuple(out)
-
     def render(self) -> str:
         """Human form: '0.101', '0.(01)', '0.0(01)'."""
         head = "".join(map(str, self.preperiod))

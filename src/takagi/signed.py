@@ -31,7 +31,7 @@ from typing import Optional
 # them and stay importable from here.
 from .curve import ALL_PLUS, ALTERNATING, HALF, TWO_THIRDS, DigitWord, SignSequence  # noqa: F401
 from .humps import catalan
-from .rationals import ZERO, _word_numerator, require_supported, to_binary
+from .rationals import ZERO, _word_numerator, to_binary
 
 
 def eval_signed_dyadic(x: Fraction, signs: SignSequence) -> Fraction:
@@ -282,7 +282,6 @@ def truncated_local_count(y: Fraction, signs: SignSequence, max_order: int) -> i
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
-    y = require_supported(y)
     a, b = y.numerator, y.denominator
     depth_cap = 2 * max_order
     depths = range(depth_cap + 2)

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from itertools import accumulate, chain, cycle, islice
+from math import floor, lcm
 
 import numpy as np
 
@@ -272,3 +273,21 @@ def complete_hits(y: Fraction, *, max_states: int = 50_000) -> HitCount:
     high_total = walk_count(lambda key: True)
     high_leading = walk_count(is_leading) if high_total else 0
     return HitCount(direct.total + high_total, direct.leading + high_leading)
+
+
+# ---------------------------------------------------------------------------
+# Local level sets: preimages grouped by their |D_j| profile
+
+
+def profile_classes(paths) -> int:
+    """Distinct |D_j| profiles (D_j = #zeros - #ones among the first j digits)
+    among eventually periodic expansions with drift-free periods, such as a
+    finite level set's paths: each |D_j| tail then has a period dividing the
+    lcm of the digit periods, so max preperiod + 3 * lcm digits pin it."""
+    window = max((len(p.preperiod) for p in paths), default=0)
+    window += 3 * lcm(*(len(p.period) or 1 for p in paths))
+    profiles = set()
+    for p in paths:
+        digits = islice(chain(p.preperiod, cycle(p.period or (0,))), window)
+        profiles.add(tuple(abs(d) for d in accumulate(1 - 2 * bit for bit in digits)))
+    return len(profiles)

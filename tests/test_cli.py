@@ -4,7 +4,9 @@ import contextlib
 import hashlib
 import io
 import json
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,33 @@ def run(*argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# the README's console examples
+
+
+def readme_examples():
+    """(argv, shown output) for each `$ takagi ...` line of the README's
+    console block, in order; the shown output runs to the next command."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("```console\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for chunk in block.split("$ takagi ")[1:]:
+        command, _, shown = chunk.partition("\n")
+        examples.append((shlex.split(command, comments=True), shown.rstrip("\n")))
+    return examples
+
+
+def test_readme_console_examples():
+    examples = {argv[0]: (argv, shown) for argv, shown in readme_examples()}
+    for name in ("eval", "levelset", "classify"):
+        argv, shown = examples[name]
+        assert run(*argv) == (0, shown + "\n", "")
+    argv, shown = examples["grid"]  # the README shows the first rows, then "..."
+    assert shown.endswith("\n...")
+    code, out, _ = run(*argv)
+    assert code == 0 and out.startswith(shown[: -len("...")])
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +286,11 @@ def test_signed_subcommands():
     }
 
     code, out, _ = run("signed", "localcount", "--signs", "+-", "--y", "1/2", "--max-order", "3")
+    assert json.loads(out)["count"] == 1
+
+    # the hump search takes any denominator, not just 2^k and 3 * 2^k
+    code, out, _ = run("signed", "localcount", "--signs", "+", "--y", "1/5", "--max-order", "8")
+    assert code == 0
     assert json.loads(out)["count"] == 1
 
 

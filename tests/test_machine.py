@@ -17,10 +17,8 @@ from takagi.machine import (
     close_graph,
     envelope_max,
     envelope_min,
-    group_by_profile,
     is_feasible,
     leftmost_preimage,
-    local_profile_window,
     step,
 )
 from takagi.rationals import UnsupportedDenominatorError, to_binary
@@ -304,7 +302,8 @@ def test_integer_closure_matches_fraction_reference():
     """Every edge of the integer closure, present or omitted, against the
     Fraction rules: a present child is step() of its parent and feasible, an
     omitted one is infeasible, and each node's ray flags match their (D, R)
-    definitions.  The deep draws push |D| past 40, where 2^|D| is big."""
+    definitions.  The graph is closed under the fold, which the profile
+    count relies on.  The deep draws push |D| past 40, where 2^|D| is big."""
     rng = random.Random(1102)
     ordinates = [Fraction(2, 3), Fraction(1, 2), Fraction(37, 96)]
     for n in (4, 16, 64, 128):
@@ -314,7 +313,20 @@ def test_integer_closure_matches_fraction_reference():
     for y in ordinates:
         graph = close_graph(y, max_slope=256)
         assert graph.closed, y
-        for node in graph.nodes.values():
+
+        def fold(key):  # (D, N) -> (-D, N - D S): the complemented suffix
+            *depth, slope, num = key
+            return (*depth, -slope, num - slope * y.denominator)
+
+        for key, node in graph.nodes.items():
+            # the fold of every node is a node, at the same depth before the lattice
+            mirror = graph.nodes[fold(key)]
+            if node.is_zero_ray and node.slope >= 1:
+                assert mirror.is_ones_ray
+            elif not (node.is_zero_ray or node.is_ones_ray):
+                assert mirror.edges == {1 - bit: fold(c) for bit, c in node.edges.items()}
+            if node.slope == 0 and node.edges:
+                assert node.edges[1] == fold(node.edges[0])
             state = (node.slope, node.residue)
             assert is_feasible(state)
             assert node.is_zero_ray == (node.residue == 0 and node.slope >= 0)
@@ -335,14 +347,22 @@ def test_integer_closure_matches_fraction_reference():
 
 
 def test_profile_grouping():
-    report = classify(Fraction(7, 12))
-    groups = group_by_profile(list(report.paths))
-    assert len(groups) == 1  # all four preimages share one |D| profile
-    report = classify(Fraction(1, 8))
-    window = local_profile_window(list(report.paths))
-    assert window >= len(report.paths[0].preperiod)
-    profiles = {p.abs_slopes(window) for p in report.paths}
-    assert len(profiles) == 1
+    """n_local, the root's profile count, against the |D| profile classes of
+    the preimage list: pins, the depth-4 lattice and deep seeded draws."""
+    for y, n_local in ((Fraction(7, 12), 1), (Fraction(1, 8), 1), (Fraction(193, 768), 2)):
+        report = classify(y)
+        assert report.n_local == oracles.profile_classes(report.paths) == n_local
+    rng = random.Random(1009)
+    ordinates = [Fraction(j, 3 * 4**4) for j in range(2 * 4**4 + 1)]
+    for n in (32, 64):
+        ordinates += [Fraction(rng.randrange(2 * 4**n + 1), 3 * 4**n) for _ in range(100)]
+    finite = 0
+    for y in ordinates:
+        report = classify(y)
+        if report.verdict is Verdict.FINITE:
+            finite += 1
+            assert report.n_local == oracles.profile_classes(report.paths), y
+    assert finite > 300
 
 
 def test_sign_change_oracle_small_sample():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import _oracles as oracles
 from takagi.rationals import (
     BinaryExpansion,
     UnsupportedDenominatorError,
@@ -134,4 +135,4 @@ def test_non_canonical_expansions():
     assert rotated.value() == Fraction(1, 2560) == canonical.value()
     assert rotated != canonical
     assert canonical == BinaryExpansion((0,) * 9, (0, 0, 1, 1))
-    assert rotated.abs_slopes(20) == canonical.abs_slopes(20)
+    assert oracles.profile_classes([rotated, canonical]) == 1  # one |D| profile

@@ -236,6 +236,7 @@ def test_local_count_pins():
     assert truncated_local_count(HALF, ALTERNATING, 3) == 1
     assert truncated_local_count(Fraction(-1, 4), ALTERNATING, 3) == 0
     assert truncated_local_count(Fraction(3, 4), ALL_PLUS, 4) == 0  # above max
+    assert truncated_local_count(Fraction(1, 5), ALL_PLUS, 8) == 1  # any denominator
 
 
 def test_local_count_against_brute_scan():
@@ -280,10 +281,13 @@ def test_local_count_band_ends_against_brute_scan():
 def test_unsigned_local_count_matches_hump_hits():
     from takagi.humps import truncated_hits
 
-    for j in range(0, 2 * 4**2 + 1, 3):
-        y = Fraction(j, 3 * 4**2)
-        assert truncated_local_count(y, ALL_PLUS, 4) == len(
-            truncated_hits(y, 4, leading_only=True)
+    cases = [(Fraction(j, 3 * 4**2), 4) for j in range(0, 2 * 4**2 + 1, 3)]
+    # neither search assumes the shape of den(y), supported or not
+    for y in (Fraction(1, 5), Fraction(2, 7), Fraction(8, 51), Fraction(22, 49)):
+        cases += [(y, m) for m in range(7)]
+    for y, m in cases:
+        assert truncated_local_count(y, ALL_PLUS, m) == len(
+            truncated_hits(y, m, leading_only=True)
         )
 
 
