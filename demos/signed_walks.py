@@ -4,14 +4,13 @@
 import random
 from fractions import Fraction
 
+from takagi.curve import eval_rational, signed_constant
 from takagi.signed import (
     ALL_PLUS,
     ALTERNATING,
     SignSequence,
-    eval_signed_rational,
     first_passage,
     first_passages,
-    signed_constant,
     signed_extrema,
 )
 
@@ -53,5 +52,5 @@ print()
 # Each sequence also owns a constant C(r) = sum r_n / 2^(n+2), the mean of
 # the signed curve's endpoint slopes; a few exact values:
 for signs in FLAGSHIPS:
-    v = eval_signed_rational(Fraction(1, 3), signs)
+    v = eval_rational(Fraction(1, 3), signs)
     print(f"{str(signs):>8}: C = {signed_constant(signs)},  f(1/3) = {v}")

@@ -30,6 +30,7 @@ from .curve import (
     eval_approx,
     eval_dyadic,
     eval_rational,
+    signed_constant,
     triangle_wave,
 )
 from .humps import (
@@ -71,12 +72,10 @@ from .rationals import (
 )
 from .signed import (
     SignedExtrema,
-    eval_signed_dyadic,
     eval_signed_rational,
     expected_local_window,
     first_passage,
     first_passages,
-    signed_constant,
     signed_extrema,
     truncated_local_count,
 )
@@ -123,7 +122,6 @@ __all__ = [
     "eval_approx",
     "eval_dyadic",
     "eval_rational",
-    "eval_signed_dyadic",
     "eval_signed_rational",
     "expected_cardinality_series_partial",
     "expected_local_series_partial",

@@ -25,8 +25,7 @@ from .humps import MAX_ENUMERATION_ORDER, NotBalancedError, analyze_word, balanc
 from .humps import catalan, census, enumerate_balanced
 from .machine import BudgetExceededError, DEFAULT_MAX_STATES, Verdict, classify
 from .rationals import UnsupportedDenominatorError, format_rational, parse_rational
-from .signed import SignSequence, eval_signed_rational, signed_extrema
-from .signed import truncated_local_count
+from .signed import SignSequence, signed_extrema, truncated_local_count
 from .stats import (
     MAX_GRID_DEPTH,
     catalan_series_partial,
@@ -42,6 +41,10 @@ MAX_PLOT_DEPTH = 16
 # per unit of depth, and 4096 keeps it far below the interpreter's
 # 4300-digit limit on int-to-string conversion.
 MAX_APPROX_DEPTH = 4096
+
+# Largest signed localcount --max-order: the search tables and the word's
+# scaled values hold about order^2 bits; a count at 4096 peaks near 35 MB.
+MAX_LOCALCOUNT_ORDER = 4096
 
 # Largest series --terms: 10^6 float terms take well under a second.
 MAX_SERIES_TERMS = 10**6
@@ -292,7 +295,7 @@ def _cmd_signed(args: argparse.Namespace) -> int:
         payload = {
             "signs": str(signs),
             "x": format_rational(x),
-            "value": format_rational(eval_signed_rational(x, signs)),
+            "value": format_rational(eval_rational(x, signs)),
         }
     elif args.action == "extrema":
         extrema = signed_extrema(signs)
@@ -410,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preperiod", default="", help="signs before the repeating block")
     p.add_argument("--x", default=None)
     p.add_argument("--y", default=None, help="ordinate p/q (use --y=-1/4 if negative)")
-    p.add_argument("--max-order", type=_int_at_least(0), default=12)
+    p.add_argument("--max-order", type=_int_at_least(0, MAX_LOCALCOUNT_ORDER), default=12)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_signed)
 

@@ -13,18 +13,22 @@ one, which is what the (D + 1) accounts for.  The walk itself runs on
 integers: w_j = v_j 2^j obeys w_j = 2 w_{j-1} + eps_j (D_{j-1} + 1), and a
 Fraction is built only when a value is read.  From the walk one also gets a
 closed form on eventually periodic expansions, i.e. exact values at every
-rational (one integer expression over the preperiod and period words), and
-certified two-sided truncation error at any depth.
+rational (one integer expression read off one word over the preperiod and
+one period), and certified two-sided truncation error at any depth.
 
 The same walk with step i weighted by a sign r_{i-1} = +-1 computes the
-signed relatives sum_n r_n 2^-n dist(2^n x, Z) of :mod:`takagi.signed`; T is
-the all-plus case and the default.
+signed relatives f_r = sum_n r_n 2^-n dist(2^n x, Z) of :mod:`takagi.signed`.
+Every evaluator here (``eval_rational``, ``eval_dyadic``,
+``d_expression_residual``) takes the signs, with T as the all-plus case and
+the default, so each computation has one implementation for the whole family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, cycle, islice
+from math import lcm
 from typing import Iterable, Sequence
 
 from .rationals import ZERO, BinaryExpansion, _word_numerator, to_binary
@@ -227,48 +231,58 @@ def walk_of(digits: Sequence[int]) -> tuple[int, ...]:
     return tuple(word.slope_at(j) for j in range(1, len(word) + 1))
 
 
-def eval_dyadic(x: Fraction) -> Fraction:
-    """T at a dyadic rational in [0, 1], exactly, via the digit walk."""
-    if not 0 <= x <= 1:
-        raise ValueError(f"need 0 <= x <= 1, got {x}")
-    if x == 1:
-        return ZERO
-    expansion = to_binary(x)
-    if not expansion.is_terminating:
+def eval_dyadic(x: Fraction, signs: SignSequence = ALL_PLUS) -> Fraction:
+    """The function at a dyadic rational in [0, 1], exactly, via the digit walk."""
+    if x.denominator & (x.denominator - 1):
         raise ValueError(f"{x} is not dyadic")
-    return DigitWord(expansion.preperiod).value
+    return eval_rational(x, signs)
 
 
-def eval_rational(x: Fraction) -> Fraction:
-    """T at any rational in [0, 1] — general denominators welcome (1/5 included).
+#: Most digits :func:`eval_rational` walks: the word keeps every w_j, so
+#: time and memory grow with the square of the walk's length.
+MAX_EVAL_DIGITS = 2**15
 
-    Dyadic arguments terminate; otherwise the expansion's preperiod u of q
-    digits and primitive period c of p digits give, with t = 0.(c)^inf,
 
-        T(x) = v_q(u) + 2^-q (D_q(u) t + T(t)),   T(t) = v_p(c) + 2^-p (D_p(c) t + T(t)),
+def eval_rational(x: Fraction, signs: SignSequence = ALL_PLUS) -> Fraction:
+    """The function at any rational in [0, 1] — general denominators welcome.
 
-    the second by self-affinity over one period.  With m = 2^p - 1, the
-    period's numerator c (so t = c / m) and the scaled values w = v 2^len of
-    both words, this closes over the integers:
+    Dyadic arguments terminate.  Otherwise both periodicities align past
+    q = max(expansion preperiod, sign transient): a block of
+    P = lcm(digit period, sign period) digits repeats with the same signs, so
+    with t = 0.(c)^inf the block's value, F = 2^-P (w_c + D_c t + F) by
+    self-affinity, closes the tail.  One word walks all q + P digits; with
+    m = 2^P - 1 and the block's numerator c (t = c / m), over the integers:
 
-        T(x) = ((w_q m + D_q c + w_c) m + D_c c) / (m^2 2^q),
+        f(x) = ((w_{q+P} - w_q) m + (D_{q+P} - D_q) c) / (m^2 2^q),
 
     one Fraction at the end, e.g. T(1/3) = 2/3, T(1/6) = 1/2, T(1/5) = 8/15.
+    Walks longer than :data:`MAX_EVAL_DIGITS` digits raise ValueError.
     """
     if not 0 <= x <= 1:
         raise ValueError(f"need 0 <= x <= 1, got {x}")
     if x == 1:
         return ZERO
     expansion = to_binary(x)
-    head = DigitWord(expansion.preperiod)
     if expansion.is_terminating:
-        return head.value
-    cycle = DigitWord(expansion.period)
-    m = (1 << len(cycle)) - 1
-    c = _word_numerator(expansion.period)
-    w_q, w_c = head.scaled_value, cycle.scaled_value
-    numerator = (w_q * m + head.slope * c + w_c) * m + cycle.slope * c
-    return Fraction(numerator, m * m << len(head))
+        q, block = len(expansion.preperiod), 0
+    else:
+        q = max(len(expansion.preperiod), signs.transient)
+        block = lcm(len(expansion.period), signs.period_length)
+    if q + block > MAX_EVAL_DIGITS:
+        raise ValueError(
+            f"the expansion needs a walk of {q + block} digits, over the limit of {MAX_EVAL_DIGITS}"
+        )
+    digits = tuple(islice(chain(expansion.preperiod, cycle(expansion.period)), q + block))
+    word = DigitWord(digits[:q], signs)
+    if not block:
+        return word.value
+    w_q, d_q = word.scaled_value, word.slope
+    for bit in digits[q:]:
+        word.push(bit)
+    m = (1 << block) - 1
+    c = _word_numerator(digits[q:])
+    numerator = (word.scaled_value - w_q) * m + (word.slope - d_q) * c
+    return Fraction(numerator, m * m << q)
 
 
 def eval_approx(x: Fraction, depth: int) -> tuple[Fraction, Fraction]:
@@ -294,21 +308,31 @@ def eval_approx(x: Fraction, depth: int) -> tuple[Fraction, Fraction]:
     return word.value, bound
 
 
-def d_expression_residual(x: Fraction, terms: int) -> Fraction:
+def signed_constant(signs: SignSequence = ALL_PLUS) -> Fraction:
+    """C(r) = sum_n r_n 2^-(n+2), exactly: 1/2 for all-plus, 1/6 alternating."""
+    head = sum(Fraction(s, 1 << n) for n, s in enumerate(signs.preperiod))
+    block = sum(Fraction(s, 1 << i) for i, s in enumerate(signs.period))
+    tail = block / (1 << signs.transient) / (1 - Fraction(1, 1 << signs.period_length))
+    return (head + tail) / 4
+
+
+def d_expression_residual(x: Fraction, terms: int, signs: SignSequence = ALL_PLUS) -> Fraction:
     """Defect of the partial slope-series identity at x, truncated after ``terms``.
 
-    The identity T(x) = 1/2 - (1/4) sum_{n>=1} (-1)^(eps_{n+1}) D_n 2^-n holds
-    for every x in [0, 1); the returned residual |T(x) - partial sum| obeys
-    residual <= (terms + 2) * 2^-terms (indeed a quarter of that), which the
-    tests pin down.  Needs digits up to eps_{terms+1}.
+    The identity f(x) = C(r) - (1/4) sum_{n>=1} (-1)^(eps_{n+1}) D_n 2^-n,
+    with C = 1/2 for T (:func:`signed_constant`), holds for every x in
+    [0, 1); the returned residual |f(x) - partial sum| obeys
+    residual <= (terms + 2) * 2^-terms whatever the signs, since |D_n| <= n
+    (for T at x = 0 exactly a quarter of that, which the tests pin down).
+    Needs digits up to eps_{terms+1}.
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")
     expansion = to_binary(x)
-    word = DigitWord.from_expansion(expansion, terms + 1)
+    word = DigitWord(expansion.digits(terms + 1), signs)
     acc = ZERO
     for n in range(1, terms + 1):
         sign = -1 if expansion.digit(n + 1) else 1
         acc += Fraction(sign * word.slope_at(n), 1 << n)
-    partial = HALF - acc / 4
-    return abs(eval_rational(x) - partial)
+    partial = signed_constant(signs) - acc / 4
+    return abs(eval_rational(x, signs) - partial)

@@ -7,6 +7,12 @@ to height a = T(x0).  The box I x [a, a + (2/3) 4^-m] is the hump of order m;
 its truncated projection [a, a + (1/2) 4^-m] is the part guaranteed by the
 first half of the copy.  Humps of order m are counted by binomial(2m, m) and
 the leading ones (slope walk never negative) by the Catalan number C_m.
+
+The pruned word search for humps whose truncated projection contains an
+ordinate y is written once for the whole signed family, with the signs and
+the per-depth extrema of the shifted function as parameters:
+:func:`truncated_hits` lists its all-plus hits and
+:func:`takagi.signed.truncated_local_count` counts its signed leading hits.
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ from fractions import Fraction
 from math import comb
 from typing import Iterator, Optional, Sequence
 
-from .curve import HALF, TWO_THIRDS, DigitWord
-from .rationals import to_binary
+from .curve import ALL_PLUS, HALF, TWO_THIRDS, DigitWord, SignSequence
+from .rationals import ZERO, to_binary
 
 
 #: Largest order :func:`enumerate_balanced` lists: binomial(24, 12) = 2704156
@@ -139,65 +145,86 @@ def census(order: int) -> tuple[int, int]:
     return central_binomial(order), catalan(order)
 
 
-def truncated_hits(
-    y: Fraction, max_order: int, *, leading_only: bool = False
-) -> list[Hump]:
-    """Humps of order <= max_order whose truncated projection contains y.
+def _hit_words(
+    y: Fraction,
+    signs: SignSequence,
+    extrema: Sequence[tuple[Fraction, Fraction]],
+    max_order: int,
+    leading_only: bool,
+) -> Iterator[tuple[int, ...]]:
+    """Hump words of order <= max_order whose truncated band contains y = a/b.
 
-    Works for any rational y = a/b (exact arithmetic throughout).  The search
-    walks the word tree pruning by the reachable-value window: below a prefix
-    of length j with slope D and scaled value w = v 2^j, every curve value
-    lies within [(w + min(0, D)) 2^-j, (w + max(0, D) + 2/3) 2^-j], and a hit
-    of order m >= m_min(j) = ceil(j/2) needs T(x0) within (1/2) 4^-m_min =
-    2^-e of y.  Scaled by b, 3 and powers of two, a prefix survives while
+    A hump word has signed walk D_{2m} = 0; its truncated band spans
+    (1/2) 4^-m from f(x0) in the direction of the next sign r_{2m}, upwards
+    for T.  ``extrema[j]`` = (lo, hi) bounds the shifted function past depth
+    j, (0, 2/3) for T.  The search walks the word tree pruning by the
+    reachable-value window: below a prefix of length j with slope D and
+    scaled value w = v 2^j, every value lies within
+    [(w + min(0, D) + lo) 2^-j, (w + max(0, D) + hi) 2^-j].  Both ends of a
+    band below the prefix are values there, f(x0) at the corner and the far
+    end at the hump's midpoint x0 + 4^-m / 2, so the band lies inside the
+    window.  With lo = ln/ld and hi = hn/hd, a prefix survives while
 
-        (w + min(0, D)) b <= a 2^j   and   (3 (w + max(0, D)) + 2) b 2^(e-j) >= 3 (a 2^e - b),
+        ((w + min(0, D)) ld + ln) b <= ld a 2^j   and   ((w + max(0, D)) hd + hn) b >= hd a 2^j,
 
-    and a balanced word of length j = 2m hits when w b <= a 2^j <= (w + 1/2) b.
-    Fractions are built only for the humps returned.  The root hump counts
-    whenever 0 <= y <= 1/2.  Results sorted by (order, corner).
+    and a word of length j = 2m with D_j = 0 hits when
+    0 <= r_j (a 2^(j+1) - 2 w b) <= b: integer comparisons throughout.
+    ``leading_only`` prunes every word whose walk goes negative.
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
     a, b = y.numerator, y.denominator
-    depths = range(2 * max_order + 2)
-    scaled_y = [a << j for j in depths]  # y 2^j b
-    # Per length j, the upper window test as (w + max(0, D)) * high_k[j] >= high_c[j].
-    high_k, high_c = [], []
-    for j in depths:
-        e = 2 * ((j + 1) // 2) + 1
-        k = b << (e - j)
-        high_k.append(3 * k)
-        high_c.append(3 * ((a << e) - b) - 2 * k)
-    hits: list[Hump] = []
-    word = DigitWord()
-    # Depth-first on an explicit stack, so orders in the hundreds are fine:
+    depth_cap = 2 * max_order
+    terms = [signs.term(j) for j in range(depth_cap + 1)]
+    scaled_y = [a << j for j in range(depth_cap + 2)]  # y 2^j b
+    # Per length j, the window tests as (w + min(0, D)) * low_k[j] <= low_c[j]
+    # and (w + max(0, D)) * high_k[j] >= high_c[j].
+    low_k, low_c, high_k, high_c = [], [], [], []
+    for j in range(depth_cap + 1):
+        lo, hi = extrema[j]
+        low_k.append(lo.denominator * b)
+        low_c.append(lo.denominator * scaled_y[j] - lo.numerator * b)
+        high_k.append(hi.denominator * b)
+        high_c.append(hi.denominator * scaled_y[j] - hi.numerator * b)
+    word = DigitWord(signs=signs)
+    # Depth-first on an explicit stack, so orders in the thousands are fine:
     # (word length before the edge, that edge's digit); the root has no edge.
     stack: list[tuple[int, Optional[int]]] = [(0, None)]
     while stack:
         depth, bit = stack.pop()
-        for _ in range(len(word) - depth):
+        while len(word) > depth:
             word.pop()
         if bit is not None:
             word.push(bit)
             depth += 1
         d, w = word.slope, word.scaled_value
         low, high = w + min(0, d), w + max(0, d)
-        if low * b > scaled_y[depth] or high * high_k[depth] < high_c[depth]:
+        if low * low_k[depth] > low_c[depth] or high * high_k[depth] < high_c[depth]:
             continue
-        if depth % 2 == 0 and d == 0:
-            if w * b <= scaled_y[depth] and scaled_y[depth + 1] <= (2 * w + 1) * b:
-                hump = analyze_word(word.digits)
-                if not leading_only or hump.is_leading:
-                    hits.append(hump)
-        if depth == 2 * max_order:
+        r = terms[depth]
+        if depth % 2 == 0 and d == 0 and 0 <= r * (scaled_y[depth + 1] - 2 * w * b) <= b:
+            yield word.digits
+        if depth == depth_cap:
             continue
         for bit in (1, 0):  # popped in reverse: the 0-branch runs first
-            if not leading_only or d + (1 if bit == 0 else -1) >= 0:
+            if not leading_only or d + (r if bit == 0 else -r) >= 0:
                 stack.append((depth, bit))
 
-    hits.sort(key=lambda h: (h.order, h.corner))
-    return hits
+
+def truncated_hits(
+    y: Fraction, max_order: int, *, leading_only: bool = False
+) -> list[Hump]:
+    """Humps of order <= max_order whose truncated projection contains y.
+
+    Works for any rational y (exact arithmetic throughout): the all-plus
+    case of the pruned word search :func:`_hit_words`, with the curve's
+    range [0, 2/3] as the window past every prefix.  Fractions are built
+    only for the humps returned.  The root hump counts whenever
+    0 <= y <= 1/2.  Results sorted by (order, corner).
+    """
+    extrema = [(ZERO, TWO_THIRDS)] * (2 * max_order + 1)
+    words = _hit_words(y, ALL_PLUS, extrema, max_order, leading_only)
+    return sorted(map(analyze_word, words), key=lambda h: (h.order, h.corner))
 
 
 def balanced_word_of(x: Fraction) -> Optional[tuple[int, ...]]:

@@ -1,10 +1,14 @@
 """Signed relatives f(x) = sum_n r_n 2^-n dist(2^n x, Z) for periodic signs.
 
 Only eventually periodic sign sequences r are representable — exactly the
-class where everything below stays exact: the digit walk
-(:class:`takagi.curve.DigitWord`) picks up the sign r_{i-1} at step i,
-evaluation at rationals closes over one aligned period, and the max/min
-come from first-passage times of the sign walk s_n = r_0 + ... + r_{n-1}:
+class where everything stays exact.  The digit walk and everything computed
+from it live in :mod:`takagi.curve` and :mod:`takagi.humps`, with T as the
+all-plus case: the walk (:class:`takagi.curve.DigitWord`) picks up the sign
+r_{i-1} at step i, ``eval_rational(x, signs)`` (importable from here as
+``eval_signed_rational``) closes over one aligned period, and one pruned
+word search serves both hump counts.  What is signed-only lives here: the
+max/min come from first-passage times of the sign walk
+s_n = r_0 + ... + r_{n-1}:
 
     max f = sum_k (1/2)^{tau_{2k-1}},   min f = -sum_k (1/2)^{tau_{1-2k}},
 
@@ -23,85 +27,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, cycle, islice
-from math import lcm
 from typing import Optional
 
-# ALL_PLUS, ALTERNATING and SignSequence live beside the digit walk that reads
-# them and stay importable from here.
-from .curve import ALL_PLUS, ALTERNATING, HALF, TWO_THIRDS, DigitWord, SignSequence  # noqa: F401
-from .humps import catalan
-from .rationals import ZERO, _word_numerator, to_binary
-
-
-def eval_signed_dyadic(x: Fraction, signs: SignSequence) -> Fraction:
-    """f(x) at a dyadic x in [0, 1], exactly."""
-    if not 0 <= x <= 1:
-        raise ValueError(f"need 0 <= x <= 1, got {x}")
-    if x == 1:
-        return ZERO
-    expansion = to_binary(x)
-    if not expansion.is_terminating:
-        raise ValueError(f"{x} is not dyadic")
-    return DigitWord(expansion.preperiod, signs).value
-
-
-def eval_signed_rational(x: Fraction, signs: SignSequence) -> Fraction:
-    """f(x) at any rational x in [0, 1], exactly.
-
-    Align both periodicities: past q = max(expansion preperiod, sign
-    transient), a block of P = lcm(digit period, sign period) digits repeats
-    with the same signs, so the tail value solves a one-block self-affinity
-    just as in the unsigned case.  With m = 2^P - 1, the block's numerator c
-    and the scaled values w of the head and block words, over the integers:
-
-        f(x) = ((w_q m + D_q c + w_c) m + D_c c) / (m^2 2^q).
-    """
-    if not 0 <= x <= 1:
-        raise ValueError(f"need 0 <= x <= 1, got {x}")
-    if x == 1:
-        return ZERO
-    expansion = to_binary(x)
-    if expansion.is_terminating:
-        return DigitWord(expansion.preperiod, signs).value
-    q = max(len(expansion.preperiod), signs.transient)
-    block = lcm(len(expansion.period), signs.period_length)
-    digits = tuple(islice(chain(expansion.preperiod, cycle(expansion.period)), q + block))
-    head = DigitWord(digits[:q], signs)
-    block_word = DigitWord(digits[q:], signs.shift(q))
-    m = (1 << block) - 1
-    c = _word_numerator(digits[q:])
-    w_q, w_c = head.scaled_value, block_word.scaled_value
-    numerator = (w_q * m + head.slope * c + w_c) * m + block_word.slope * c
-    return Fraction(numerator, m * m << q)
-
-
-def signed_constant(signs: SignSequence) -> Fraction:
-    """C(r) = sum_n r_n 2^-(n+2), exactly: 1/2 for all-plus, 1/6 alternating."""
-    head = sum(Fraction(s, 1 << n) for n, s in enumerate(signs.preperiod))
-    q = len(signs.preperiod)
-    p = signs.period_length
-    cycle = sum(Fraction(s, 1 << i) for i, s in enumerate(signs.period))
-    total = head + Fraction(cycle, 1 << q) / (1 - Fraction(1, 1 << p))
-    return total / 4
-
-
-def signed_d_expression_residual(x: Fraction, signs: SignSequence, terms: int) -> Fraction:
-    """Defect of f(x) = C(r) - (1/4) sum (-1)^(eps_{n+1}) D_n 2^-n after ``terms``.
-
-    Bounded by (terms + 2) 2^-terms exactly as in the unsigned case, since
-    |D_n| <= n regardless of signs.
-    """
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
-    expansion = to_binary(x)
-    word = DigitWord(expansion.digits(terms + 1), signs)
-    acc = ZERO
-    for n in range(1, terms + 1):
-        sign = -1 if expansion.digit(n + 1) else 1
-        acc += Fraction(sign * word.slope_at(n), 1 << n)
-    partial = signed_constant(signs) - acc / 4
-    return abs(eval_signed_rational(x, signs) - partial)
+# ALL_PLUS, ALTERNATING, SignSequence and the evaluator live beside the digit
+# walk and stay importable from here.
+from .curve import (  # noqa: F401
+    ALL_PLUS, ALTERNATING, HALF, TWO_THIRDS, SignSequence, eval_rational as eval_signed_rational
+)
+from .humps import _hit_words, catalan
+from .rationals import ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -263,68 +197,14 @@ def truncated_local_count(y: Fraction, signs: SignSequence, max_order: int) -> i
 
     A leading signed hump is a word with signed walk D_j >= 0 throughout and
     D_{2m} = 0; its truncated projection spans (1/2) 4^-m from f(x0) in the
-    direction of the first suffix sign r_{2m}.  The count for the all-plus
-    sequence reproduces the unsigned leading-hit count; the root hump is
-    included (its band is [0, 1/2] when r_0 = +1).
-
-    Below a prefix of length j with slope D and scaled value w = v 2^j, the
-    values lie in [(w + min(0, D) + lo_j) 2^-j, (w + max(0, D) + hi_j) 2^-j]
-    with lo_j = ln/ld and hi_j = hn/hd the extrema of the shifted function;
-    a prefix survives while y = a/b is within 2^-e of that window, with
-    e = 2 ceil(j/2) + 1.  Scaled by b, ld or hd and 2^e, both tests are
-    integer comparisons (k = b 2^(e-j)):
-
-        ((w + min(0, D)) ld + ln) k <= ld (a 2^e + b),
-        ((w + max(0, D)) hd + hn) k >= hd (a 2^e - b),
-
-    and a hump at j = 2m hits when a 2^(j+1) lies between 2 w b and
-    (2 w + r_j) b, both ends included.
+    direction of the first suffix sign r_{2m}.  This counts the hits of the
+    pruned word search :func:`takagi.humps._hit_words`, with the extrema of
+    the shifted function tabled per depth, so the all-plus count reproduces
+    the unsigned leading-hit count; the root hump is included (its band is
+    [0, 1/2] when r_0 = +1).
     """
-    if max_order < 0:
-        raise ValueError("max_order must be >= 0")
-    a, b = y.numerator, y.denominator
-    depth_cap = 2 * max_order
-    depths = range(depth_cap + 2)
-    scaled_y = [a << j for j in depths]  # y 2^j b
-    terms = [signs.term(j) for j in depths]
-    # Per length j, the window tests as (w + min(0, D)) * low_k[j] <= low_c[j]
-    # and (w + max(0, D)) * high_k[j] >= high_c[j].
-    low_k, low_c, high_k, high_c = [], [], [], []
-    for j, (lo, hi) in enumerate(_suffix_extrema_table(signs, depth_cap + 1)):
-        e = 2 * ((j + 1) // 2) + 1
-        k = b << (e - j)
-        low_k.append(lo.denominator * k)
-        low_c.append(lo.denominator * ((a << e) + b) - lo.numerator * k)
-        high_k.append(hi.denominator * k)
-        high_c.append(hi.denominator * ((a << e) - b) - hi.numerator * k)
-    word = DigitWord(signs=signs)
-    count = 0
-    # Depth-first on an explicit stack, so orders in the thousands are fine:
-    # (word length before the edge, that edge's digit); the root has no edge.
-    stack: list[tuple[int, Optional[int]]] = [(0, None)]
-    while stack:
-        depth, bit = stack.pop()
-        while len(word) > depth:
-            word.pop()
-        if bit is not None:
-            word.push(bit)
-            depth += 1
-        d, w = word.slope, word.scaled_value
-        low, high = w + min(0, d), w + max(0, d)
-        if low * low_k[depth] > low_c[depth] or high * high_k[depth] < high_c[depth]:
-            continue
-        if depth % 2 == 0 and d == 0:
-            end = 2 * w * b
-            other = end + terms[depth] * b
-            if min(end, other) <= scaled_y[depth + 1] <= max(end, other):
-                count += 1
-        if depth == depth_cap:
-            continue
-        r = terms[depth]
-        for bit in (1, 0):
-            if d + (r if bit == 0 else -r) >= 0:  # leading only
-                stack.append((depth, bit))
-    return count
+    table = _suffix_extrema_table(signs, 2 * max_order)
+    return sum(1 for _ in _hit_words(y, signs, table, max_order, leading_only=True))
 
 
 def expected_local_window(signs: SignSequence, max_order: int) -> Fraction:

@@ -51,6 +51,39 @@ def signed_series_value(x: Fraction, term_signs, terms: int) -> Fraction:
     return total
 
 
+def periodic_series_value(x: Fraction, signs=None) -> Fraction:
+    """Exact value of sum_n r_n 2^-n dist(2^n x, Z) at a rational x, from the
+    series alone (``signs=None`` means all plus, i.e. T itself).
+
+    With x = p/q, term n is r_n min(k_n, q - k_n) / (q 2^n), k_n = p 2^n mod q.
+    Both k_n and r_n are eventually periodic, so past the first index Q where
+    both have settled the terms repeat every P = lcm of the two periods,
+    scaled by 2^-P: the value is the Q head terms plus one block of P terms
+    divided by 1 - 2^-P.
+    """
+    p, q = x.numerator, x.denominator
+    seen, k = {}, p % q
+    while k not in seen:
+        seen[k] = len(seen)
+        k = 2 * k % q
+    start, period = seen[k], len(seen) - seen[k]
+    if signs is not None:
+        start, period = max(start, signs.transient), lcm(period, signs.period_length)
+
+    def scaled_sum(count: int) -> int:
+        """q 2^count times the sum of the first ``count`` terms."""
+        total = 0
+        for n in range(count):
+            k = p * pow(2, n, q) % q
+            r = 1 if signs is None else signs.term(n)
+            total += r * min(k, q - k) << (count - n)
+        return total
+
+    head = Fraction(scaled_sum(start), q << start)
+    block = Fraction(scaled_sum(start + period), q << (start + period)) - head
+    return head + block / (1 - Fraction(1, 1 << period))
+
+
 # ---------------------------------------------------------------------------
 # Integer grids: T(k/2^N) * 2^N is an integer, computed by column sums
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 
 import _oracles as oracles
-from takagi.curve import eval_rational
+from takagi.curve import d_expression_residual, eval_rational
 from takagi.humps import enumerate_balanced
 from takagi.machine import Verdict, classify, envelope_max, leftmost_preimage
 from takagi.signed import (
@@ -22,7 +22,6 @@ from takagi.signed import (
     ALTERNATING,
     SignSequence,
     expected_local_window,
-    signed_d_expression_residual,
     signed_extrema,
 )
 from takagi.stats import (
@@ -217,7 +216,7 @@ def test_09_signed_extrema_residuals_expectation():
         sequences.append(SignSequence(pre, period))
     for signs in sequences:
         x = Fraction(rng.randrange(0, 1 << 12), 1 << 12)
-        assert signed_d_expression_residual(x, signs, 40) <= bound
+        assert d_expression_residual(x, 40, signs) <= bound
         e = signed_extrema(signs)
         assert HALF <= e.height <= Fraction(2, 3)
 

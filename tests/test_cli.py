@@ -306,9 +306,21 @@ def test_signed_max_order_bounds():
     code, out, err = run("signed", "localcount", "--signs", "+", "--y", "1/3", "--max-order", "-1")
     assert (code, out) == (2, "")
     assert "--max-order" in err
+    code, out, err = run("signed", "localcount", "--signs", "+", "--y", "1/3", "--max-order", "4097")
+    assert (code, out) == (2, "")
+    assert "--max-order" in err and "4096" in err
     code, out, _ = run("signed", "localcount", "--signs", "+", "--y", "1/3", "--max-order", "0")
     assert code == 0
     assert json.loads(out)["count"] == 1  # the root hump's band [0, 1/2]
+
+
+def test_eval_walk_length_limit():
+    # 1/32771 has a period of 32770 digits; with signs (++-) 1/30011 needs
+    # lcm(30010, 3) = 90030 aligned digits: both over the 2^15-digit limit.
+    for argv in (("eval", "--x", "1/32771"), ("signed", "eval", "--signs", "++-", "--x", "1/30011")):
+        code, out, err = run(*argv)
+        assert (code, out) == (2, "")
+        assert "32768" in err
 
 
 def test_signed_missing_point_is_usage_error():

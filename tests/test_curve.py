@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import _oracles as oracles
 from takagi.curve import (
+    MAX_EVAL_DIGITS,
     DigitWord,
     d_expression_residual,
     eval_approx,
@@ -83,6 +84,17 @@ def test_eval_rational_pins():
 
 
 points_01 = st.fractions(min_value=0, max_value=1, max_denominator=10_000)
+
+
+def test_eval_walk_length_limit():
+    # 1/30011 has a period of 30010 digits: within the limit for T, and
+    # lcm(30010, 3) = 90030 aligned digits for a period-3 sign sequence.
+    x = Fraction(1, 30011)
+    assert eval_rational(x) == oracles.periodic_series_value(x)
+    with pytest.raises(ValueError, match=str(MAX_EVAL_DIGITS)):
+        eval_rational(x, SignSequence.parse("++-"))
+    with pytest.raises(ValueError, match=str(MAX_EVAL_DIGITS)):
+        eval_rational(Fraction(1, 32771))  # period 32770
 
 
 @given(points_01)
@@ -177,3 +189,14 @@ def test_digit_walk_fingerprint():
         for result in results:
             digest.update(repr(result).encode())
     assert digest.hexdigest() == "0dea0848d56a8e4bfe2b93253b74c6e538931cf93878e905f6841d81630709c2"
+
+
+def test_signed_search_fingerprint():
+    """The signed hump search's counts on the same 300 records, at each
+    record's signs, for y and for -y/2 (bands below the axis): any change
+    to the prune that drops or adds a hit changes the digest."""
+    digest = hashlib.sha256()
+    for _, signs, y in _walk_records(300, seed=20111):
+        for count in (truncated_local_count(y, signs, 8), truncated_local_count(-y / 2, signs, 6)):
+            digest.update(repr(count).encode())
+    assert digest.hexdigest() == "e4db046afcecec674a2ff12a2db3ad1f162a6b526ba78dec16565e9fff4911b4"

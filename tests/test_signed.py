@@ -8,18 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles as oracles
-from takagi.curve import DigitWord, d_expression_residual, eval_rational
+from takagi.curve import DigitWord, d_expression_residual, eval_dyadic, eval_rational, signed_constant
 from takagi.signed import (
     ALL_PLUS,
     ALTERNATING,
     SignSequence,
-    eval_signed_dyadic,
     eval_signed_rational,
     expected_local_window,
     first_passage,
     first_passages,
-    signed_constant,
-    signed_d_expression_residual,
     signed_extrema,
     truncated_local_count,
 )
@@ -64,11 +61,11 @@ def test_term_shift_flip():
 
 
 def test_eval_pins():
-    assert eval_signed_dyadic(HALF, ALTERNATING) == HALF
-    assert eval_signed_dyadic(Fraction(1, 4), ALTERNATING) == 0
+    assert eval_dyadic(HALF, ALTERNATING) == HALF
+    assert eval_dyadic(Fraction(1, 4), ALTERNATING) == 0
     assert eval_signed_rational(Fraction(1, 3), ALTERNATING) == Fraction(2, 9)
-    assert eval_signed_dyadic(Fraction(0), P("+--")) == 0
-    assert eval_signed_dyadic(Fraction(1), P("+--")) == 0
+    assert eval_dyadic(Fraction(0), P("+--")) == 0
+    assert eval_dyadic(Fraction(1), P("+--")) == 0
 
 
 supported_x = st.fractions(min_value=0, max_value=1, max_denominator=2048)
@@ -78,10 +75,13 @@ small_signs = st.tuples(
 ).map(lambda pair: SignSequence(tuple(pair[0]), tuple(pair[1])))
 
 
-@given(supported_x)
+@given(supported_x, small_signs)
 @settings(deadline=None)
-def test_reduction_to_unsigned(x):
-    assert eval_signed_rational(x, ALL_PLUS) == eval_rational(x)
+def test_reduction_to_unsigned(x, signs):
+    # T is the all-plus default of the one evaluator; both are checked
+    # against the exact periodic-series oracle, which shares no digit walk.
+    assert eval_rational(x) == oracles.periodic_series_value(x)
+    assert eval_rational(x, signs) == oracles.periodic_series_value(x, signs)
 
 
 @given(supported_x, small_signs)
@@ -97,7 +97,7 @@ def test_signed_word_matches_evaluator():
     signs = P("+-+")
     word = DigitWord((0, 1, 1, 0, 1), signs)
     x = sum(Fraction(bit, 1 << (j + 1)) for j, bit in enumerate(word.digits))
-    assert word.value == eval_signed_dyadic(x, signs)
+    assert word.value == eval_dyadic(x, signs)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +166,7 @@ def test_extrema_certified_by_integer_grid():
         rng = random.Random(9)
         for _ in range(25):
             k = rng.randrange((1 << N) + 1)
-            assert eval_signed_dyadic(Fraction(k, 1 << N), signs) == Fraction(int(grid[k]), 1 << N)
+            assert eval_dyadic(Fraction(k, 1 << N), signs) == Fraction(int(grid[k]), 1 << N)
 
 
 # ---------------------------------------------------------------------------
@@ -186,18 +186,19 @@ def test_signed_constant():
 def test_signed_residual_bounds():
     n = 30
     bound = Fraction(n + 2, 1 << n)
-    assert signed_d_expression_residual(Fraction(1, 4), ALL_PLUS, n) == d_expression_residual(Fraction(1, 4), n)
-    assert signed_d_expression_residual(Fraction(1, 3), ALTERNATING, n) <= bound
+    # the exact defect at 1/4 with all plus signs
+    assert d_expression_residual(Fraction(1, 4), n, ALL_PLUS) == Fraction(15, 1 << 31)
+    assert d_expression_residual(Fraction(1, 3), n, ALTERNATING) <= bound
     # at x = 0 with all plus signs the defect telescopes to exactly a quarter
     # of the generic (n + 2) 2^-n envelope
-    assert signed_d_expression_residual(Fraction(0), ALL_PLUS, n) == bound / 4
+    assert d_expression_residual(Fraction(0), n, ALL_PLUS) == bound / 4
 
 
 @given(supported_x.filter(lambda x: x < 1), small_signs)
 @settings(max_examples=60, deadline=None)
 def test_signed_residual_generic_window(x, signs):
     n = 30
-    assert signed_d_expression_residual(x, signs, n) <= Fraction(n + 2, 1 << n)
+    assert d_expression_residual(x, n, signs) <= Fraction(n + 2, 1 << n)
 
 
 # ---------------------------------------------------------------------------
