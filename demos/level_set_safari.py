@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """A walking tour of level sets: two points, four points, infinity and beyond.
 
-Every number printed here is exact.  The classifier decides, for an ordinate
-y with denominator 2^k or 3*2^k, whether the horizontal line at height y cuts
-the curve in finitely many points (and if so, exactly which), in countably
-many, or in a full Cantor set's worth.
+Every number printed here is exact.  The classifier decides, for any
+rational ordinate y, whether the horizontal line at height y cuts the curve
+in finitely many points (and if so, exactly which), in countably many, or in
+a full Cantor set's worth.
 """
 
 from fractions import Fraction

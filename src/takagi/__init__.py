@@ -4,7 +4,7 @@ The curve T(x) = sum_n 2^-n dist(2^n x, Z) is continuous and nowhere
 differentiable, yet everything this package does with it is exact rational
 arithmetic: evaluation at rationals, the hump/Catalan combinatorics of its
 self-similar pieces, the finite / countably infinite / uncountable
-trichotomy for level sets L(y) = {x : T(x) = y} at supported ordinates
+trichotomy for level sets L(y) = {x : T(x) = y} at rational ordinates
 (with the preimages themselves when finite), sign-weighted generalizations,
 and series/grid experiments for the average-case theory.
 
@@ -62,10 +62,7 @@ from .machine import (
 )
 from .rationals import (
     BinaryExpansion,
-    UnsupportedDenominatorError,
     format_rational,
-    is_supported,
-    make_rational,
     ordinate_depth,
     parse_rational,
     to_binary,
@@ -103,7 +100,6 @@ __all__ = [
     "SignSequence",
     "SignedExtrema",
     "StateGraph",
-    "UnsupportedDenominatorError",
     "Verdict",
     "analyze",
     "analyze_word",
@@ -130,12 +126,10 @@ __all__ = [
     "first_passages",
     "format_rational",
     "grid_experiment",
-    "is_supported",
     "leftmost_preimage",
     "level_points",
     "local_partner_count",
     "local_partners",
-    "make_rational",
     "ordinate_depth",
     "parse_rational",
     "signed_constant",

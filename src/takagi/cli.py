@@ -4,10 +4,10 @@ Everything rational is printed as "p/q" — never a decimal — so output can be
 piped back in without losing exactness, and identical invocations produce
 byte-identical output (JSON key order and SVG attribute order are fixed).
 
-Exit codes: 0 success; 2 usage errors (including non-balanced plot
-highlights, search budgets below 1, and orders, depths or term counts out of
-range); 3 unsupported denominator; 4 budget exhaustion — the indeterminate
-result is still printed.
+Classification and evaluation take any rational.  Exit codes: 0 success;
+2 usage errors (including non-balanced plot highlights, search budgets below
+1, orders, depths or term counts out of range, and expansions past the digit
+limit); 4 budget exhaustion — the indeterminate result is still printed.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .curve import TWO_THIRDS, eval_approx, eval_dyadic, eval_rational
 from .humps import MAX_ENUMERATION_ORDER, NotBalancedError, analyze_word, balanced_word_of
 from .humps import catalan, census, enumerate_balanced
 from .machine import BudgetExceededError, DEFAULT_MAX_STATES, Verdict, classify
-from .rationals import UnsupportedDenominatorError, format_rational, parse_rational
+from .rationals import MAX_EVAL_DIGITS, format_rational, parse_rational
 from .signed import SignSequence, signed_extrema, truncated_local_count
 from .stats import (
     MAX_GRID_DEPTH,
@@ -41,6 +41,11 @@ MAX_PLOT_DEPTH = 16
 # per unit of depth, and 4096 keeps it far below the interpreter's
 # 4300-digit limit on int-to-string conversion.
 MAX_APPROX_DEPTH = 4096
+
+# Most decimal digits of a printed integer: an exact value's numerator and
+# denominator m^2 2^q have at most 2 * MAX_EVAL_DIGITS bits, so the digit
+# limit bounds them; the interpreter's 4300-digit cap is lifted to this.
+MAX_STR_DIGITS = 2 * MAX_EVAL_DIGITS
 
 # Largest signed localcount --max-order: the search tables and the word's
 # scaled values hold about order^2 bits; a count at 4096 peaks near 35 MB.
@@ -367,11 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser("classify", help="finite / countable / uncountable verdict")
-    p.add_argument(
-        "--y",
-        required=True,
-        help="ordinate p/q (denominator 2^k or 3*2^k; use --y=-1/4 if negative)",
-    )
+    p.add_argument("--y", required=True, help="ordinate p/q (use --y=-1/4 if negative)")
     p.add_argument("--max-states", type=_int_at_least(1), default=DEFAULT_MAX_STATES)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_classify)
@@ -434,17 +435,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no cap
+    if cap:
+        sys.set_int_max_str_digits(max(cap, MAX_STR_DIGITS))
     try:
         return args.handler(args)
-    except UnsupportedDenominatorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ from itertools import chain, cycle, islice
 from math import lcm
 from typing import Iterable, Sequence
 
-from .rationals import ZERO, BinaryExpansion, _word_numerator, to_binary
+from .rationals import MAX_EVAL_DIGITS, ZERO, _word_digits, _word_numerator, to_binary
 
 HALF = Fraction(1, 2)
 TWO_THIRDS = Fraction(2, 3)
@@ -220,10 +220,6 @@ class DigitWord:
         """The dyadic rational 0.eps_1...eps_k."""
         return Fraction(_word_numerator(self._digits), 1 << len(self._digits))
 
-    @classmethod
-    def from_expansion(cls, expansion: BinaryExpansion, depth: int) -> "DigitWord":
-        return cls(expansion.digits(depth))
-
 
 def walk_of(digits: Sequence[int]) -> tuple[int, ...]:
     """Slope walk D_1..D_k of a word (D_j = sum of +1 for 0, -1 for 1)."""
@@ -236,11 +232,6 @@ def eval_dyadic(x: Fraction, signs: SignSequence = ALL_PLUS) -> Fraction:
     if x.denominator & (x.denominator - 1):
         raise ValueError(f"{x} is not dyadic")
     return eval_rational(x, signs)
-
-
-#: Most digits :func:`eval_rational` walks: the word keeps every w_j, so
-#: time and memory grow with the square of the walk's length.
-MAX_EVAL_DIGITS = 2**15
 
 
 def eval_rational(x: Fraction, signs: SignSequence = ALL_PLUS) -> Fraction:
@@ -300,9 +291,9 @@ def eval_approx(x: Fraction, depth: int) -> tuple[Fraction, Fraction]:
         raise ValueError(f"need 0 <= x <= 1, got {x}")
     if x == 1:
         return ZERO, ZERO
-    expansion = to_binary(x)
-    word = DigitWord.from_expansion(expansion, depth)
-    if word.point() == x:
+    head, rest = divmod(x.numerator << depth, x.denominator)
+    word = DigitWord(_word_digits(head, depth))
+    if not rest:
         return word.value, ZERO
     bound = (abs(word.slope) + TWO_THIRDS) / (1 << depth)
     return word.value, bound

@@ -7,11 +7,10 @@ partial preimage is summarised by the state (D, R), which steps by
     eps = 0:  (D + 1, 2R)          eps = 1:  (D - 1, 2R - D - 1)
 
 and is feasible iff  min(0, D) <= R <= g(D) := max(0, D) + (2/3) 2^-|D|,
-the exact two-sided envelope of t -> T(t) + D t on [0, 1].  For supported
-ordinates (denominator 2^k or 3 * 2^k) the residues land, from depth 2n on
-(n the ordinate depth), on a fixed lattice: integers for dyadic y, exact
-thirds otherwise.  Collapsing states past that depth closes the walk into a
-finite graph, and the shape of that graph decides the cardinality of L(y):
+the exact two-sided envelope of t -> T(t) + D t on [0, 1].  For any
+rational y the feasible states form a finite graph once |D| is bounded (the
+integer form below says why), and the shape of that graph decides the
+cardinality of L(y):
 
 * a state with R = g(D) (max ray) or a cycle cluster with more internal
   edges than states pumps a Cantor set of suffixes -> uncountable;
@@ -54,11 +53,24 @@ the prefix value v_j is a multiple of 2^-j.  The steps become
 and feasibility becomes  min(0, D) S <= N  and
 3 * 2^|D| * (N - max(0, D) S) <= 2S,  with equality on the right exactly at
 a max ray; N = 0, D >= 0 is a zero ray and N = D S, D <= -1 a ones ray.
-Nothing assumes the shape of S.  Graph keys are int tuples; each node also
-keeps its exact residue R = N / S for labels.  :func:`step`,
-:func:`is_feasible` and the ``envelope_*`` functions state the same rules on
-(D, R) with Fractions and are the exact reference the closure is tested
-against.
+Nothing assumes the shape of S.  Feasibility confines N to
+
+    min(0, D) S <= N <= max(0, D) S + 2S / (3 * 2^|D|),
+
+at most (|D| + 1) S + 1 integers for each D, so the state set is finite
+once |D| <= max_slope and the breadth-first closure ends.  A suffix that
+drifts, such as (001)^inf under y = 1/49, moves D by one per period: it
+ends in the slope budget, as Indeterminate, and does not hang.  For the
+first 2n digits, n = :func:`~takagi.rationals.ordinate_depth` (read off the
+2-adic valuation of S), a state's key also carries its depth; for
+S = 2^k or 3 * 2^k the residues from there on lie on a fixed lattice
+(integers for dyadic y, thirds otherwise).  The tag only delays merging:
+(D, N) is the exact state, so every tag depth gives an exact graph.
+
+Graph keys are int tuples; each node also keeps its exact residue R = N / S
+for labels.  :func:`step`, :func:`is_feasible` and the ``envelope_*``
+functions state the same rules on (D, R) with Fractions and are the exact
+reference the closure is tested against.
 """
 
 from __future__ import annotations
@@ -70,7 +82,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Union
 
 from .curve import TWO_THIRDS
-from .rationals import ZERO, BinaryExpansion, ordinate_depth, require_supported
+from .rationals import ZERO, BinaryExpansion, ordinate_depth
 
 DEFAULT_MAX_STATES = 100_000
 DEFAULT_MAX_SLOPE = 64
@@ -152,14 +164,13 @@ def close_graph(
     max_states: int = DEFAULT_MAX_STATES,
     max_slope: int = DEFAULT_MAX_SLOPE,
 ) -> StateGraph:
-    """Breadth-first closure of the feasible states of a supported ordinate.
+    """Breadth-first closure of the feasible states of a rational ordinate.
 
     Stops early (closed=False) if more than ``max_states`` states appear or
     some slope exceeds ``max_slope`` in absolute value; analysis then reports
     Indeterminate rather than guessing.  Terminal rays are kept as nodes but
     never expanded.  The walk runs on integer states (D, N), N = R * S.
     """
-    y = require_supported(y)
     lattice_depth = 2 * ordinate_depth(y) if 0 <= y <= TWO_THIRDS else 0
     scale = y.denominator
 
@@ -506,7 +517,6 @@ def leftmost_preimage(
     revisits one of its states, closing an eventually periodic expansion,
     e.g. leftmost(1/2) = 1/6 = 0.0(01) and leftmost(2/3) = 1/3 = 0.(01).
     """
-    y = require_supported(y)
     if not 0 <= y <= TWO_THIRDS:
         raise ValueError(f"level set of {y} is empty")
     if y == 0:
@@ -528,7 +538,7 @@ def classify(
     max_states: int = DEFAULT_MAX_STATES,
     max_slope: int = DEFAULT_MAX_SLOPE,
 ) -> LevelSetReport:
-    """Full classification of L(y) for a supported ordinate.
+    """Full classification of L(y) for any rational ordinate.
 
     Finite verdicts come back with exact sorted preimages, their expansions,
     and the number of local level sets: the root's profile count, read off

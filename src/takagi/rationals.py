@@ -1,35 +1,24 @@
-"""Exact rational scaffolding: supported denominators and binary expansions.
+"""Exact rational scaffolding: binary expansions, "p/q" parsing and formatting.
 
-Everything downstream works with :class:`fractions.Fraction` values that are
-either dyadic (denominator a power of two) or a power of two times three.
-Those are exactly the denominators for which the classification machinery
-stays on a finite lattice; general rationals are still allowed where a
-function explicitly says so (plain curve evaluation does not care).
+Everything downstream works with :class:`fractions.Fraction` values of any
+denominator.  :func:`to_binary` gives the canonical eventually periodic
+expansion of a rational, refused past :data:`MAX_EVAL_DIGITS` digits, and
+:func:`ordinate_depth` reads the depth tag of the state machine off the
+2-adic valuation of an ordinate's denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
-
-RationalLike = Union[Fraction, int, str]
+from typing import Iterable
 
 ZERO = Fraction(0)
 
-
-class UnsupportedDenominatorError(ValueError):
-    """Raised when an ordinate's reduced denominator is not 2^k or 3*2^k."""
-
-
-def _as_fraction(value: RationalLike) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return parse_rational(value)
-    raise TypeError(f"expected a rational, got {type(value).__name__}")
+#: Most digits an expansion may have (preperiod plus period), and so most
+#: digits an exact evaluation walks: the word keeps every w_j, so time and
+#: memory grow with the square of the walk's length.
+MAX_EVAL_DIGITS = 2**15
 
 
 def split_denominator(x: Fraction) -> tuple[int, int]:
@@ -39,46 +28,21 @@ def split_denominator(x: Fraction) -> tuple[int, int]:
     return k, den >> k
 
 
-def is_supported(x: Fraction) -> bool:
-    """True when the reduced denominator is a power of two or three times one."""
-    _, odd = split_denominator(x)
-    return odd in (1, 3)
+def ordinate_depth(y: Fraction) -> int:
+    """(k + 1) // 2 for den(y) = 2^k * odd: the depth tag of the state machine.
 
-
-def make_rational(numerator: int, denominator: int = 1) -> Fraction:
-    """Build a supported rational, reducing first: make_rational(2, 48) == 1/24.
-
-    Raises :class:`UnsupportedDenominatorError` if the reduced denominator is
-    not of the form 2^k or 3 * 2^k (so make_rational(1, 5) fails even though
-    the curve itself is defined there).
+    For den = 2^k or 3*2^k, after 2n doubling steps (n the depth) the
+    classification walk lands on a lattice where the rescaled offset is an
+    integer (dyadic y) or has denominator exactly three.  Other odd parts
+    get the same tag from k alone.  Examples: depth(1/8) = 2,
+    depth(2/3) = 0, depth(3/128) = 4, depth(7/20) = 1.
     """
-    x = Fraction(numerator, denominator)
-    return require_supported(x)
-
-
-def require_supported(value: RationalLike) -> Fraction:
-    x = _as_fraction(value)
-    if not is_supported(x):
-        raise UnsupportedDenominatorError(
-            f"denominator {x.denominator} is not 2^k or 3*2^k (value {x})"
-        )
-    return x
-
-
-def ordinate_depth(y: RationalLike) -> int:
-    """Dyadic depth n of a supported ordinate: den = 2^k or 3*2^k -> (k+1)//2.
-
-    After n doubling steps the classification walk lands on a lattice where
-    the rescaled offset is an integer (dyadic y) or has denominator exactly
-    three.  Examples: depth(1/8) = 2, depth(2/3) = 0, depth(3/128) = 4.
-    """
-    y = require_supported(y)
     k, _ = split_denominator(y)
     return (k + 1) // 2
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q' or 'p' into a Fraction (no supportedness check)."""
+    """Parse 'p/q' or 'p' into a Fraction."""
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -150,26 +114,33 @@ def _word_numerator(word: Iterable[int]) -> int:
     return n
 
 
-def to_binary(x: Fraction) -> BinaryExpansion:
-    """Canonical binary expansion of any rational in [0, 1) by long division.
+def _word_digits(n: int, width: int) -> tuple[int, ...]:
+    """The ``width`` binary digits of 0 <= n < 2^width: (5, 4) -> (0, 1, 0, 1)."""
+    return tuple(map(int, f"{n:0{width}b}")) if width else ()
 
-    The first repeated remainder marks the preperiod and the cycle of
-    remainders gives the period, e.g. 5/8 -> 0.101, 1/3 -> 0.(01),
-    1/6 -> 0.0(01).  The preperiod is minimal and the period primitive; both
-    are unique, so equal rationals always produce identical expansions.
+
+def to_binary(x: Fraction) -> BinaryExpansion:
+    """Canonical binary expansion of any rational in [0, 1).
+
+    With den(x) = 2^k * odd, the preperiod is the k-digit binary of
+    num // odd, and the period is the long division of r = num % odd by
+    odd, which ends when r first comes back, e.g. 5/8 -> 0.101,
+    1/3 -> 0.(01), 1/6 -> 0.0(01).  The preperiod is minimal and the period
+    primitive; both are unique, so equal rationals always produce identical
+    expansions.  Expansions of more than :data:`MAX_EVAL_DIGITS` digits
+    raise ValueError.
     """
     if not 0 <= x < 1:
         raise ValueError(f"expansion needs 0 <= x < 1, got {x}")
-    num, den = x.numerator, x.denominator
-    digits: list[int] = []
-    seen: dict[int, int] = {}
-    r = num
-    while r and r not in seen:
-        seen[r] = len(digits)
-        r <<= 1
-        d, r = divmod(r, den)
-        digits.append(d)
-    if not r:
-        return BinaryExpansion(tuple(digits), ())
-    start = seen[r]
-    return BinaryExpansion(tuple(digits[:start]), tuple(digits[start:]))
+    k, odd = split_denominator(x)
+    head, start = divmod(x.numerator, odd)
+    period: list[int] = []
+    r = start
+    while r and k + len(period) <= MAX_EVAL_DIGITS:
+        bit, r = divmod(r << 1, odd)
+        period.append(bit)
+        if r == start:
+            break
+    if k + len(period) > MAX_EVAL_DIGITS:
+        raise ValueError(f"the expansion has more than {MAX_EVAL_DIGITS} digits")
+    return BinaryExpansion(_word_digits(head, k), tuple(period))

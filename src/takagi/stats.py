@@ -7,8 +7,8 @@ the ordinate drawn uniformly from [0, 2/3],
     E[#local(y)] = (3/4) * sum_m C_m 4^-m = 3/2,
 
 and more than sixty percent of all level sets have exactly two points.
-The grid experiment sweeps every supported ordinate j / (3 * 4^n) — a
-uniform mesh of exactly classifiable points — and aggregates the verdicts.
+The grid experiment sweeps every grid ordinate j / (3 * 4^n) — a uniform
+mesh of exactly classified points — and aggregates the verdicts.
 That mesh is not a Lebesgue sample: a third of its points (3 | j) are dyadic
 and over-represent the infinite level sets, and depth n resolves humps of
 order <= n only.  At depth 6 it measures finite fraction 6060/8193 = 0.740,
@@ -113,7 +113,7 @@ class GridRow:
 
 @dataclass(frozen=True)
 class GridReport:
-    """Aggregated sweep over the supported ordinate mesh of one depth."""
+    """Aggregated sweep over the grid ordinate mesh of one depth."""
 
     depth: int
     rows: tuple[GridRow, ...]
@@ -176,10 +176,10 @@ def grid_experiment(
 ) -> GridReport:
     """Classify every ordinate j / (3 * 4^depth), 0 <= j <= 2 * 4^depth.
 
-    The mesh is uniform on [0, 2/3] and consists entirely of supported
-    ordinates, so each row is an exact verdict; blown budgets surface as
-    Indeterminate rows rather than aborting the sweep, and two sweeps of the
-    same depth produce identical reports.  A finite interior ordinate with
+    The mesh of grid ordinates is uniform on [0, 2/3], and each row is an
+    exact verdict; blown budgets surface as Indeterminate rows rather than
+    aborting the sweep, and two sweeps of the same depth produce identical
+    reports.  A finite interior ordinate with
     odd cardinality would contradict the x -> 1 - x pairing, so it raises.
     """
     if depth < 0:

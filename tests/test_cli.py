@@ -5,11 +5,13 @@ import hashlib
 import io
 import json
 import shlex
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import _oracles as oracles
 from takagi.cli import main
 from takagi.curve import eval_rational
 from takagi.rationals import parse_rational
@@ -39,14 +41,23 @@ def readme_examples():
 
 
 def test_readme_console_examples():
-    examples = {argv[0]: (argv, shown) for argv, shown in readme_examples()}
-    for name in ("eval", "levelset", "classify"):
-        argv, shown = examples[name]
-        assert run(*argv) == (0, shown + "\n", "")
-    argv, shown = examples["grid"]  # the README shows the first rows, then "..."
-    assert shown.endswith("\n...")
-    code, out, _ = run(*argv)
-    assert code == 0 and out.startswith(shown[: -len("...")])
+    checked = []
+    for argv, shown in readme_examples():
+        if argv[0] in ("eval", "levelset", "classify"):
+            assert run(*argv) == (0, shown + "\n", "")
+            checked.append(argv[:3])
+        elif argv[0] == "grid":  # the README shows the first rows, then "..."
+            assert shown.endswith("\n...")
+            code, out, _ = run(*argv)
+            assert code == 0 and out.startswith(shown[: -len("...")])
+            checked.append(argv[:1])
+    assert checked == [
+        ["eval", "--x", "1/4"],
+        ["levelset", "--y", "7/12"],
+        ["classify", "--y", "2/3"],
+        ["classify", "--y", "1/5"],
+        ["grid"],
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +90,10 @@ def test_eval_approx_depth_bounds():
     code, out, err = run("eval", "--x", "1/3", "--approx-depth", "4096")
     assert (code, err) == (0, "")
     assert json.loads(out)["method"] == "truncated(depth=4096)"
+    # the truncated digits never need the expansion's period
+    code, out, err = run("eval", "--x", "1/1000000007", "--approx-depth", "10")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["bound"] == "1/96"
     for depth in ("-1", "100000"):
         code, out, err = run("eval", "--x", "1/3", "--approx-depth", depth)
         assert (code, out) == (2, "")
@@ -110,9 +125,16 @@ def test_classify_countable_witness_attains():
 
 
 def test_classify_unsupported_denominator_exits_3():
+    # Denominators other than 2^k and 3 * 2^k once exited 3; now 1/5 gets a
+    # verdict, and 1/49, whose suffix (001)^inf drifts, the slope budget.
     code, out, err = run("classify", "--y", "1/5")
-    assert (code, out) == (3, "")
-    assert err.startswith("error:")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["count"] == 2
+    code, out, err = run("classify", "--y", "1/49")
+    assert (code, err) == (4, "")
+    payload = json.loads(out)
+    assert payload["verdict"] == "indeterminate"
+    assert payload["witness"] == "budget exceeded (slope)"
 
 
 def test_classify_budget_exhaustion_exits_4_with_result():
@@ -315,9 +337,27 @@ def test_signed_max_order_bounds():
 
 
 def test_eval_walk_length_limit():
-    # 1/32771 has a period of 32770 digits; with signs (++-) 1/30011 needs
-    # lcm(30010, 3) = 90030 aligned digits: both over the 2^15-digit limit.
-    for argv in (("eval", "--x", "1/32771"), ("signed", "eval", "--signs", "++-", "--x", "1/30011")):
+    # 1/30011 has a period of 30010 digits, within the 2^15-digit limit; its
+    # exact value has 9,038 characters, past the interpreter's 4300-digit
+    # cap on int-to-str conversion, which main lifts and then restores.
+    cap = sys.get_int_max_str_digits()
+    code, out, err = run("eval", "--x", "1/30011")
+    assert (code, err) == (0, "") and sys.get_int_max_str_digits() == cap
+    num, den = json.loads(out)["T"].split("/")
+    sys.set_int_max_str_digits(0)
+    try:
+        value = Fraction(int(num), int(den))
+    finally:
+        sys.set_int_max_str_digits(cap)
+    assert value == oracles.periodic_series_value(Fraction(1, 30011))
+    # 1/32771 has a period of 32770 digits and 1/1000000000039 a far longer
+    # one; with signs (++-) 1/30011 needs lcm(30010, 3) = 90030 aligned
+    # digits: all over the limit.
+    for argv in (
+        ("eval", "--x", "1/32771"),
+        ("eval", "--x", "1/1000000000039"),
+        ("signed", "eval", "--signs", "++-", "--x", "1/30011"),
+    ):
         code, out, err = run(*argv)
         assert (code, out) == (2, "")
         assert "32768" in err

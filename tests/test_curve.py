@@ -148,11 +148,14 @@ def test_digitword_push_pop_round_trip():
     assert (w.digits, w.slope, w.value) == snapshot
 
 
-def test_digitword_from_expansion():
-    e = to_binary(Fraction(13, 48))
-    w = DigitWord.from_expansion(e, 8)
-    assert w.digits == (0, 1, 0, 0, 0, 1, 0, 1)
-    assert w.slope_at(5) == 3  # deepest excursion of this prefix
+def test_eval_approx_reads_truncated_digits():
+    # 13/48 = 0.0100(01): the first 8 digits 01000101 end at slope 2
+    value, bound = eval_approx(Fraction(13, 48), 8)
+    assert value == eval_dyadic(Fraction(0b01000101, 256))
+    assert bound == (2 + Fraction(2, 3)) / 256
+    # the digits are those of floor(x 2^depth), whatever the period of x
+    assert eval_approx(Fraction(1, 1000000007), 10) == (0, Fraction(1, 96))
+    assert eval_approx(Fraction(3, 8), 5) == (eval_dyadic(Fraction(3, 8)), 0)
 
 
 def _walk_records(count, seed):

@@ -21,7 +21,7 @@ from takagi.machine import (
     leftmost_preimage,
     step,
 )
-from takagi.rationals import UnsupportedDenominatorError, to_binary
+from takagi.rationals import to_binary
 
 
 def test_envelope_pins():
@@ -202,8 +202,11 @@ def test_out_of_range_is_empty():
 
 
 def test_unsupported_denominator_raises():
-    with pytest.raises(UnsupportedDenominatorError):
-        classify(Fraction(1, 5))
+    # Denominators other than 2^k and 3 * 2^k were once refused; 1/5 now
+    # gets the verdict of any other ordinate.
+    report = classify(Fraction(1, 5))
+    assert (report.verdict, report.cardinality) == (Verdict.FINITE, 2)
+    assert [eval_rational(x) for x in report.preimages] == [Fraction(1, 5)] * 2
 
 
 def test_budget_exhaustion_is_indeterminate():
@@ -220,9 +223,9 @@ def test_leftmost_pins():
     assert leftmost_preimage(Fraction(0)) == Fraction(0)
     assert leftmost_preimage(Fraction(1, 8)) == Fraction(1, 48)
     with pytest.raises(ValueError):
-        leftmost_preimage(Fraction(7, 10) + Fraction(1, 10))  # 4/5 unsupported
+        leftmost_preimage(Fraction(7, 10) + Fraction(1, 10))  # 4/5 > 2/3
     with pytest.raises(ValueError):
-        leftmost_preimage(Fraction(3, 4))  # supported but above the range
+        leftmost_preimage(Fraction(3, 4))  # above the range
 
 
 def test_leftmost_agrees_with_finite_reports():
@@ -374,3 +377,31 @@ def test_sign_change_oracle_small_sample():
         report = classify(y)
         if report.verdict is Verdict.FINITE and report.cardinality:
             assert oracles.sign_change_count(total, 16, y) == report.cardinality
+
+
+def test_open_denominators_against_oracles():
+    # y = j / (m 2^k) with odd m >= 5: every finite preimage and countable
+    # witness attains y, and the cardinality matches the sign changes on the
+    # 2^-20 grid wherever consecutive preimages are more than 2^-19 apart
+    # (closer ones the grid cannot separate: 26/61 has 22 preimages within
+    # 5e-10 of one another).
+    total = oracles.int_grid(20)
+    rng = random.Random(12)
+    verdicts, compared = [], 0
+    for _ in range(80):
+        den = rng.randrange(5, 64, 2) << rng.randint(0, 5)
+        y = Fraction(rng.randrange(1, 2 * den // 3 + 1), den)
+        report = classify(y, max_slope=256)
+        verdicts.append(report.verdict)
+        if report.witness_preimage is not None:
+            assert eval_rational(report.witness_preimage) == y, y
+        if report.verdict is not Verdict.FINITE:
+            continue
+        xs = report.preimages
+        assert all(eval_rational(x) == y for x in xs), y
+        if all(b - a > Fraction(1, 2**19) for a, b in zip(xs, xs[1:])):
+            assert oracles.sign_change_count(total, 20, y) == report.cardinality, y
+            compared += 1
+    assert compared > 60 and Verdict.UNCOUNTABLE in verdicts
+    for y in (Fraction(2, 13), Fraction(8, 51)):
+        assert classify(y).verdict is Verdict.UNCOUNTABLE

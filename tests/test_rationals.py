@@ -1,4 +1,4 @@
-"""Supported-denominator arithmetic and binary expansions."""
+"""Binary expansions, parsing and the machine's depth tag, over any denominator."""
 
 from fractions import Fraction
 
@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles as oracles
+from takagi.curve import eval_rational
+from takagi.machine import Verdict, classify
 from takagi.rationals import (
+    MAX_EVAL_DIGITS,
     BinaryExpansion,
-    UnsupportedDenominatorError,
     format_rational,
-    is_supported,
-    make_rational,
     ordinate_depth,
     parse_rational,
     split_denominator,
@@ -27,21 +27,24 @@ def test_split_denominator():
 
 
 def test_supported_class():
-    good = [Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(5, 6),
-            Fraction(7, 12), Fraction(1, 1024), Fraction(11, 3 * 2**9)]
-    for x in good:
-        assert is_supported(x)
-    bad = [Fraction(1, 5), Fraction(1, 7), Fraction(1, 9), Fraction(8, 15),
-           Fraction(1, 48 * 5)]
-    for x in bad:
-        assert not is_supported(x)
+    # Once only 2^k and 3 * 2^k were classified; every rational ordinate in
+    # [0, 2/3] now gets a verdict whose preimages or witness attain it.
+    ordinates = [Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(7, 12),
+                 Fraction(1, 1024), Fraction(11, 3 * 2**9), Fraction(1, 5),
+                 Fraction(1, 7), Fraction(1, 9), Fraction(8, 15), Fraction(1, 48 * 5)]
+    for y in ordinates:
+        report = classify(y)
+        assert report.verdict is not Verdict.INDETERMINATE, y
+        if report.preimages is not None:
+            assert report.preimages and all(eval_rational(x) == y for x in report.preimages)
+        if report.witness_preimage is not None:
+            assert eval_rational(report.witness_preimage) == y
+    assert classify(Fraction(8, 15)).verdict is Verdict.UNCOUNTABLE
 
 
 def test_make_rational_reduces_before_checking():
-    # 10/15 reduces to 2/3, which is fine even though 15 itself is not.
-    assert make_rational(10, 15) == Fraction(2, 3)
-    with pytest.raises(UnsupportedDenominatorError):
-        make_rational(1, 5)
+    # 10/15 reduces to 2/3: the denominator 15 never reaches the machine.
+    assert classify(Fraction(10, 15)) == classify(Fraction(2, 3))
 
 
 def test_ordinate_depth_pins():
@@ -51,14 +54,15 @@ def test_ordinate_depth_pins():
     assert ordinate_depth(Fraction(0)) == 0
     assert ordinate_depth(Fraction(1, 2)) == 1
     assert ordinate_depth(Fraction(7, 12)) == 1
-    with pytest.raises(UnsupportedDenominatorError):
-        ordinate_depth(Fraction(1, 5))
+    # only the 2-adic valuation counts
+    assert ordinate_depth(Fraction(1, 5)) == 0
+    assert ordinate_depth(Fraction(7, 20)) == 1
 
 
 def test_parse_and_format():
     assert parse_rational("7/12") == Fraction(7, 12)
     assert parse_rational(" 3 ") == Fraction(3)
-    assert parse_rational("1/5") == Fraction(1, 5)  # parsing has no support check
+    assert parse_rational("1/5") == Fraction(1, 5)
     with pytest.raises(ValueError):
         parse_rational("seven")
     with pytest.raises(ValueError):
@@ -73,6 +77,16 @@ def test_expansion_pins():
     assert to_binary(Fraction(5, 8)) == BinaryExpansion((1, 0, 1), ())
     assert to_binary(Fraction(0)) == BinaryExpansion((), ())
     assert to_binary(Fraction(13, 48)).render() == "0.0100(01)"
+
+
+def test_expansion_digit_limit():
+    # preperiod k digits and period ord_odd(2) digits, at most MAX_EVAL_DIGITS
+    assert len(to_binary(Fraction(1, 2**MAX_EVAL_DIGITS)).preperiod) == MAX_EVAL_DIGITS
+    assert to_binary(Fraction(1, 3 << (MAX_EVAL_DIGITS - 2))).period == (0, 1)
+    for x in (Fraction(1, 2 << MAX_EVAL_DIGITS), Fraction(1, 3 << (MAX_EVAL_DIGITS - 1)),
+              Fraction(1, 32771), Fraction(1, 1000000000039)):
+        with pytest.raises(ValueError, match=str(MAX_EVAL_DIGITS)):
+            to_binary(x)
 
 
 def test_expansion_digit_conventions():
