@@ -7,7 +7,8 @@ byte-identical output (JSON key order and SVG attribute order are fixed).
 Classification and evaluation take any rational.  Exit codes: 0 success;
 2 usage errors (including non-balanced plot highlights, search budgets below
 1, orders, depths or term counts out of range, and expansions past the digit
-limit); 4 budget exhaustion — the indeterminate result is still printed.
+limit); 4 budget exhaustion (states, slope, or more than 2^20 preimages to
+list) — the indeterminate result is still printed.
 """
 
 from __future__ import annotations

@@ -67,25 +67,34 @@ S = 2^k or 3 * 2^k the residues from there on lie on a fixed lattice
 (integers for dyadic y, thirds otherwise).  The tag only delays merging:
 (D, N) is the exact state, so every tag depth gives an exact graph.
 
-Graph keys are int tuples; each node also keeps its exact residue R = N / S
-for labels.  :func:`step`, :func:`is_feasible` and the ``envelope_*``
-functions state the same rules on (D, R) with Fractions and are the exact
-reference the closure is tested against.
+The closed graph is flat: each state gets an integer id in breadth-first
+order (the root is 0), and parallel lists indexed by id hold its slope D,
+its N, its ray flags, its two children (-1 where the digit is infeasible)
+and the edge that first reached it.  The int-tuple keys serve only to merge
+states in the closure; every later pass runs on the lists, and R = N / S is
+formed only to print a label.  :func:`step`, :func:`is_feasible` and the
+``envelope_*`` functions state the same rules on (D, R) with Fractions and
+are the exact reference the closure is tested against.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 from .curve import TWO_THIRDS
 from .rationals import ZERO, BinaryExpansion, ordinate_depth
 
 DEFAULT_MAX_STATES = 100_000
 DEFAULT_MAX_SLOPE = 64
+# A Finite level set with more points than this is reported Indeterminate
+# rather than listed: L(2/3 - 1/(3 * 2^k)) has 2^(k/2 + 1) points.
+MAX_PREIMAGES = 2**20
+
+# StateGraph.flags bits
+ZERO_RAY, ONES_RAY, MAX_RAY = 1, 2, 4
 
 State = tuple[int, Fraction]
 
@@ -123,39 +132,27 @@ def step(state: State, bit: int) -> State:
 
 
 @dataclass
-class StateNode:
-    slope: int
-    residue: Fraction
-    is_zero_ray: bool
-    is_ones_ray: bool
-    is_max_ray: bool
-    edges: dict[int, "Key"] = field(default_factory=dict)
-    # (key, digit) of the edge that first reached this state; None at the root
-    parent: Optional[tuple["Key", int]] = None
-
-
-# Pre-lattice states carry their depth; collapsed states are keyed (D, N).
-Key = Union[tuple[int, int, int], tuple[int, int]]
-
-
-@dataclass
 class StateGraph:
+    """The feasible states of L(y), numbered breadth-first from the root 0.
+
+    ``nodes`` maps each state's key, (depth, D, N) before the lattice depth
+    and (D, N) after it, to its id; the lists are indexed by id.  ``child0``
+    and ``child1`` hold -1 for an infeasible digit and for an unexpanded
+    ray; ``parent`` is 2 * id + digit of the edge that first reached the
+    state, -1 at the root.  An ordinate outside [0, 2/3] has no states.
+    """
+
     ordinate: Fraction
     lattice_depth: int
-    root: Optional[Key]
-    nodes: dict[Key, StateNode]
-    closed: bool
+    nodes: dict[tuple[int, ...], int] = field(default_factory=dict)
+    slope: list[int] = field(default_factory=list)
+    num: list[int] = field(default_factory=list)
+    flags: list[int] = field(default_factory=list)
+    child0: list[int] = field(default_factory=list)
+    child1: list[int] = field(default_factory=list)
+    parent: list[int] = field(default_factory=list)
+    closed: bool = True
     budget_reason: Optional[str] = None
-
-    @property
-    def states_explored(self) -> int:
-        return len(self.nodes)
-
-
-def _headroom(slope: int, num: int, scale: int) -> int:
-    """2S - 3 * 2^|D| * (N - max(0, D) * S): the gap to the envelope g(D),
-    scaled by 3 * 2^|D| * S, so >= 0 iff R <= g(D) and == 0 iff R = g(D)."""
-    return 2 * scale - (3 * (num - max(0, slope) * scale) << abs(slope))
 
 
 def close_graph(
@@ -168,57 +165,74 @@ def close_graph(
 
     Stops early (closed=False) if more than ``max_states`` states appear or
     some slope exceeds ``max_slope`` in absolute value; analysis then reports
-    Indeterminate rather than guessing.  Terminal rays are kept as nodes but
+    Indeterminate rather than guessing.  Terminal rays are kept as states but
     never expanded.  The walk runs on integer states (D, N), N = R * S.
     """
-    lattice_depth = 2 * ordinate_depth(y) if 0 <= y <= TWO_THIRDS else 0
-    scale = y.denominator
-
-    def make_node(slope: int, num: int, parent: Optional[tuple[Key, int]]) -> StateNode:
-        return StateNode(
-            slope=slope,
-            residue=Fraction(num, scale),
-            is_zero_ray=num == 0 and slope >= 0,
-            is_ones_ray=num == slope * scale and slope <= -1,
-            is_max_ray=_headroom(slope, num, scale) == 0,
-            parent=parent,
-        )
-
-    root_num = y.numerator
-    if root_num < 0 or _headroom(0, root_num, scale) < 0:
-        return StateGraph(y, lattice_depth, None, {}, closed=True)
-
-    root_key: Key = (0, 0, root_num) if lattice_depth > 0 else (0, root_num)
-    nodes: dict[Key, StateNode] = {root_key: make_node(0, root_num, None)}
-    queue: deque[tuple[Key, int, int, int]] = deque([(root_key, 0, 0, root_num)])
+    if not 0 <= y <= TWO_THIRDS:
+        return StateGraph(y, 0)
+    lattice_depth = 2 * ordinate_depth(y)
+    scale, root_num = y.denominator, y.numerator
+    root_key = (0, 0, root_num) if lattice_depth > 0 else (0, root_num)
+    root_ray = ZERO_RAY if root_num == 0 else MAX_RAY if 3 * root_num == 2 * scale else 0
+    graph = StateGraph(
+        y, lattice_depth, {root_key: 0}, [0], [root_num], [root_ray], [-1], [-1], [-1]
+    )
+    nodes, slopes, nums, flags = graph.nodes, graph.slope, graph.num, graph.flags
+    child0, child1, parent = graph.child0, graph.child1, graph.parent
     reason: Optional[str] = None
-
-    while queue and reason is None:
-        key, depth, slope, num = queue.popleft()
-        node = nodes[key]
-        if node.is_zero_ray or node.is_ones_ray:
+    depth, level_end = 0, 1  # state v is this deep while v < level_end
+    tagged = lattice_depth - 1  # children of states at least this deep carry no tag
+    v = 0  # the queue is the id range v, v + 1, ..., len(slopes) - 1
+    while v < len(slopes) and reason is None:
+        if v == level_end:
+            depth, level_end = depth + 1, len(slopes)
+        slope, num = slopes[v], nums[v]
+        if flags[v] & (ZERO_RAY | ONES_RAY):
+            v += 1
             continue
-        depth += 1
         for bit, child_slope, child_num in (
             (0, slope + 1, 2 * num),
             (1, slope - 1, 2 * num - (slope + 1) * scale),
         ):
-            if child_num < min(0, child_slope) * scale or _headroom(child_slope, child_num, scale) < 0:
+            # feasible iff min(0, D) S <= N and the headroom to g(D),
+            # 2S - 3 * 2^|D| * (N - max(0, D) S), is >= 0; the rays exclude
+            # one another
+            if child_slope >= 0:
+                if child_num < 0:
+                    continue
+                headroom = 2 * scale - (3 * (child_num - child_slope * scale) << child_slope)
+                ray = ZERO_RAY if child_num == 0 else 0
+            else:
+                if child_num < child_slope * scale:
+                    continue
+                headroom = 2 * scale - (3 * child_num << -child_slope)
+                ray = ONES_RAY if child_num == child_slope * scale else 0
+            if headroom < 0:
                 continue
             if abs(child_slope) > max_slope:
                 reason = "slope"
                 break
-            child_key = (
-                (depth, child_slope, child_num) if depth < lattice_depth else (child_slope, child_num)
+            key = (
+                (child_slope, child_num) if depth >= tagged else (depth + 1, child_slope, child_num)
             )
-            if child_key not in nodes:
-                if len(nodes) >= max_states:
+            child = nodes.get(key)
+            if child is None:
+                child = len(slopes)
+                if child >= max_states:
                     reason = "states"
                     break
-                nodes[child_key] = make_node(child_slope, child_num, (key, bit))
-                queue.append((child_key, depth, child_slope, child_num))
-            node.edges[bit] = child_key
-    return StateGraph(y, lattice_depth, root_key, nodes, closed=reason is None, budget_reason=reason)
+                nodes[key] = child
+                slopes.append(child_slope)
+                nums.append(child_num)
+                flags.append(MAX_RAY if headroom == 0 else ray)
+                child0.append(-1)
+                child1.append(-1)
+                parent.append(2 * v + bit)
+            (child1 if bit else child0)[v] = child
+        v += 1
+    graph.closed = reason is None
+    graph.budget_reason = reason
+    return graph
 
 
 class Verdict(Enum):
@@ -241,57 +255,52 @@ class LevelSetReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _live_children(graph: StateGraph, key: Key) -> Iterator[Key]:
-    """Successors that are not all-ones dead ends, in digit order."""
-    node = graph.nodes[key]
-    for bit in (0, 1):
-        child = node.edges.get(bit)
-        if child is not None and not graph.nodes[child].is_ones_ray:
-            yield child
-
-
-def _strong_components(graph: StateGraph) -> list[list[Key]]:
+def _strong_components(graph: StateGraph) -> list[list[int]]:
     """Tarjan over the no-dead-end subgraph; emitted children-first."""
-    index: dict[Key, int] = {}
-    low: dict[Key, int] = {}
-    on_stack: set[Key] = set()
-    stack: list[Key] = []
-    comps: list[list[Key]] = []
+    flags = graph.flags
+    size = len(flags)
+    # children that are not all-ones dead ends, in digit order
+    live_children = [
+        [c if c >= 0 and not flags[c] & ONES_RAY else -1 for c in children]
+        for children in (graph.child0, graph.child1)
+    ]
+    index = [-1] * size
+    low = [0] * size
+    on_stack = bytearray(size)
+    next_bit = bytearray(size)  # the next child to try, per state on ``work``
+    stack: list[int] = []
+    comps: list[list[int]] = []
     counter = 0
-
-    for start in graph.nodes:
-        if start in index or graph.nodes[start].is_ones_ray:
+    for start in range(size):
+        if index[start] >= 0 or flags[start] & ONES_RAY:
             continue
-        work: list[tuple[Key, Iterator[Key]]] = [(start, _live_children(graph, start))]
-        index[start] = low[start] = counter
-        counter += 1
-        stack.append(start)
-        on_stack.add(start)
+        work = [start]
         while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, _live_children(graph, w)))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
+            v = work[-1]
+            if index[v] < 0:  # first visit
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = 1
+            bit = next_bit[v]
+            if bit < 2:
+                next_bit[v] = bit + 1
+                w = live_children[bit][v]
+                if w < 0:
+                    continue
+                if index[w] < 0:
+                    work.append(w)
+                elif on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
                 continue
             work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+            if work and low[v] < low[work[-1]]:
+                low[work[-1]] = low[v]
             if low[v] == index[v]:
                 comp = []
                 while True:
                     w = stack.pop()
-                    on_stack.discard(w)
+                    on_stack[w] = 0
                     comp.append(w)
                     if w == v:
                         break
@@ -299,89 +308,93 @@ def _strong_components(graph: StateGraph) -> list[list[Key]]:
     return comps
 
 
-def _continuation_counts(graph: StateGraph, comps: list[list[Key]]) -> dict[Key, tuple[int, int]]:
-    """(continuations, profiles) per state, over children-first ``comps``.
+def _live_states(graph: StateGraph) -> tuple[list[list[int]], list[int], list[int], list[bool]]:
+    """Tarjan's components, then (continuations, profiles) and liveness per
+    state in one pass over them, children first.
 
     Infinite paths in a finite graph must reach a cycle or stop on the
     all-zeros ray, so live = continuations > 0.  Under a Finite verdict
-    (exit-free simple cycles) both are exact: path counts and counts of
-    distinct |D_j| sequences.  Dead ends get no entry.
+    (exit-free simple cycles) both counts are exact: path counts and counts
+    of distinct |D_j| sequences.  Dead ends count 0, and so does one extra
+    last entry, which a missing child (-1) reads.
     """
-    counts: dict[Key, tuple[int, int]] = {}
+    comps = _strong_components(graph)
+    counts, profiles = [0] * (len(graph.flags) + 1), [0] * (len(graph.flags) + 1)
+    slopes, flags, child0, child1 = graph.slope, graph.flags, graph.child0, graph.child1
     for comp in comps:
         if len(comp) > 1:
-            counts.update(dict.fromkeys(comp, (1, 1)))
+            for v in comp:
+                counts[v] = profiles[v] = 1
             continue
-        (key,) = comp
-        node = graph.nodes[key]
-        if node.is_zero_ray:
-            counts[key] = (1, 1)
+        v = comp[0]
+        if flags[v] & ZERO_RAY:
+            counts[v] = profiles[v] = 1
             continue
-        total = profiles = 0
-        for child in node.edges.values():
-            if child in counts:  # children come first; only dead ends are missing
-                n, p = counts[child]
-                total += n
-                # at D = 0 the children are folds of each other: same profiles
-                profiles = p if node.slope == 0 else profiles + p
-        counts[key] = (total, profiles)
-    return counts
+        zero, one = child0[v], child1[v]
+        counts[v] = counts[zero] + counts[one]
+        # at D = 0 the children are folds of each other: same profiles
+        if slopes[v]:
+            profiles[v] = profiles[zero] + profiles[one]
+        else:
+            profiles[v] = max(profiles[zero], profiles[one])
+    return comps, counts, profiles, [n > 0 for n in counts]
 
 
-def _state_label(node: StateNode) -> str:
-    return f"(D={node.slope}, R={node.residue})"
+def _state_label(graph: StateGraph, v: int) -> str:
+    return f"(D={graph.slope[v]}, R={Fraction(graph.num[v], graph.ordinate.denominator)})"
 
 
 def _dyadic_witness(graph: StateGraph) -> Fraction:
     """Digits of a shortest root-to-zero-ray path, as a dyadic preimage.
 
-    close_graph is breadth-first, 0-digit first: the first zero ray in node
+    close_graph is breadth-first, 0-digit first: the first zero ray in id
     order, walked back through parents, is the leftmost shortest such path.
     """
-    key = next(k for k, n in graph.nodes.items() if n.is_zero_ray)
+    v = next(v for v, f in enumerate(graph.flags) if f & ZERO_RAY)
     bits: list[int] = []
-    while graph.nodes[key].parent is not None:
-        key, bit = graph.nodes[key].parent
-        bits.append(bit)
+    while graph.parent[v] >= 0:
+        bits.append(graph.parent[v] & 1)
+        v = graph.parent[v] >> 1
     bits.reverse()
     return BinaryExpansion(tuple(bits), ()).value()
 
 
-def _paths(graph: StateGraph, live: set[Key]) -> Iterator[BinaryExpansion]:
+def _paths(graph: StateGraph, live: list[bool]) -> Iterator[BinaryExpansion]:
     """Root paths through ``live`` states, depth-first, 0-digit first (the
     module docstring says how a path ends).  Under a Finite verdict a path
     goes once round its exit-free cycle, keeping the rotation it entered at,
     e.g. 0^10 (0110) where :func:`to_binary` has 0^9 (0011).  The walk keeps
     its own stack, so prefixes of thousands of digits are fine.
     """
+    flags, child0, child1 = graph.flags, graph.child0, graph.child1
     digits: list[int] = []
-    first_seen: dict[Key, int] = {}  # the path's states, in order, with positions
+    path: list[int] = []  # the path's states: digits[i] leaves path[i]
+    position = [0] * len(flags)  # where a state stands on the path, if it is on it
     # (state, digits before the edge into it, that edge's digit)
-    stack: list[tuple[Key, int, tuple[int, ...]]] = [(graph.root, 0, ())]
+    stack: list[tuple[int, int, tuple[int, ...]]] = [(0, 0, ())]
     while stack:
-        key, depth, edge = stack.pop()
+        v, depth, edge = stack.pop()
         digits[depth:] = edge
-        for _ in range(len(first_seen) - len(digits)):  # backtrack
-            first_seen.popitem()
+        del path[len(digits) :]  # backtrack
         while True:  # follow live 0-digits, leaving each live 1-branch on the stack
-            node = graph.nodes[key]
-            if node.is_zero_ray:
+            if flags[v] & ZERO_RAY:
                 yield BinaryExpansion(tuple(digits), ())
                 break
-            start = first_seen.get(key)
-            if start is not None:
+            start = position[v]
+            if start < len(path) and path[start] == v:
                 yield BinaryExpansion(tuple(digits[:start]), tuple(digits[start:]))
                 break
-            first_seen[key] = len(digits)
-            zero, one = node.edges.get(0), node.edges.get(1)
-            if zero in live:
-                if one in live:
+            position[v] = len(path)
+            path.append(v)
+            zero, one = child0[v], child1[v]
+            if live[zero]:
+                if live[one]:
                     stack.append((one, len(digits), (1,)))
                 digits.append(0)
-                key = zero
-            elif one in live:
+                v = zero
+            elif live[one]:
                 digits.append(1)
-                key = one
+                v = one
             else:
                 raise AssertionError("live state with no live successor")
 
@@ -394,114 +407,87 @@ def analyze(graph: StateGraph) -> LevelSetReport:
     """
     y = graph.ordinate
     diagnostics: dict = {
-        "states": graph.states_explored,
+        "states": len(graph.nodes),
         "lattice_depth": graph.lattice_depth,
         "closed": graph.closed,
     }
     if graph.budget_reason:
         diagnostics["budget_reason"] = graph.budget_reason
 
+    def report(verdict: Verdict, **fields) -> LevelSetReport:
+        return LevelSetReport(ordinate=y, verdict=verdict, diagnostics=diagnostics, **fields)
+
     if y == 0:
         paths = (BinaryExpansion((), ()), BinaryExpansion((), (1,)))
-        return LevelSetReport(
-            ordinate=y,
-            verdict=Verdict.FINITE,
-            cardinality=2,
-            preimages=(ZERO, Fraction(1)),
-            paths=paths,
-            n_local=1,
-            diagnostics=diagnostics,
+        return report(
+            Verdict.FINITE, cardinality=2, preimages=(ZERO, Fraction(1)), paths=paths, n_local=1
         )
-    if graph.root is None:  # y outside [0, 2/3]
-        return LevelSetReport(
-            ordinate=y,
-            verdict=Verdict.FINITE,
-            cardinality=0,
-            preimages=(),
-            paths=(),
-            n_local=0,
-            diagnostics=diagnostics,
-        )
+    if not graph.nodes:  # y outside [0, 2/3]
+        return report(Verdict.FINITE, cardinality=0, preimages=(), paths=(), n_local=0)
     if not graph.closed:
-        return LevelSetReport(
-            ordinate=y,
-            verdict=Verdict.INDETERMINATE,
-            witness=f"budget exceeded ({graph.budget_reason})",
-            diagnostics=diagnostics,
-        )
+        return report(Verdict.INDETERMINATE, witness=f"budget exceeded ({graph.budget_reason})")
 
-    comps = _strong_components(graph)
+    comps, counts, profiles, live = _live_states(graph)
     nontrivial = [c for c in comps if len(c) > 1]
-    counts = _continuation_counts(graph, comps)
-    live = {k for k, (n, _) in counts.items() if n}
     diagnostics["cycles"] = len(nontrivial)
-    diagnostics["live_states"] = len(live)
+    diagnostics["live_states"] = sum(live)
 
-    for key, node in graph.nodes.items():
-        if node.is_max_ray:
-            return LevelSetReport(
-                ordinate=y,
-                verdict=Verdict.UNCOUNTABLE,
-                witness=f"max-envelope state {_state_label(node)} reached",
-                diagnostics=diagnostics,
-            )
+    max_ray = next((v for v, f in enumerate(graph.flags) if f & MAX_RAY), None)
+    if max_ray is not None:
+        witness = f"max-envelope state {_state_label(graph, max_ray)} reached"
+        return report(Verdict.UNCOUNTABLE, witness=witness)
     exit_witness: Optional[str] = None  # names the first edge leaving a cycle
     for comp in nontrivial:
         members = set(comp)
         inner = 0
-        for k in comp:
-            for child in _live_children(graph, k):
+        for v in comp:
+            for child in (graph.child0[v], graph.child1[v]):
                 if child in members:
                     inner += 1
-                elif exit_witness is None and child in live:
+                elif exit_witness is None and live[child]:
                     exit_witness = (
-                        f"cycle through {_state_label(graph.nodes[k])} "
-                        f"can be left towards {_state_label(graph.nodes[child])}"
+                        f"cycle through {_state_label(graph, v)} "
+                        f"can be left towards {_state_label(graph, child)}"
                     )
         if inner > len(comp):
-            # sort on the (D, R) form of each key: the listing then depends
-            # on the residues, not on the scale S of the integer keys
-            ordered = sorted(comp, key=lambda k: str(k[:-1] + (graph.nodes[k].residue,)))
-            labels = ", ".join(_state_label(graph.nodes[k]) for k in ordered)
-            return LevelSetReport(
-                ordinate=y,
-                verdict=Verdict.UNCOUNTABLE,
-                witness=f"branching cycle cluster {{{labels}}}",
-                diagnostics=diagnostics,
+            # cycles lie past the lattice depth, where keys are (D, N): sort
+            # on the (D, R) form, so the listing does not depend on S
+            scale = y.denominator
+            ordered = sorted(
+                comp, key=lambda v: str((graph.slope[v], Fraction(graph.num[v], scale)))
             )
+            labels = ", ".join(_state_label(graph, v) for v in ordered)
+            return report(Verdict.UNCOUNTABLE, witness=f"branching cycle cluster {{{labels}}}")
 
-    if any(n.is_zero_ray for n in graph.nodes.values()):
-        return LevelSetReport(
-            ordinate=y,
-            verdict=Verdict.COUNTABLY_INFINITE,
+    if any(f & ZERO_RAY for f in graph.flags):
+        return report(
+            Verdict.COUNTABLY_INFINITE,
             witness="attained at a dyadic point",
             witness_preimage=_dyadic_witness(graph),
-            diagnostics=diagnostics,
         )
     if exit_witness is not None:
-        assert graph.root in live
-        return LevelSetReport(
-            ordinate=y,
-            verdict=Verdict.COUNTABLY_INFINITE,
+        assert live[0]
+        return report(
+            Verdict.COUNTABLY_INFINITE,
             witness=exit_witness,
             witness_preimage=next(_paths(graph, live)).value(),
-            diagnostics=diagnostics,
         )
 
     # Finite: the root's counts are the root-to-cycle paths and their profiles.
-    total, n_local = counts[graph.root]
+    total = counts[0]
+    if total > MAX_PREIMAGES:
+        diagnostics["budget_reason"] = "preimages"
+        return report(Verdict.INDETERMINATE, witness="budget exceeded (preimages)")
     path_list = list(_paths(graph, live))
     assert len(path_list) == total, "path enumeration disagrees with path count"
     preimages = tuple(p.value() for p in path_list)
     assert all(a < b for a, b in zip(preimages, preimages[1:])), "preimages not sorted"
-    return LevelSetReport(
-        ordinate=y,
-        verdict=Verdict.FINITE,
+    return report(
+        Verdict.FINITE,
         cardinality=total,
         preimages=preimages,
         paths=tuple(path_list),
-        n_local=n_local,
-        diagnostics=diagnostics,
+        n_local=profiles[0],
     )
 
 
@@ -526,9 +512,8 @@ def leftmost_preimage(
         raise BudgetExceededError(
             f"state graph for {y} did not close ({graph.budget_reason})"
         )
-    counts = _continuation_counts(graph, _strong_components(graph))
-    live = {k for k, (n, _) in counts.items() if n}
-    assert graph.root in live
+    live = _live_states(graph)[3]
+    assert live[0]
     return next(_paths(graph, live)).value()
 
 

@@ -143,6 +143,12 @@ def test_classify_budget_exhaustion_exits_4_with_result():
     payload = json.loads(out)
     assert payload["verdict"] == "indeterminate"
     assert payload["states_explored"] == 3
+    # 2^35 preimages: over the listing budget
+    code, out, _ = run("classify", "--y", f"{2**69 - 1}/{3 * 2**68}")
+    assert code == 4
+    payload = json.loads(out)
+    assert payload["verdict"] == "indeterminate"
+    assert payload["witness"] == "budget exceeded (preimages)"
 
 
 def test_nonpositive_state_budget_is_usage_error():

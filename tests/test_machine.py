@@ -1,16 +1,21 @@
 """State machine: feasibility envelope, graph closure, verdicts, preimages."""
 
+import hashlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 import _oracles as oracles
+from takagi import machine
 from takagi.curve import eval_rational
 from takagi.machine import (
+    MAX_RAY,
+    ONES_RAY,
+    ZERO_RAY,
     BudgetExceededError,
     StateGraph,
-    StateNode,
     Verdict,
     analyze,
     classify,
@@ -151,21 +156,24 @@ def test_uncountable_reports():
 
 
 def _hand_graph(y, edges):
-    """A closed graph keyed by (D, R): the first key is the root, ``edges``
-    maps each key to its {digit: child} edges, and the ray flags are the
-    ones close_graph would set."""
-    nodes = {
-        (slope, residue): StateNode(
-            slope=slope,
-            residue=residue,
-            is_zero_ray=residue == 0 and slope >= 0,
-            is_ones_ray=residue == slope and slope <= -1,
-            is_max_ray=residue == envelope_max(slope),
-            edges=dict(out),
+    """A closed graph from (D, R) states: ``edges`` maps each state to its
+    {digit: child} edges, the first state is the root and ids follow the
+    order of ``edges``; the ray flags are the ones close_graph would set."""
+    graph = StateGraph(y, 0)
+    ids = {state: v for v, state in enumerate(edges)}
+    for v, ((slope, residue), out) in enumerate(edges.items()):
+        graph.nodes[slope, residue * y.denominator] = v
+        graph.slope.append(slope)
+        graph.num.append(int(residue * y.denominator))
+        graph.flags.append(
+            (ZERO_RAY if residue == 0 and slope >= 0 else 0)
+            | (ONES_RAY if residue == slope and slope <= -1 else 0)
+            | (MAX_RAY if residue == envelope_max(slope) else 0)
         )
-        for (slope, residue), out in edges.items()
-    }
-    return StateGraph(y, 0, next(iter(edges)), nodes, closed=True)
+        graph.child0.append(ids[out[0]] if 0 in out else -1)
+        graph.child1.append(ids[out[1]] if 1 in out else -1)
+        graph.parent.append(-1)
+    return graph
 
 
 def test_cycle_exit_is_countable():
@@ -215,6 +223,23 @@ def test_budget_exhaustion_is_indeterminate():
     assert report.diagnostics["closed"] is False
     report = classify(Fraction(37, 96), max_slope=1)
     assert report.verdict is Verdict.INDETERMINATE
+
+
+def test_preimage_budget_is_indeterminate(monkeypatch):
+    """L(2/3 - 1/(3 * 2^k)) has 2^(k/2 + 1) points; at k = 68 that is 2^35,
+    known from the root count of a 109-state graph before any is listed."""
+    start = time.perf_counter()
+    report = classify(Fraction(2**69 - 1, 3 * 2**68))
+    assert time.perf_counter() - start < 1.0
+    assert report.verdict is Verdict.INDETERMINATE
+    assert report.witness == "budget exceeded (preimages)"
+    assert report.diagnostics["budget_reason"] == "preimages"
+    assert report.diagnostics["closed"] is True
+    y = Fraction(2**7 - 1, 3 * 2**6)  # k = 6: 16 points
+    monkeypatch.setattr(machine, "MAX_PREIMAGES", 16)
+    assert classify(y).cardinality == 16
+    monkeypatch.setattr(machine, "MAX_PREIMAGES", 15)
+    assert classify(y).verdict is Verdict.INDETERMINATE
 
 
 def test_leftmost_pins():
@@ -278,18 +303,18 @@ def test_residuals_recompute_along_graph():
         assert graph.closed
         # walk 40 random digit strings through the graph
         for _ in range(40):
-            key = graph.root
-            if key is None:
+            if not graph.nodes:
                 break
+            v = 0  # the root
             slope, residue, value, depth = 0, y, Fraction(0), 0
             while True:
-                node = graph.nodes[key]
-                assert node.slope == slope
-                assert node.residue == residue
+                assert graph.slope[v] == slope
+                assert Fraction(graph.num[v], y.denominator) == residue
                 assert envelope_min(slope) <= residue <= envelope_max(slope)
                 assert residue == (y - value) * (1 << depth)
                 count += 1
-                nxt = [b for b in (0, 1) if b in node.edges]
+                children = (graph.child0[v], graph.child1[v])
+                nxt = [b for b in (0, 1) if children[b] >= 0]
                 if not nxt or depth > 30:
                     break
                 bit = rng.choice(nxt)
@@ -297,16 +322,18 @@ def test_residuals_recompute_along_graph():
                     value += Fraction(slope + 1, 1 << (depth + 1))
                 slope, residue = step((slope, residue), bit)
                 depth += 1
-                key = node.edges[bit]
+                v = children[bit]
     assert count > 1000
 
 
 def test_integer_closure_matches_fraction_reference():
     """Every edge of the integer closure, present or omitted, against the
     Fraction rules: a present child is step() of its parent and feasible, an
-    omitted one is infeasible, and each node's ray flags match their (D, R)
-    definitions.  The graph is closed under the fold, which the profile
-    count relies on.  The deep draws push |D| past 40, where 2^|D| is big."""
+    omitted one is infeasible, and each state's ray flags match their (D, R)
+    definitions.  Ids number the states in breadth-first order and each
+    state's parent edge leads to it.  The graph is closed under the fold,
+    which the profile count relies on.  The deep draws push |D| past 40,
+    where 2^|D| is big."""
     rng = random.Random(1102)
     ordinates = [Fraction(2, 3), Fraction(1, 2), Fraction(37, 96)]
     for n in (4, 16, 64, 128):
@@ -316,34 +343,47 @@ def test_integer_closure_matches_fraction_reference():
     for y in ordinates:
         graph = close_graph(y, max_slope=256)
         assert graph.closed, y
+        keys = list(graph.nodes)
+        assert list(graph.nodes.values()) == list(range(len(keys)))
 
         def fold(key):  # (D, N) -> (-D, N - D S): the complemented suffix
             *depth, slope, num = key
             return (*depth, -slope, num - slope * y.denominator)
 
-        for key, node in graph.nodes.items():
-            # the fold of every node is a node, at the same depth before the lattice
+        def edges(v):  # {digit: child key}
+            children = (graph.child0[v], graph.child1[v])
+            return {bit: keys[c] for bit, c in enumerate(children) if c >= 0}
+
+        for key, v in graph.nodes.items():
+            slope, residue = graph.slope[v], Fraction(graph.num[v], y.denominator)
+            zero_ray, ones_ray, max_ray = (
+                bool(graph.flags[v] & ray) for ray in (ZERO_RAY, ONES_RAY, MAX_RAY)
+            )
+            if v:
+                via, bit = divmod(graph.parent[v], 2)
+                assert via < v and (graph.child0, graph.child1)[bit][via] == v
+            # the fold of every state is a state, at the same depth before the lattice
             mirror = graph.nodes[fold(key)]
-            if node.is_zero_ray and node.slope >= 1:
-                assert mirror.is_ones_ray
-            elif not (node.is_zero_ray or node.is_ones_ray):
-                assert mirror.edges == {1 - bit: fold(c) for bit, c in node.edges.items()}
-            if node.slope == 0 and node.edges:
-                assert node.edges[1] == fold(node.edges[0])
-            state = (node.slope, node.residue)
+            if zero_ray and slope >= 1:
+                assert graph.flags[mirror] & ONES_RAY
+            elif not (zero_ray or ones_ray):
+                assert edges(mirror) == {1 - bit: fold(c) for bit, c in edges(v).items()}
+            if slope == 0 and edges(v):
+                assert edges(v)[1] == fold(edges(v)[0])
+            state = (slope, residue)
             assert is_feasible(state)
-            assert node.is_zero_ray == (node.residue == 0 and node.slope >= 0)
-            assert node.is_ones_ray == (node.residue == node.slope and node.slope <= -1)
-            assert node.is_max_ray == (node.residue == envelope_max(node.slope))
-            widest = max(widest, abs(node.slope))
-            if node.is_zero_ray or node.is_ones_ray:
-                assert not node.edges
+            assert zero_ray == (residue == 0 and slope >= 0)
+            assert ones_ray == (residue == slope and slope <= -1)
+            assert max_ray == (residue == envelope_max(slope))
+            widest = max(widest, abs(slope))
+            if zero_ray or ones_ray:
+                assert not edges(v)
                 continue
             for bit in (0, 1):
                 ref = step(state, bit)
-                if bit in node.edges:
-                    child = graph.nodes[node.edges[bit]]
-                    assert (child.slope, child.residue) == ref
+                if bit in edges(v):
+                    child = graph.nodes[edges(v)[bit]]
+                    assert (graph.slope[child], Fraction(graph.num[child], y.denominator)) == ref
                 else:
                     assert not is_feasible(ref), (y, state, bit)
     assert widest > 40
@@ -405,3 +445,31 @@ def test_open_denominators_against_oracles():
     assert compared > 60 and Verdict.UNCOUNTABLE in verdicts
     for y in (Fraction(2, 13), Fraction(8, 51)):
         assert classify(y).verdict is Verdict.UNCOUNTABLE
+
+
+def _report_line(y, report):
+    paths = "" if report.paths is None else " ".join(p.render() for p in report.paths)
+    preimages = "" if report.preimages is None else " ".join(map(str, report.preimages))
+    diagnostics = ",".join(f"{k}={v}" for k, v in sorted(report.diagnostics.items()))
+    fields = (y, report.verdict.value, report.cardinality, preimages, paths, report.n_local,
+              report.witness, report.witness_preimage, diagnostics)
+    return "|".join(map(str, fields))
+
+
+def test_deep_report_fingerprint():
+    """SHA-256 of every field of 180 reports on the graphs the `deep`
+    benchmark measures: 50 seeded j / (3 * 4^n) at each of n = 32, 64, 128
+    and 30 seeded open-denominator ordinates.  The grid fingerprints stop at
+    depth 6, whose graphs are a few dozen states."""
+    rng = random.Random(1411)
+    ordinates = [
+        Fraction(rng.randrange(2 * 4**n + 1), 3 * 4**n) for n in (32, 64, 128) for _ in range(50)
+    ]
+    for _ in range(30):
+        den = rng.randrange(5, 64, 2) << rng.randint(0, 5)
+        ordinates.append(Fraction(rng.randrange(1, 2 * den // 3 + 1), den))
+    text = "\n".join(_report_line(y, classify(y)) for y in ordinates)
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "674e64afa53359fbed544bb2806f3d77a53b1a7bffea3722039d9c009e4fdda9"
+    )
