@@ -11,10 +11,12 @@ Appending digit 0 leaves the value unchanged (the new breakpoint sits at the
 left end); appending 1 crosses the tent of every earlier level plus the new
 one, which is what the (D + 1) accounts for.  The walk itself runs on
 integers: w_j = v_j 2^j obeys w_j = 2 w_{j-1} + eps_j (D_{j-1} + 1), and a
-Fraction is built only when a value is read.  From the walk one also gets a
-closed form on eventually periodic expansions, i.e. exact values at every
-rational (one integer expression read off one word over the preperiod and
-one period), and certified two-sided truncation error at any depth.
+Fraction is built only when a value is read, and a whole integer word is
+walked a nibble at a time from a table (:func:`_walk`).  From the walk one
+also gets a closed form on eventually periodic expansions, i.e. exact values
+at every rational (one integer expression read off the walks of the
+preperiod and one aligned period), and certified two-sided truncation error
+at any depth.
 
 The same walk with step i weighted by a sign r_{i-1} = +-1 computes the
 signed relatives f_r = sum_n r_n 2^-n dist(2^n x, Z) of :mod:`takagi.signed`.
@@ -27,11 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, cycle, islice
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .rationals import MAX_EVAL_DIGITS, ZERO, _word_digits, _word_numerator, to_binary
+from .rationals import MAX_EVAL_DIGITS, ZERO, _expansion_words, _word_numerator, to_binary
 
 HALF = Fraction(1, 2)
 TWO_THIRDS = Fraction(2, 3)
@@ -221,10 +222,53 @@ class DigitWord:
         return Fraction(_word_numerator(self._digits), 1 << len(self._digits))
 
 
-def walk_of(digits: Sequence[int]) -> tuple[int, ...]:
-    """Slope walk D_1..D_k of a word (D_j = sum of +1 for 0, -1 for 1)."""
-    word = DigitWord(digits)
-    return tuple(word.slope_at(j) for j in range(1, len(word) + 1))
+def _nibble_step(i: int) -> tuple[int, int]:
+    """(w, D) from the zero state over the 4 digits in the low bits of i
+    under the 4 signs in its high bits (1 = minus), leading digit first."""
+    w = d = 0
+    for b in (3, 2, 1, 0):
+        r = 1 - 2 * (i >> (b + 4) & 1)
+        w, d = (2 * w + d + r, d - r) if i >> b & 1 else (2 * w, d + r)
+    return w, d
+
+
+_NIBBLE_STEPS = [_nibble_step(i) for i in range(256)]
+_HEX = b"0123456789abcdef"
+_NIBBLES = bytes.maketrans(_HEX, bytes(range(16)))  # a hex digit's nibble n
+_SIGN_NIBBLES = bytes.maketrans(_HEX, bytes(range(0, 256, 16)))  # 16 n
+
+
+def _walk(word: int, sign_word: int, length: int) -> tuple[int, int]:
+    """(w, D) from the zero state over the ``length`` digits of ``word``,
+    leading digit first, each step signed by the matching bit of
+    ``sign_word`` (1 = minus), both below 2^length: the walk of
+    :class:`DigitWord`, a nibble at a time.
+
+    Four steps from (w, D) end at (16 w + D n + w_n, D + D_n), where n is
+    the nibble's value and (w_n, D_n) its walk from the zero state, tabled
+    for every 4 signs and 4 digits.  From D = -pad, leading 0-digits under
+    + signs reach the zero state: that pads the length to whole nibbles.
+    """
+    width = length // 4 + 1  # 1 to 4 pad digits, so the hex strings are never empty
+    digits = f"{word:0{width}x}".encode().translate(_NIBBLES)
+    signs = f"{sign_word:0{width}x}".encode().translate(_SIGN_NIBBLES)
+    w, d = 0, length - 4 * width
+    for s, n in zip(signs, digits):
+        step_w, step_d = _NIBBLE_STEPS[s | n]
+        w = (w << 4) + d * n + step_w
+        d += step_d
+    return w, d
+
+
+def _prefix_word(head: int, k: int, c: int, p: int, n: int) -> int:
+    """The first n digits of the sequence head (c)^inf as an integer, with k
+    digits in ``head`` and p >= 1 in ``c``: the tail past the head is the
+    top of c (2^(p reps) - 1) / (2^p - 1), c repeated."""
+    if n <= k:
+        return head >> (k - n)
+    reps = -(-(n - k) // p)
+    run = c * ((1 << reps * p) - 1) // ((1 << p) - 1)
+    return (head << (n - k)) | (run >> (reps * p - (n - k)))
 
 
 def eval_dyadic(x: Fraction, signs: SignSequence = ALL_PLUS) -> Fraction:
@@ -241,10 +285,12 @@ def eval_rational(x: Fraction, signs: SignSequence = ALL_PLUS) -> Fraction:
     q = max(expansion preperiod, sign transient): a block of
     P = lcm(digit period, sign period) digits repeats with the same signs, so
     with t = 0.(c)^inf the block's value, F = 2^-P (w_c + D_c t + F) by
-    self-affinity, closes the tail.  One word walks all q + P digits; with
-    m = 2^P - 1 and the block's numerator c (t = c / m), over the integers:
+    self-affinity, closes the tail.  The digits and signs of the q + P
+    positions are built as integers, the head and the block are each walked
+    from the zero state (:func:`_walk`), and with m = 2^P - 1 and the
+    block's numerator c (t = c / m), over the integers:
 
-        f(x) = ((w_{q+P} - w_q) m + (D_{q+P} - D_q) c) / (m^2 2^q),
+        f(x) = ((w_q m + D_q c + w_c) m + D_c c) / (m^2 2^q),
 
     one Fraction at the end, e.g. T(1/3) = 2/3, T(1/6) = 1/2, T(1/5) = 8/15.
     Walks longer than :data:`MAX_EVAL_DIGITS` digits raise ValueError.
@@ -253,27 +299,27 @@ def eval_rational(x: Fraction, signs: SignSequence = ALL_PLUS) -> Fraction:
         raise ValueError(f"need 0 <= x <= 1, got {x}")
     if x == 1:
         return ZERO
-    expansion = to_binary(x)
-    if expansion.is_terminating:
-        q, block = len(expansion.preperiod), 0
+    k, head, p, period_word = _expansion_words(x)
+    if p:
+        q, block = max(k, signs.transient), lcm(p, signs.period_length)
     else:
-        q = max(len(expansion.preperiod), signs.transient)
-        block = lcm(len(expansion.period), signs.period_length)
+        q, block = k, 0
     if q + block > MAX_EVAL_DIGITS:
         raise ValueError(
             f"the expansion needs a walk of {q + block} digits, over the limit of {MAX_EVAL_DIGITS}"
         )
-    digits = tuple(islice(chain(expansion.preperiod, cycle(expansion.period)), q + block))
-    word = DigitWord(digits[:q], signs)
+    word = _prefix_word(head, k, period_word, p, q + block) if p else head
+    minus = lambda run: _word_numerator(s < 0 for s in run)
+    sign_word = _prefix_word(
+        minus(signs.preperiod), signs.transient, minus(signs.period), signs.period_length, q + block
+    )
+    w_q, d_q = _walk(word >> block, sign_word >> block, q)
     if not block:
-        return word.value
-    w_q, d_q = word.scaled_value, word.slope
-    for bit in digits[q:]:
-        word.push(bit)
+        return Fraction(w_q, 1 << q)
     m = (1 << block) - 1
-    c = _word_numerator(digits[q:])
-    numerator = (word.scaled_value - w_q) * m + (word.slope - d_q) * c
-    return Fraction(numerator, m * m << q)
+    c = word & m
+    w_c, d_c = _walk(c, sign_word & m, block)
+    return Fraction((w_q * m + d_q * c + w_c) * m + d_c * c, m * m << q)
 
 
 def eval_approx(x: Fraction, depth: int) -> tuple[Fraction, Fraction]:
@@ -292,11 +338,11 @@ def eval_approx(x: Fraction, depth: int) -> tuple[Fraction, Fraction]:
     if x == 1:
         return ZERO, ZERO
     head, rest = divmod(x.numerator << depth, x.denominator)
-    word = DigitWord(_word_digits(head, depth))
+    w, d = _walk(head, 0, depth)
+    value = Fraction(w, 1 << depth)
     if not rest:
-        return word.value, ZERO
-    bound = (abs(word.slope) + TWO_THIRDS) / (1 << depth)
-    return word.value, bound
+        return value, ZERO
+    return value, (abs(d) + TWO_THIRDS) / (1 << depth)
 
 
 def signed_constant(signs: SignSequence = ALL_PLUS) -> Fraction:

@@ -23,7 +23,7 @@ from math import comb
 from typing import Iterator, Optional, Sequence
 
 from .curve import ALL_PLUS, HALF, TWO_THIRDS, DigitWord, SignSequence
-from .rationals import ZERO, to_binary
+from .rationals import ZERO, _word_digits, to_binary
 
 
 #: Largest order :func:`enumerate_balanced` lists: binomial(24, 12) = 2704156
@@ -186,29 +186,24 @@ def _hit_words(
         low_c.append(lo.denominator * scaled_y[j] - lo.numerator * b)
         high_k.append(hi.denominator * b)
         high_c.append(hi.denominator * scaled_y[j] - hi.numerator * b)
-    word = DigitWord(signs=signs)
     # Depth-first on an explicit stack, so orders in the thousands are fine:
-    # (word length before the edge, that edge's digit); the root has no edge.
-    stack: list[tuple[int, Optional[int]]] = [(0, None)]
+    # each entry is a word as (length, D, w, its digits as an integer).
+    stack = [(0, 0, 0, 0)]
     while stack:
-        depth, bit = stack.pop()
-        while len(word) > depth:
-            word.pop()
-        if bit is not None:
-            word.push(bit)
-            depth += 1
-        d, w = word.slope, word.scaled_value
-        low, high = w + min(0, d), w + max(0, d)
+        depth, d, w, word = stack.pop()
+        low, high = (w + d, w) if d < 0 else (w, w + d)
         if low * low_k[depth] > low_c[depth] or high * high_k[depth] < high_c[depth]:
             continue
         r = terms[depth]
         if depth % 2 == 0 and d == 0 and 0 <= r * (scaled_y[depth + 1] - 2 * w * b) <= b:
-            yield word.digits
+            yield _word_digits(word, depth)
         if depth == depth_cap:
             continue
-        for bit in (1, 0):  # popped in reverse: the 0-branch runs first
-            if not leading_only or d + (r if bit == 0 else -r) >= 0:
-                stack.append((depth, bit))
+        # pushed in reverse: the 0-branch runs first
+        if not leading_only or d - r >= 0:
+            stack.append((depth + 1, d - r, (w << 1) + d + r, (word << 1) | 1))
+        if not leading_only or d + r >= 0:
+            stack.append((depth + 1, d + r, w << 1, word << 1))
 
 
 def truncated_hits(

@@ -16,8 +16,8 @@ from typing import Iterable
 ZERO = Fraction(0)
 
 #: Most digits an expansion may have (preperiod plus period), and so most
-#: digits an exact evaluation walks: the word keeps every w_j, so time and
-#: memory grow with the square of the walk's length.
+#: digits an exact evaluation walks: the walk's state w_j has about j bits,
+#: so memory grows linearly and time with the square of the walk's length.
 MAX_EVAL_DIGITS = 2**15
 
 
@@ -119,6 +119,28 @@ def _word_digits(n: int, width: int) -> tuple[int, ...]:
     return tuple(map(int, f"{n:0{width}b}")) if width else ()
 
 
+def _expansion_words(x: Fraction) -> tuple[int, int, int, int]:
+    """The canonical expansion of x in [0, 1) as integers (k, head, p, c):
+    x = (head + c / (2^p - 1)) / 2^k, the k-digit preperiod ``head`` and the
+    p-digit period ``c``.  With den(x) = 2^k * odd and (head, start) =
+    divmod(num, odd), p is the order of 2 mod odd (0 when odd = 1), since
+    gcd(start, odd) = 1, and c = start (2^p - 1) / odd exactly.  Expansions
+    of more than :data:`MAX_EVAL_DIGITS` digits raise ValueError.
+    """
+    if not 0 <= x < 1:
+        raise ValueError(f"expansion needs 0 <= x < 1, got {x}")
+    k, odd = split_denominator(x)
+    head, start = divmod(x.numerator, odd)
+    p, r = 0, 1
+    while odd > 1 and k + p <= MAX_EVAL_DIGITS:
+        p, r = p + 1, (r << 1) % odd
+        if r == 1:
+            break
+    if k + p > MAX_EVAL_DIGITS:
+        raise ValueError(f"the expansion has more than {MAX_EVAL_DIGITS} digits")
+    return k, head, p, start * ((1 << p) - 1) // odd
+
+
 def to_binary(x: Fraction) -> BinaryExpansion:
     """Canonical binary expansion of any rational in [0, 1).
 
@@ -127,20 +149,7 @@ def to_binary(x: Fraction) -> BinaryExpansion:
     odd, which ends when r first comes back, e.g. 5/8 -> 0.101,
     1/3 -> 0.(01), 1/6 -> 0.0(01).  The preperiod is minimal and the period
     primitive; both are unique, so equal rationals always produce identical
-    expansions.  Expansions of more than :data:`MAX_EVAL_DIGITS` digits
-    raise ValueError.
+    expansions.  The digits of :func:`_expansion_words`, with its refusals.
     """
-    if not 0 <= x < 1:
-        raise ValueError(f"expansion needs 0 <= x < 1, got {x}")
-    k, odd = split_denominator(x)
-    head, start = divmod(x.numerator, odd)
-    period: list[int] = []
-    r = start
-    while r and k + len(period) <= MAX_EVAL_DIGITS:
-        bit, r = divmod(r << 1, odd)
-        period.append(bit)
-        if r == start:
-            break
-    if k + len(period) > MAX_EVAL_DIGITS:
-        raise ValueError(f"the expansion has more than {MAX_EVAL_DIGITS} digits")
-    return BinaryExpansion(_word_digits(head, k), tuple(period))
+    k, head, p, c = _expansion_words(x)
+    return BinaryExpansion(_word_digits(head, k), _word_digits(c, p))

@@ -84,6 +84,28 @@ def periodic_series_value(x: Fraction, signs=None) -> Fraction:
     return head + block / (1 - Fraction(1, 1 << period))
 
 
+def walk_of(digits) -> tuple[int, ...]:
+    """Slope walk D_1..D_k of a word: D_j sums +1 for each 0 and -1 for each 1."""
+    return tuple(accumulate(1 - 2 * b for b in digits))
+
+
+def long_division(x: Fraction) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(preperiod, period) of x in [0, 1) by schoolbook long division.
+
+    The tail after digit i is r_i / den, so the digits repeat from the first
+    remainder seen twice: that index is the shortest preperiod and the gap
+    the shortest period.  A zero remainder ends the expansion (empty period).
+    """
+    den = x.denominator
+    digits, seen, r = [], {}, x.numerator
+    while r and r not in seen:
+        seen[r] = len(digits)
+        bit, r = divmod(2 * r, den)
+        digits.append(bit)
+    start = seen[r] if r else len(digits)
+    return tuple(digits[:start]), tuple(digits[start:])
+
+
 # ---------------------------------------------------------------------------
 # Integer grids: T(k/2^N) * 2^N is an integer, computed by column sums
 

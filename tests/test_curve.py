@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -16,12 +17,12 @@ from takagi.curve import (
     eval_approx,
     eval_dyadic,
     eval_rational,
+    _walk,
     triangle_wave,
-    walk_of,
 )
 from takagi.humps import truncated_hits
 from takagi.rationals import to_binary
-from takagi.signed import ALL_PLUS, SignSequence, eval_signed_rational, truncated_local_count
+from takagi.signed import ALL_PLUS, ALTERNATING, SignSequence, eval_signed_rational, truncated_local_count
 
 
 def test_triangle_wave():
@@ -34,8 +35,8 @@ def test_triangle_wave():
 
 
 def test_walk_of():
-    assert walk_of([0, 1, 1, 0]) == (1, 0, -1, 0)
-    assert walk_of([]) == ()
+    assert oracles.walk_of([0, 1, 1, 0]) == (1, 0, -1, 0)
+    assert oracles.walk_of([]) == ()
 
 
 def test_append_rule_pins():
@@ -44,7 +45,7 @@ def test_append_rule_pins():
     assert w.value == Fraction(1, 2)
     w = DigitWord([1, 0])
     w.push(1)
-    assert walk_of(w.digits) == (-1, 0, -1)
+    assert oracles.walk_of(w.digits) == (-1, 0, -1)
     assert w.value == Fraction(5, 8)
 
 
@@ -60,6 +61,35 @@ def test_append_rule_exhaustive_to_length_12():
             assert word.slope == bits.count(0) - bits.count(1)
             corner = word.point()
             assert word.value == oracles.series_value(corner, length)
+
+
+def test_nibble_walk_matches_digitword():
+    """_walk reads whole words a nibble at a time; it must end where the
+    digit-by-digit walk ends, for every word of length 0..10 (the lengths
+    that are not a multiple of 4 included) and signs with and without a
+    transient."""
+    transient = SignSequence((-1, 1, 1), (1, -1, -1))
+    assert transient.transient == 3
+    for signs in (ALL_PLUS, ALTERNATING, transient):
+        for length in range(11):
+            minus = int("".join("1" if signs.term(i) < 0 else "0" for i in range(length)) or "0", 2)
+            for bits in itertools.product((0, 1), repeat=length):
+                word = DigitWord(bits, signs)
+                n = int("".join(map(str, bits)) or "0", 2)
+                assert _walk(n, minus, length) == (word.scaled_value, word.slope), (bits, signs)
+
+
+def test_long_walks_in_linear_memory():
+    # 1/30011 walks 30010 digits under either signs: the walk keeps one
+    # state, not every w_j, so the peak stays far below 1 MB
+    for signs in (ALL_PLUS, ALTERNATING):
+        tracemalloc.start()
+        try:
+            eval_rational(Fraction(1, 30011), signs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (signs, peak)
 
 
 def test_eval_dyadic_pins():

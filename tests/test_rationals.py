@@ -89,6 +89,16 @@ def test_expansion_digit_limit():
             to_binary(x)
 
 
+def test_expansion_matches_long_division_exhaustively():
+    # every p/q in [0, 1) with q <= 300, against the schoolbook reference
+    for q in range(1, 301):
+        for p in range(q):
+            x = Fraction(p, q)
+            if x.denominator == q:
+                e = to_binary(x)
+                assert (e.preperiod, e.period) == oracles.long_division(x), x
+
+
 def test_expansion_digit_conventions():
     e = to_binary(Fraction(5, 8))
     assert e.is_terminating
