@@ -3,7 +3,7 @@
 
 from math import comb
 
-from takagi.humps import ROOT_HUMP, analyze_word, census, enumerate_balanced
+from takagi.humps import ROOT_HUMP, analyze_word, census, count_balanced
 from takagi.stats import (
     catalan,
     catalan_series_partial,
@@ -23,7 +23,7 @@ print()
 
 # Counting them is pure lattice-path combinatorics: binom(2m, m) humps of
 # order m, of which the Catalan number C_m stay "leading" (walk never dips
-# below zero).  The package enumerates; the closed forms must agree.
+# below zero).  The package counts the walks; the closed forms must agree.
 
 print(f"{'m':>2} {'humps':>8} {'binom':>8} {'leading':>8} {'catalan':>8}")
 for m in range(9):
@@ -35,7 +35,7 @@ print()
 # Generation 1 = humps that return to axis level for the first time at their
 # own corner; first-return paths, so 2 * C_{m-1} of them.
 for m in range(1, 6):
-    gen1 = len(enumerate_balanced(m, generation=1))
+    gen1 = count_balanced(m, generation=1)
     assert gen1 == 2 * catalan(m - 1)
 print("generation-1 counts match 2 * C_(m-1) for m = 1..5")
 print()

@@ -24,7 +24,6 @@ README for the full grammar.
 from .curve import (
     ALL_PLUS,
     ALTERNATING,
-    DigitWord,
     SignSequence,
     d_expression_residual,
     eval_approx,
@@ -42,12 +41,9 @@ from .humps import (
     catalan,
     census,
     central_binomial,
-    dyadic_partner,
-    enumerate_balanced,
-    level_points,
+    count_balanced,
     truncated_hits,
 )
-from .levelsets import local_partner_count, local_partners
 from .machine import (
     BudgetExceededError,
     LevelSetReport,
@@ -91,7 +87,6 @@ __all__ = [
     "ALTERNATING",
     "BinaryExpansion",
     "BudgetExceededError",
-    "DigitWord",
     "GridReport",
     "Hump",
     "LevelSetReport",
@@ -110,9 +105,8 @@ __all__ = [
     "central_binomial",
     "classify",
     "close_graph",
+    "count_balanced",
     "d_expression_residual",
-    "dyadic_partner",
-    "enumerate_balanced",
     "envelope_max",
     "envelope_min",
     "eval_approx",
@@ -127,9 +121,6 @@ __all__ = [
     "format_rational",
     "grid_experiment",
     "leftmost_preimage",
-    "level_points",
-    "local_partner_count",
-    "local_partners",
     "ordinate_depth",
     "parse_rational",
     "signed_constant",

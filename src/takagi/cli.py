@@ -22,8 +22,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .curve import TWO_THIRDS, eval_approx, eval_dyadic, eval_rational
-from .humps import MAX_ENUMERATION_ORDER, NotBalancedError, analyze_word, balanced_word_of
-from .humps import catalan, census, enumerate_balanced
+from .humps import MAX_CENSUS_ORDER, NotBalancedError, analyze_word, balanced_word_of
+from .humps import catalan, census, count_balanced
 from .machine import BudgetExceededError, DEFAULT_MAX_STATES, Verdict, classify
 from .rationals import MAX_EVAL_DIGITS, format_rational, parse_rational
 from .signed import SignSequence, signed_extrema, truncated_local_count
@@ -227,13 +227,13 @@ def _cmd_census(args: argparse.Namespace) -> int:
     for m in range(args.max_order + 1):
         total, leading = census(m)
         if args.filter == "leading":
-            count = len(enumerate_balanced(m, leading=True))
+            count = count_balanced(m, leading=True)
             expected = leading
         elif args.filter == "gen1":
-            count = len(enumerate_balanced(m, generation=1))
+            count = count_balanced(m, generation=1)
             expected = 2 * catalan(m - 1) if m >= 1 else 0
         else:
-            count = len(enumerate_balanced(m))
+            count = count_balanced(m)
             expected = total
         rows.append((m, count, expected))
     if args.format == "json":
@@ -386,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_levelset)
 
     p = sub.add_parser("census", help="hump counts against the closed forms")
-    p.add_argument("--max-order", type=_int_at_least(0, MAX_ENUMERATION_ORDER), required=True)
+    p.add_argument("--max-order", type=_int_at_least(0, MAX_CENSUS_ORDER), required=True)
     p.add_argument("--filter", choices=("leading", "gen1"), default=None)
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.add_argument("--out", default=None)

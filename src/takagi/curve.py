@@ -19,7 +19,9 @@ preperiod and one aligned period), and certified two-sided truncation error
 at any depth.
 
 The same walk with step i weighted by a sign r_{i-1} = +-1 computes the
-signed relatives f_r = sum_n r_n 2^-n dist(2^n x, Z) of :mod:`takagi.signed`.
+signed relatives f_r = sum_n r_n 2^-n dist(2^n x, Z) of :mod:`takagi.signed`:
+D moves by +r_{i-1} on a 0 and by -r_{i-1} on a 1, and
+w_i = 2 w_{i-1} + eps_i (D_{i-1} + r_{i-1}).
 Every evaluator here (``eval_rational``, ``eval_dyadic``,
 ``d_expression_residual``) takes the signs, with T as the all-plus case and
 the default, so each computation has one implementation for the whole family.
@@ -30,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable
 
 from .rationals import MAX_EVAL_DIGITS, ZERO, _expansion_words, _word_numerator, to_binary
 
@@ -139,89 +140,6 @@ ALL_PLUS = SignSequence((), (1,))
 ALTERNATING = SignSequence((), (1, -1))
 
 
-class DigitWord:
-    """A finite binary word with its slope walk and exact partial values.
-
-    Step i is weighted by the sign r_{i-1}: D moves by +r_{i-1} on a 0 and by
-    -r_{i-1} on a 1, and v_i = v_{i-1} + eps_i (D_{i-1} + r_{i-1}) / 2^i.
-    The default all-plus signs give the curve T itself; other signs give the
-    signed relatives of :mod:`takagi.signed`.
-
-    The walk runs on integers: it keeps w_i = v_i 2^i, which obeys
-
-        w_i = 2 w_{i-1} + eps_i (D_{i-1} + r_{i-1}),
-
-    and reads r_{i-1} straight off the sign sequence's preperiod and period.
-    Push/pop are O(1), which makes this the right carrier for depth-first
-    searches over words.  ``scaled_value`` is w_k; ``value`` is the exact
-    function value w_k / 2^k at the dyadic point 0.eps_1...eps_k (all series
-    terms beyond the word vanish there), built as a Fraction only on read.
-    """
-
-    __slots__ = ("signs", "_digits", "_slopes", "_scaled")
-
-    def __init__(self, digits: Iterable[int] = (), signs: SignSequence = ALL_PLUS) -> None:
-        self.signs = signs
-        self._digits: list[int] = []
-        self._slopes: list[int] = [0]
-        self._scaled: list[int] = [0]
-        for bit in digits:
-            self.push(bit)
-
-    def push(self, bit: int) -> None:
-        if bit not in (0, 1):
-            raise ValueError(f"binary digit expected, got {bit!r}")
-        i = len(self._digits)
-        head, period = self.signs.preperiod, self.signs.period
-        r = head[i] if i < len(head) else period[(i - len(head)) % len(period)]
-        d = self._slopes[-1]
-        w = self._scaled[-1] << 1
-        if bit:
-            w += d + r
-            d -= r
-        else:
-            d += r
-        self._digits.append(bit)
-        self._slopes.append(d)
-        self._scaled.append(w)
-
-    def pop(self) -> int:
-        bit = self._digits.pop()
-        self._slopes.pop()
-        self._scaled.pop()
-        return bit
-
-    def __len__(self) -> int:
-        return len(self._digits)
-
-    @property
-    def digits(self) -> tuple[int, ...]:
-        return tuple(self._digits)
-
-    @property
-    def slope(self) -> int:
-        """D_k over the whole word (#zeros - #ones when all signs are plus)."""
-        return self._slopes[-1]
-
-    def slope_at(self, j: int) -> int:
-        """D_j for 0 <= j <= len(word)."""
-        return self._slopes[j]
-
-    @property
-    def scaled_value(self) -> int:
-        """w_k = 2^k times the value at the word's dyadic point."""
-        return self._scaled[-1]
-
-    @property
-    def value(self) -> Fraction:
-        """Exact function value at the word's dyadic point."""
-        return Fraction(self._scaled[-1], 1 << len(self._digits))
-
-    def point(self) -> Fraction:
-        """The dyadic rational 0.eps_1...eps_k."""
-        return Fraction(_word_numerator(self._digits), 1 << len(self._digits))
-
-
 def _nibble_step(i: int) -> tuple[int, int]:
     """(w, D) from the zero state over the 4 digits in the low bits of i
     under the 4 signs in its high bits (1 = minus), leading digit first."""
@@ -241,8 +159,9 @@ _SIGN_NIBBLES = bytes.maketrans(_HEX, bytes(range(0, 256, 16)))  # 16 n
 def _walk(word: int, sign_word: int, length: int) -> tuple[int, int]:
     """(w, D) from the zero state over the ``length`` digits of ``word``,
     leading digit first, each step signed by the matching bit of
-    ``sign_word`` (1 = minus), both below 2^length: the walk of
-    :class:`DigitWord`, a nibble at a time.
+    ``sign_word`` (1 = minus), both below 2^length: the digit walk of the
+    module docstring, step i weighted by its sign r_{i-1}, a nibble at a
+    time.
 
     Four steps from (w, D) end at (16 w + D n + w_n, D + D_n), where n is
     the nibble's value and (w_n, D_n) its walk from the zero state, tabled
@@ -365,11 +284,12 @@ def d_expression_residual(x: Fraction, terms: int, signs: SignSequence = ALL_PLU
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    expansion = to_binary(x)
-    word = DigitWord(expansion.digits(terms + 1), signs)
-    acc = ZERO
+    digits = to_binary(x).digits(terms + 1)
+    # after step n: d = D_n and acc = 2^terms sum_{j<=n} (-1)^(eps_{j+1}) D_j 2^-j
+    acc = d = 0
     for n in range(1, terms + 1):
-        sign = -1 if expansion.digit(n + 1) else 1
-        acc += Fraction(sign * word.slope_at(n), 1 << n)
-    partial = signed_constant(signs) - acc / 4
+        r = signs.term(n - 1)
+        d += -r if digits[n - 1] else r
+        acc += (-d if digits[n] else d) << (terms - n)
+    partial = signed_constant(signs) - Fraction(acc, 4 << terms)
     return abs(eval_rational(x, signs) - partial)

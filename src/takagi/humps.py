@@ -6,7 +6,9 @@ I = [x0, x0 + 4^-m] the graph is an affine image of the whole curve, lifted
 to height a = T(x0).  The box I x [a, a + (2/3) 4^-m] is the hump of order m;
 its truncated projection [a, a + (1/2) 4^-m] is the part guaranteed by the
 first half of the copy.  Humps of order m are counted by binomial(2m, m) and
-the leading ones (slope walk never negative) by the Catalan number C_m.
+the leading ones (slope walk never negative) by the Catalan number C_m;
+:func:`count_balanced` counts them by a transfer count over the slope walk,
+without listing a word, so the closed forms have an independent check.
 
 The pruned word search for humps whose truncated projection contains an
 ordinate y is written once for the whole signed family, with the signs and
@@ -19,16 +21,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 from typing import Iterator, Optional, Sequence
 
-from .curve import ALL_PLUS, HALF, TWO_THIRDS, DigitWord, SignSequence
-from .rationals import ZERO, _word_digits, to_binary
+from .curve import ALL_PLUS, HALF, TWO_THIRDS, SignSequence, _walk
+from .rationals import ZERO, _word_digits, _word_numerator, to_binary
 
 
-#: Largest order :func:`enumerate_balanced` lists: binomial(24, 12) = 2704156
-#: humps, each a full exact word analysis.
-MAX_ENUMERATION_ORDER = 12
+#: Largest order ``takagi census`` accepts (a larger one is a usage error);
+#: :func:`count_balanced` itself takes any order.
+MAX_CENSUS_ORDER = 12
 
 
 class NotBalancedError(ValueError):
@@ -58,20 +61,23 @@ def analyze_word(word: Sequence[int]) -> Hump:
     Examples: "01" -> order 1, generation 1, leading, box [1/4, 1/2] x
     [1/2, 2/3]-ish; "0110" -> order 2, generation 2, not leading.
     """
-    w = DigitWord(word)
-    if len(w) % 2 or w.slope != 0:
+    word = tuple(word)
+    if not {*word} <= {0, 1}:
+        raise ValueError(f"binary digits expected, got {word!r}")
+    slopes = list(accumulate(1 - 2 * bit for bit in word))  # D_1 .. D_2m
+    if len(word) % 2 or (slopes and slopes[-1]):
         raise NotBalancedError(f"not balanced: {''.join(map(str, word))!r}")
-    order = len(w) // 2
-    generation = sum(1 for j in range(1, len(w) + 1) if w.slope_at(j) == 0)
-    leading = all(w.slope_at(j) >= 0 for j in range(1, len(w) + 1))
-    corner = w.point()
+    order = len(word) // 2
+    numerator = _word_numerator(word)
+    scaled, _ = _walk(numerator, 0, len(word))
+    corner = Fraction(numerator, 1 << len(word))
     width = Fraction(1, 1 << (2 * order))
-    base = w.value
+    base = Fraction(scaled, 1 << len(word))
     return Hump(
-        word=w.digits,
+        word=word,
         order=order,
-        generation=generation,
-        is_leading=leading,
+        generation=slopes.count(0),
+        is_leading=min(slopes, default=0) >= 0,
         base=base,
         x_interval=(corner, corner + width),
         y_projection=(base, base + TWO_THIRDS * width),
@@ -82,48 +88,30 @@ def analyze_word(word: Sequence[int]) -> Hump:
 ROOT_HUMP = analyze_word(())
 
 
-def enumerate_balanced(
-    order: int,
-    *,
-    leading: bool = False,
-    generation: Optional[int] = None,
-) -> list[Hump]:
-    """All humps of the given order, ascending by corner.
+def count_balanced(order: int, *, leading: bool = False, generation: Optional[int] = None) -> int:
+    """The number of humps of the given order, without listing them.
 
-    ``leading=True`` keeps Dyck words only; ``generation=g`` filters on the
-    number of returns of the slope walk to zero.  Counts: binomial(2m, m)
-    in total, Catalan(m) leading; orders above :data:`MAX_ENUMERATION_ORDER`
-    are refused.
+    ``leading=True`` counts Dyck words only; ``generation=g`` those whose
+    slope walk returns to zero g times.  A transfer count over the states
+    (D, returns to zero so far), one length at a time, pruning every state
+    that can no longer end at D = 0 (and, for leading words, every D < 0).
+    It relies on no closed form, so it checks them: binomial(2m, m) in
+    total, Catalan(m) leading, 2 Catalan(m - 1) of generation 1.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    if order > MAX_ENUMERATION_ORDER:
-        raise ValueError(f"order {order} exceeds the limit {MAX_ENUMERATION_ORDER}")
-    result: list[Hump] = []
-    word = DigitWord()
-
-    def descend() -> None:
-        depth = len(word)
-        if depth == 2 * order:
-            if word.slope == 0:
-                hump = analyze_word(word.digits)
-                if generation is not None and hump.generation != generation:
-                    return
-                result.append(hump)
-            return
-        remaining = 2 * order - depth
-        for bit in (0, 1):
-            d = word.slope + (1 if bit == 0 else -1)
-            if abs(d) > remaining - 1:
-                continue
-            if leading and d < 0:
-                continue
-            word.push(bit)
-            descend()
-            word.pop()
-
-    descend()
-    return result
+    length = 2 * order
+    counts = {(0, 0): 1}
+    for j in range(1, length + 1):
+        step: dict[tuple[int, int], int] = {}
+        for (d, returns), ways in counts.items():
+            for e in (d + 1, d - 1):
+                if abs(e) > length - j or (leading and e < 0):
+                    continue
+                state = (e, returns + (e == 0))
+                step[state] = step.get(state, 0) + ways
+        counts = step
+    return sum(ways for (_, returns), ways in counts.items() if generation in (None, returns))
 
 
 def catalan(n: int) -> int:
@@ -234,38 +222,8 @@ def balanced_word_of(x: Fraction) -> Optional[tuple[int, ...]]:
     expansion = to_binary(x)
     if not expansion.is_terminating:
         return None
-    w = DigitWord(expansion.preperiod)
-    if w.slope > 0:
-        return None
-    return w.digits + (0,) * (-w.slope)
-
-
-def dyadic_partner(x: Fraction) -> Fraction:
-    """A strictly deeper dyadic x' != x with T(x') = T(x).
-
-    With terminating digits of length n containing j zeros: if j < n - j,
-    append n - 2j - 1 zeros and a one; otherwise replace the final one by a
-    zero followed by 2j + 2 - n ones.  Iterating yields infinitely many
-    points on the same level: 3/4 -> 13/16, 1/2 -> 3/4, 1/4 -> 3/16.
-    """
-    if not 0 < x < 1:
-        raise ValueError(f"need 0 < x < 1, got {x}")
-    expansion = to_binary(x)
-    if not expansion.is_terminating:
-        raise ValueError(f"{x} is not dyadic")
     digits = expansion.preperiod
-    n = len(digits)
-    j = sum(1 for b in digits if b == 0)
-    if j < n - j:
-        partner = digits + (0,) * (n - 2 * j - 1) + (1,)
-    else:
-        partner = digits[:-1] + (0,) + (1,) * (2 * j + 2 - n)
-    return DigitWord(partner).point()
-
-
-def level_points(x: Fraction, count: int) -> Iterator[Fraction]:
-    """x followed by ``count`` successive dyadic partners (all on one level)."""
-    yield x
-    for _ in range(count):
-        x = dyadic_partner(x)
-        yield x
+    slope = len(digits) - 2 * sum(digits)
+    if slope > 0:
+        return None
+    return digits + (0,) * -slope

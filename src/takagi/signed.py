@@ -3,8 +3,8 @@
 Only eventually periodic sign sequences r are representable — exactly the
 class where everything stays exact.  The digit walk and everything computed
 from it live in :mod:`takagi.curve` and :mod:`takagi.humps`, with T as the
-all-plus case: the walk (:class:`takagi.curve.DigitWord`) picks up the sign
-r_{i-1} at step i, ``eval_rational(x, signs)`` (importable from here as
+all-plus case: the walk picks up the sign r_{i-1} at step i,
+``eval_rational(x, signs)`` (importable from here as
 ``eval_signed_rational``) closes over one aligned period, and one pruned
 word search serves both hump counts.  What is signed-only lives here: the
 max/min come from first-passage times of the sign walk
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 # ALL_PLUS, ALTERNATING, SignSequence and the evaluator live beside the digit
@@ -178,18 +179,12 @@ def signed_extrema(signs: SignSequence) -> SignedExtrema:
 # Signed humps against a horizontal line.
 
 
-def _suffix_extrema_table(signs: SignSequence, max_depth: int) -> list[tuple[Fraction, Fraction]]:
-    """(min, max) of the shifted function f^(j) for each depth j <= max_depth."""
-    alpha, pi = signs.transient, signs.period_length
-    cache: dict[int, tuple[Fraction, Fraction]] = {}
-    table = []
-    for j in range(max_depth + 1):
-        phase = j if j < alpha else alpha + (j - alpha) % pi
-        if phase not in cache:
-            shifted = signs.shift(phase)
-            cache[phase] = (-_side_sum(shifted.flipped()), _side_sum(shifted))
-        table.append(cache[phase])
-    return table
+@lru_cache(maxsize=1024)
+def _phase_extrema(signs: SignSequence, phase: int) -> tuple[Fraction, Fraction]:
+    """(min, max) of the shifted function f^(phase), kept across calls: the
+    hump search needs it at every depth, and depths share a phase."""
+    shifted = signs.shift(phase)
+    return -_side_sum(shifted.flipped()), _side_sum(shifted)
 
 
 def truncated_local_count(y: Fraction, signs: SignSequence, max_order: int) -> int:
@@ -203,7 +198,11 @@ def truncated_local_count(y: Fraction, signs: SignSequence, max_order: int) -> i
     the unsigned leading-hit count; the root hump is included (its band is
     [0, 1/2] when r_0 = +1).
     """
-    table = _suffix_extrema_table(signs, 2 * max_order)
+    alpha, pi = signs.transient, signs.period_length
+    table = [
+        _phase_extrema(signs, j if j < alpha else alpha + (j - alpha) % pi)
+        for j in range(2 * max_order + 1)
+    ]
     return sum(1 for _ in _hit_words(y, signs, table, max_order, leading_only=True))
 
 

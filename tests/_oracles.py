@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, cycle, islice
+from itertools import accumulate, chain, cycle, islice, product
 from math import floor, lcm
 
 import numpy as np
@@ -87,6 +87,37 @@ def periodic_series_value(x: Fraction, signs=None) -> Fraction:
 def walk_of(digits) -> tuple[int, ...]:
     """Slope walk D_1..D_k of a word: D_j sums +1 for each 0 and -1 for each 1."""
     return tuple(accumulate(1 - 2 * b for b in digits))
+
+
+def balanced_words(order: int):
+    """Every word of length 2 order whose slope walk ends at zero, by brute
+    force over all 4^order words, in lexicographic order."""
+    for bits in product((0, 1), repeat=2 * order):
+        if sum(bits) == order:
+            yield bits
+
+
+class DigitWord:
+    """A binary word walked one digit at a time under signs r (``None`` for
+    all plus): D moves by +r_{i-1} on a 0 and by -r_{i-1} on a 1, and the
+    scaled value w_i = 2^i v_i obeys w_i = 2 w_{i-1} + eps_i (D_{i-1} + r_{i-1}),
+    so ``value`` is the function at the dyadic point 0.eps_1...eps_k."""
+
+    def __init__(self, digits=(), signs=None):
+        self.digits = tuple(digits)
+        self.slope = self.scaled_value = 0
+        for i, bit in enumerate(self.digits):
+            r = 1 if signs is None else signs.term(i)
+            if bit:
+                self.scaled_value = 2 * self.scaled_value + self.slope + r
+                self.slope -= r
+            else:
+                self.scaled_value *= 2
+                self.slope += r
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.scaled_value, 1 << len(self.digits))
 
 
 def long_division(x: Fraction) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -6,6 +6,7 @@ import io
 import json
 import shlex
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -216,6 +217,44 @@ def test_census_filters():
     assert all(r["match"] for r in rows)
 
 
+# SHA-256 of `census --max-order 10` per filter and format.
+CENSUS_DIGESTS = {
+    ("all", "csv"): "a2ddecc7df0027887455e4bb2d3efe6541dd888a97b26ec344b1b44861e0093f",
+    ("all", "json"): "f0b289d3df7d793b54f9de5b2590de6a341c553978bbd37c3dbb1936d364a6a0",
+    ("leading", "csv"): "ac44afa878ac3a9c1ee0e1ea81e5ffdcdf97d16ea93f7a0f306f14e4a0bb6d6e",
+    ("leading", "json"): "b148be736dfecba791e4ae63c2680ba76bb30b2d9a376a8e69196231021b9a35",
+    ("gen1", "csv"): "f0ba734304c9b56c8c1fc3c11f2ae66f369a8cf398292eb22722af1fc0a08470",
+    ("gen1", "json"): "53912adeaa4c43c2f080f45b15a5aa888d734af51da6661aae0efa006f36b8d9",
+}
+
+
+def census_argv(order, which, fmt):
+    argv = ["census", "--max-order", str(order), "--format", fmt]
+    return argv if which == "all" else argv + ["--filter", which]
+
+
+@pytest.mark.parametrize("which, fmt", sorted(CENSUS_DIGESTS))
+def test_census_bytes(which, fmt):
+    code, out, _ = run(*census_argv(10, which, fmt))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_DIGESTS[which, fmt]
+
+
+@pytest.mark.parametrize("which", ["all", "leading", "gen1"])
+def test_census_top_order_counts_in_little_memory(which):
+    # order 12 has binomial(24, 12) = 2704156 humps: they are counted, not listed
+    tracemalloc.start()
+    try:
+        code, out, _ = run(*census_argv(12, which, "json"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = json.loads(out)["rows"]
+    assert code == 0 and [r["m"] for r in rows] == list(range(13))
+    assert all(r["match"] for r in rows)
+    assert peak < 1 << 20, peak
+
+
 def test_census_negative_order_is_usage_error():
     code, out, err = run("census", "--max-order", "-1")
     assert (code, out) == (2, "")
@@ -223,8 +262,8 @@ def test_census_negative_order_is_usage_error():
 
 
 def test_census_order_above_limit_is_usage_error():
-    # Order 12 already enumerates binomial(24, 12) humps; 13 is refused at
-    # parse time instead of running for hours.
+    # The census stops at order 12 (binomial(24, 12) humps); 13 is refused
+    # at parse time.
     code, out, err = run("census", "--max-order", "13")
     assert (code, out) == (2, "")
     assert "--max-order" in err and "<= 12" in err

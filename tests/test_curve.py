@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 import _oracles as oracles
 from takagi.curve import (
     MAX_EVAL_DIGITS,
-    DigitWord,
     d_expression_residual,
     eval_approx,
     eval_dyadic,
@@ -40,27 +39,23 @@ def test_walk_of():
 
 
 def test_append_rule_pins():
-    w = DigitWord()
-    w.push(1)
-    assert w.value == Fraction(1, 2)
-    w = DigitWord([1, 0])
-    w.push(1)
-    assert oracles.walk_of(w.digits) == (-1, 0, -1)
-    assert w.value == Fraction(5, 8)
+    # "1" ends at w = 1, D = -1: value 1/2; "101" at w = 5, D = -1: value 5/8
+    assert _walk(0b1, 0, 1) == (1, -1)
+    assert oracles.walk_of((1, 0, 1)) == (-1, 0, -1)
+    assert _walk(0b101, 0, 3) == (5, -1)
 
 
 def test_append_rule_exhaustive_to_length_12():
-    """The O(1) push must reproduce the series value at every dyadic corner.
+    """The walk must reproduce the series value at every dyadic corner.
 
     Exhaustive over all 8190 nonempty words of length <= 12; the direct-sum
     oracle is exact there because terms at or past the word length vanish.
     """
     for length in range(1, 13):
-        for bits in itertools.product((0, 1), repeat=length):
-            word = DigitWord(bits)
-            assert word.slope == bits.count(0) - bits.count(1)
-            corner = word.point()
-            assert word.value == oracles.series_value(corner, length)
+        for n in range(1 << length):
+            scaled, slope = _walk(n, 0, length)
+            assert slope == length - 2 * n.bit_count()
+            assert Fraction(scaled, 1 << length) == oracles.series_value(Fraction(n, 1 << length), length)
 
 
 def test_nibble_walk_matches_digitword():
@@ -74,7 +69,7 @@ def test_nibble_walk_matches_digitword():
         for length in range(11):
             minus = int("".join("1" if signs.term(i) < 0 else "0" for i in range(length)) or "0", 2)
             for bits in itertools.product((0, 1), repeat=length):
-                word = DigitWord(bits, signs)
+                word = oracles.DigitWord(bits, signs)
                 n = int("".join(map(str, bits)) or "0", 2)
                 assert _walk(n, minus, length) == (word.scaled_value, word.slope), (bits, signs)
 
@@ -166,16 +161,6 @@ def test_d_expression_residual_window(x):
     # the slope-series identity lives on [0, 1)
     n = 40
     assert abs(d_expression_residual(x, n)) <= Fraction(n + 2, 1 << n)
-
-
-def test_digitword_push_pop_round_trip():
-    w = DigitWord([0, 1, 1, 0, 1])
-    snapshot = (w.digits, w.slope, w.value)
-    w.push(0)
-    w.push(1)
-    assert w.pop() == 1
-    assert w.pop() == 0
-    assert (w.digits, w.slope, w.value) == snapshot
 
 
 def test_eval_approx_reads_truncated_digits():

@@ -14,9 +14,7 @@ from takagi.humps import (
     analyze_word,
     balanced_word_of,
     census,
-    dyadic_partner,
-    enumerate_balanced,
-    level_points,
+    count_balanced,
     truncated_hits,
 )
 from takagi.signed import ALL_PLUS, truncated_local_count
@@ -58,30 +56,44 @@ def test_hump_box_is_an_affine_copy():
         assert h.y_projection == (h.base, h.base + Fraction(2, 3) * width)
 
 
+def listed_humps(order):
+    """Every hump of the given order, from the brute-force word listing."""
+    return [analyze_word(word) for word in oracles.balanced_words(order)]
+
+
 def test_census_small_orders():
     for m in range(7):
         total, leading = census(m)
         assert total == comb(2 * m, m)
         assert leading == comb(2 * m, m) // (m + 1)
-        humps = enumerate_balanced(m)
-        assert len(humps) == total
-        assert sum(1 for h in humps if h.is_leading) == leading
-        corners = [h.corner for h in humps]
-        assert corners == sorted(corners)
+        assert count_balanced(m) == total
+        assert count_balanced(m, leading=True) == leading
 
 
 def test_generation_counts():
     # Exactly 2 C_{m-1} humps of generation 1 at order m >= 1: the walk
     # keeps one sign until its single return to zero at the end.
     for m in range(1, 6):
-        gen1 = enumerate_balanced(m, generation=1)
-        assert len(gen1) == 2 * comb(2 * (m - 1), m - 1) // m
-    assert enumerate_balanced(0, generation=1) == []
+        assert count_balanced(m, generation=1) == 2 * comb(2 * (m - 1), m - 1) // m
+    assert count_balanced(0, generation=1) == 0
 
 
-def test_enumerate_budget_guard():
+def test_count_balanced_matches_listing():
+    """The transfer count against the brute-force listing, classified word
+    by word, for every filter at orders <= 8."""
+    for m in range(9):
+        humps = listed_humps(m)
+        for leading in (False, True):
+            kept = [h for h in humps if h.is_leading or not leading]
+            assert count_balanced(m, leading=leading) == len(kept)
+            for g in range(m + 1):
+                expected = sum(1 for h in kept if h.generation == g)
+                assert count_balanced(m, leading=leading, generation=g) == expected, (m, leading, g)
+
+
+def test_count_balanced_rejects_negative_order():
     with pytest.raises(ValueError):
-        enumerate_balanced(13)
+        count_balanced(-1)
 
 
 ordinates = st.fractions(min_value=0, max_value=Fraction(2, 3), max_denominator=3 * 4**3)
@@ -94,7 +106,8 @@ def test_truncated_hits_against_enumeration(y, max_order):
     assert [(h.order, h.corner) for h in hits] == sorted((h.order, h.corner) for h in hits)
     by_hand = [
         h
-        for h in (analyze_word(w.word) for m in range(max_order + 1) for w in enumerate_balanced(m))
+        for m in range(max_order + 1)
+        for h in listed_humps(m)
         if h.y_projection_truncated[0] <= y <= h.y_projection_truncated[1]
     ]
     assert len(hits) == len(by_hand)
@@ -109,9 +122,9 @@ def test_truncated_hits_against_enumeration(y, max_order):
 
 def test_truncated_hits_band_ends():
     """At both ends of every truncated band of order <= 5, and one
-    1/(3*4^6) step outside each end, the search agrees with the enumeration
+    1/(3*4^6) step outside each end, the search agrees with the listing
     filter: a flipped strictness in its window or hit tests shows here."""
-    humps = [h for m in range(6) for h in enumerate_balanced(m)]
+    humps = [h for m in range(6) for h in listed_humps(m)]
     step = Fraction(1, 3 * 4**6)
     ordinates = set()
     for h in humps:
@@ -141,33 +154,3 @@ def test_balanced_word_pins():
     assert balanced_word_of(Fraction(1, 8)) is None
     assert balanced_word_of(Fraction(1, 3)) is None
     assert balanced_word_of(Fraction(0)) == ()
-
-
-def test_dyadic_partner_pins():
-    assert dyadic_partner(Fraction(3, 4)) == Fraction(13, 16)
-    assert dyadic_partner(Fraction(1, 2)) == Fraction(3, 4)
-    assert dyadic_partner(Fraction(1, 4)) == Fraction(3, 16)
-    with pytest.raises(ValueError):
-        dyadic_partner(Fraction(1, 3))
-
-
-dyadics_01 = st.integers(min_value=1, max_value=(1 << 10) - 1).map(
-    lambda k: Fraction(k, 1 << 10)
-)
-
-
-@given(dyadics_01)
-@settings(max_examples=60)
-def test_dyadic_partner_is_deeper_and_level(x):
-    partner = dyadic_partner(x)
-    assert partner != x
-    assert partner.denominator > x.denominator
-    assert eval_dyadic(partner) == eval_dyadic(x)
-
-
-def test_level_points_family():
-    points = list(level_points(Fraction(1, 2), 5))
-    assert len(points) == 6
-    assert len(set(points)) == 6
-    values = {eval_dyadic(p) for p in points}
-    assert values == {Fraction(1, 2)}

@@ -1,56 +1,18 @@
-"""Local level sets: partner words and profile classes."""
+"""Local level sets: profile classes and the local count of finite L(y)."""
 
 import random
 from fractions import Fraction
+from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
-from takagi.curve import DigitWord, eval_dyadic
-from takagi.levelsets import local_partner_count, local_partners
+import _oracles as oracles
+from takagi.curve import eval_dyadic
 from takagi.machine import Verdict, classify
 
 
-def test_partner_pins():
-    assert local_partners((0, 1)) == [(0, 1), (1, 0)]
-    assert local_partners((0, 1, 1, 0)) == [
-        (0, 1, 0, 1),
-        (0, 1, 1, 0),
-        (1, 0, 0, 1),
-        (1, 0, 1, 0),
-    ]
-    assert local_partners(()) == [()]
-    # a constant word never revisits zero: itself and its complement
-    assert local_partners((0, 0, 0)) == [(0, 0, 0), (1, 1, 1)]
-
-
-words = st.lists(st.integers(min_value=0, max_value=1), max_size=10).map(tuple)
-
-
-@given(words)
-@settings(max_examples=120)
-def test_partners_match_brute_force(word):
-    n = len(word)
-    reference = walk_profile(word)
-    expected = sorted(
-        candidate
-        for candidate in all_words(n)
-        if walk_profile(candidate) == reference
-    )
-    assert local_partners(word) == expected
-    assert local_partner_count(word) == len(expected)
-
-
-def all_words(n):
-    for k in range(1 << n):
-        yield tuple((k >> (n - 1 - i)) & 1 for i in range(n))
-
-
 def walk_profile(word):
-    d, out = 0, []
-    for bit in word:
-        d += 1 if bit == 0 else -1
-        out.append(abs(d))
-    return out
+    return [abs(d) for d in oracles.walk_of(word)]
 
 
 balanced_words = (
@@ -64,19 +26,14 @@ balanced_words = (
 @settings(max_examples=80)
 def test_partner_values_coincide(word):
     # Matching |D| profiles force matching curve values once the tails agree,
-    # and balanced words all share the all-zeros tail.
-    values = {eval_dyadic(DigitWord(w).point()) for w in local_partners(word)}
+    # and balanced words all share the all-zeros tail; the partners come by
+    # brute force over every word of that length.
+    profile = walk_profile(word)
+    partners = [bits for bits in product((0, 1), repeat=len(word)) if walk_profile(bits) == profile]
+    assert word in partners
+    points = (Fraction(int("".join(map(str, bits)) or "0", 2), 1 << len(bits)) for bits in partners)
+    values = {eval_dyadic(x) for x in points}
     assert len(values) == 1
-
-
-def test_count_is_two_to_the_blocks():
-    # One free sign per block between returns of the walk to zero, and the
-    # leading block (after j = 0) always counts.
-    assert local_partner_count(()) == 1
-    assert local_partner_count((0, 1)) == 2
-    assert local_partner_count((0, 1, 1, 0)) == 4
-    assert local_partner_count((0, 1, 0, 1, 0, 1)) == 8
-    assert local_partner_count((0, 0, 0, 0)) == 2
 
 
 def test_local_count_golden_pins():

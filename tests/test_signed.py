@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles as oracles
-from takagi.curve import DigitWord, d_expression_residual, eval_dyadic, eval_rational, signed_constant
+from takagi import signed
+from takagi.curve import d_expression_residual, eval_dyadic, eval_rational, signed_constant
 from takagi.signed import (
     ALL_PLUS,
     ALTERNATING,
@@ -95,7 +96,7 @@ def test_eval_against_series_window(x, signs):
 
 def test_signed_word_matches_evaluator():
     signs = P("+-+")
-    word = DigitWord((0, 1, 1, 0, 1), signs)
+    word = oracles.DigitWord((0, 1, 1, 0, 1), signs)
     x = sum(Fraction(bit, 1 << (j + 1)) for j, bit in enumerate(word.digits))
     assert word.value == eval_dyadic(x, signs)
 
@@ -218,10 +219,7 @@ def brute_local_count(y, signs, max_order):
                     break
             if not ok or d != 0:
                 continue
-            word = DigitWord(signs=signs)
-            for bit in bits:
-                word.push(bit)
-            v = word.value
+            v = oracles.DigitWord(bits, signs).value
             span = Fraction(1, 2 * 4**m)
             if signs.term(2 * m) > 0:
                 hit = v <= y <= v + span
@@ -238,6 +236,20 @@ def test_local_count_pins():
     assert truncated_local_count(Fraction(-1, 4), ALTERNATING, 3) == 0
     assert truncated_local_count(Fraction(3, 4), ALL_PLUS, 4) == 0  # above max
     assert truncated_local_count(Fraction(1, 5), ALL_PLUS, 8) == 1  # any denominator
+
+
+def test_suffix_extrema_kept_across_calls(monkeypatch):
+    # the per-phase extrema depend on the signs alone: a second count under
+    # the same signs computes no passage sum
+    calls = []
+    side_sum = signed._side_sum
+    monkeypatch.setattr(signed, "_side_sum", lambda s: calls.append(s) or side_sum(s))
+    signed._phase_extrema.cache_clear()
+    signs = P("++--+", preperiod="+-")
+    truncated_local_count(Fraction(1, 5), signs, 8)
+    first = len(calls)
+    truncated_local_count(Fraction(2, 7), signs, 8)
+    assert first > 0 and len(calls) == first
 
 
 def test_local_count_against_brute_scan():
@@ -269,7 +281,7 @@ def test_local_count_band_ends_against_brute_scan():
                 ))
                 if any(d < 0 for d in walk) or (walk and walk[-1] != 0):
                     continue
-                a = DigitWord(bits, signs).value
+                a = oracles.DigitWord(bits, signs).value
                 r = signs.term(2 * m)
                 band = Fraction(r, 2 * 4**m)
                 downwards += r < 0
