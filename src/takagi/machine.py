@@ -72,7 +72,12 @@ order (the root is 0), and parallel lists indexed by id hold its slope D,
 its N, its ray flags, its two children (-1 where the digit is infeasible)
 and the edge that first reached it.  The int-tuple keys serve only to merge
 states in the closure; every later pass runs on the lists, and R = N / S is
-formed only to print a label.  :func:`step`, :func:`is_feasible` and the
+formed only to print a label.  The tagged states are the ids below
+``prefix``, the first state at the lattice depth.  They form a layered DAG:
+each edge leaves depth d for depth d + 1 and a larger id, and no edge of the
+untagged core leads back into the prefix.  So Tarjan and the walk's revisit
+check run on the core alone, and the count pass finishes with one sweep down
+the prefix ids.  :func:`step`, :func:`is_feasible` and the
 ``envelope_*`` functions state the same rules on (D, R) with Fractions and
 are the exact reference the closure is tested against.
 """
@@ -82,6 +87,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from typing import Iterator, Optional
 
 from .curve import TWO_THIRDS
@@ -139,7 +145,9 @@ class StateGraph:
     and (D, N) after it, to its id; the lists are indexed by id.  ``child0``
     and ``child1`` hold -1 for an infeasible digit and for an unexpanded
     ray; ``parent`` is 2 * id + digit of the edge that first reached the
-    state, -1 at the root.  An ordinate outside [0, 2/3] has no states.
+    state, -1 at the root.  ``prefix`` is the first id at the lattice depth
+    (the number of tagged states; every id when the closure stops above that
+    depth).  An ordinate outside [0, 2/3] has no states.
     """
 
     ordinate: Fraction
@@ -151,6 +159,7 @@ class StateGraph:
     child0: list[int] = field(default_factory=list)
     child1: list[int] = field(default_factory=list)
     parent: list[int] = field(default_factory=list)
+    prefix: int = 0
     closed: bool = True
     budget_reason: Optional[str] = None
 
@@ -186,6 +195,8 @@ def close_graph(
     while v < len(slopes) and reason is None:
         if v == level_end:
             depth, level_end = depth + 1, len(slopes)
+            if depth == lattice_depth:
+                graph.prefix = v
         slope, num = slopes[v], nums[v]
         if flags[v] & (ZERO_RAY | ONES_RAY):
             v += 1
@@ -230,6 +241,8 @@ def close_graph(
                 parent.append(2 * v + bit)
             (child1 if bit else child0)[v] = child
         v += 1
+    if depth < lattice_depth:
+        graph.prefix = len(slopes)
     graph.closed = reason is None
     graph.budget_reason = reason
     return graph
@@ -256,7 +269,9 @@ class LevelSetReport:
 
 
 def _strong_components(graph: StateGraph) -> list[list[int]]:
-    """Tarjan over the no-dead-end subgraph; emitted children-first."""
+    """Tarjan over the no-dead-end subgraph of the core, the states from
+    ``graph.prefix`` on; emitted children-first.  No core edge leads back
+    into the tagged prefix, so the search never leaves the core."""
     flags = graph.flags
     size = len(flags)
     # children that are not all-ones dead ends, in digit order
@@ -271,7 +286,7 @@ def _strong_components(graph: StateGraph) -> list[list[int]]:
     stack: list[int] = []
     comps: list[list[int]] = []
     counter = 0
-    for start in range(size):
+    for start in range(graph.prefix, size):
         if index[start] >= 0 or flags[start] & ONES_RAY:
             continue
         work = [start]
@@ -309,8 +324,9 @@ def _strong_components(graph: StateGraph) -> list[list[int]]:
 
 
 def _live_states(graph: StateGraph) -> tuple[list[list[int]], list[int], list[int], list[bool]]:
-    """Tarjan's components, then (continuations, profiles) and liveness per
-    state in one pass over them, children first.
+    """The core's components, then (continuations, profiles) and liveness
+    per state, children first: over the components, then down the prefix
+    ids, whose edges all lead to larger ids.
 
     Infinite paths in a finite graph must reach a cycle or stop on the
     all-zeros ray, so live = continuations > 0.  Under a Finite verdict
@@ -321,12 +337,11 @@ def _live_states(graph: StateGraph) -> tuple[list[list[int]], list[int], list[in
     comps = _strong_components(graph)
     counts, profiles = [0] * (len(graph.flags) + 1), [0] * (len(graph.flags) + 1)
     slopes, flags, child0, child1 = graph.slope, graph.flags, graph.child0, graph.child1
-    for comp in comps:
+    for comp in comps:  # every cycle state counts 1, before the states that read it
         if len(comp) > 1:
             for v in comp:
                 counts[v] = profiles[v] = 1
-            continue
-        v = comp[0]
+    for v in chain((c[0] for c in comps if len(c) == 1), range(graph.prefix - 1, -1, -1)):
         if flags[v] & ZERO_RAY:
             counts[v] = profiles[v] = 1
             continue
@@ -363,29 +378,33 @@ def _paths(graph: StateGraph, live: list[bool]) -> Iterator[BinaryExpansion]:
     """Root paths through ``live`` states, depth-first, 0-digit first (the
     module docstring says how a path ends).  Under a Finite verdict a path
     goes once round its exit-free cycle, keeping the rotation it entered at,
-    e.g. 0^10 (0110) where :func:`to_binary` has 0^9 (0011).  The walk keeps
-    its own stack, so prefixes of thousands of digits are fine.
+    e.g. 0^10 (0110) where :func:`to_binary` has 0^9 (0011).  A prefix state
+    is never revisited, so only core states are recorded on the path.  The
+    walk keeps its own stack, so prefixes of thousands of digits are fine.
     """
-    flags, child0, child1 = graph.flags, graph.child0, graph.child1
+    flags, child0, child1, prefix = graph.flags, graph.child0, graph.child1, graph.prefix
+    offset = graph.lattice_depth  # every path enters the core at this depth
     digits: list[int] = []
-    path: list[int] = []  # the path's states: digits[i] leaves path[i]
+    path: list[int] = []  # the path's core states: digits[offset + i] leaves path[i]
     position = [0] * len(flags)  # where a state stands on the path, if it is on it
     # (state, digits before the edge into it, that edge's digit)
     stack: list[tuple[int, int, tuple[int, ...]]] = [(0, 0, ())]
     while stack:
         v, depth, edge = stack.pop()
         digits[depth:] = edge
-        del path[len(digits) :]  # backtrack
+        del path[max(len(digits) - offset, 0) :]  # backtrack
         while True:  # follow live 0-digits, leaving each live 1-branch on the stack
             if flags[v] & ZERO_RAY:
                 yield BinaryExpansion(tuple(digits), ())
                 break
-            start = position[v]
-            if start < len(path) and path[start] == v:
-                yield BinaryExpansion(tuple(digits[:start]), tuple(digits[start:]))
-                break
-            position[v] = len(path)
-            path.append(v)
+            if v >= prefix:
+                start = position[v]
+                if start < len(path) and path[start] == v:
+                    start += offset
+                    yield BinaryExpansion(tuple(digits[:start]), tuple(digits[start:]))
+                    break
+                position[v] = len(path)
+                path.append(v)
             zero, one = child0[v], child1[v]
             if live[zero]:
                 if live[one]:

@@ -89,13 +89,13 @@ class BinaryExpansion:
         return not self.period
 
     def value(self) -> Fraction:
+        """(head (2^p - 1) + period) / ((2^p - 1) 2^q), or head / 2^q when p = 0."""
         q, p = len(self.preperiod), len(self.period)
         head = _word_numerator(self.preperiod)
-        total = Fraction(head, 1 << q) if q else ZERO
-        if p:
-            tail = Fraction(_word_numerator(self.period), (1 << p) - 1)
-            total += tail / (1 << q)
-        return total
+        if not p:
+            return Fraction(head, 1 << q)
+        m = (1 << p) - 1
+        return Fraction(head * m + _word_numerator(self.period), m << q)
 
     def render(self) -> str:
         """Human form: '0.101', '0.(01)', '0.0(01)'."""
@@ -106,12 +106,15 @@ class BinaryExpansion:
         return f"0.{head}({cyc})"
 
 
+# the bytes 0 and 1 to the characters "0" and "1", every other byte to "2"
+_BINARY_DIGITS = b"01" + b"2" * 254
+
+
 def _word_numerator(word: Iterable[int]) -> int:
-    """The integer whose binary digits are ``word``: (1, 0, 1) -> 5."""
-    n = 0
-    for b in word:
-        n = (n << 1) | b
-    return n
+    """The integer whose binary digits are ``word``: (1, 0, 1) -> 5.
+    Digits may be ints or bools; any other digit raises ValueError."""
+    text = bytes(word).translate(_BINARY_DIGITS)
+    return int(text, 2) if text else 0
 
 
 def _word_digits(n: int, width: int) -> tuple[int, ...]:

@@ -14,6 +14,8 @@ from math import floor, lcm
 
 import numpy as np
 
+from takagi.machine import ONES_RAY, ZERO_RAY
+
 HALF = Fraction(1, 2)
 TWO_THIRDS = Fraction(2, 3)
 
@@ -135,6 +137,99 @@ def long_division(x: Fraction) -> tuple[tuple[int, ...], tuple[int, ...]]:
         digits.append(bit)
     start = seen[r] if r else len(digits)
     return tuple(digits[:start]), tuple(digits[start:])
+
+
+def word_numerator(word) -> int:
+    """The integer whose binary digits are ``word``, one digit at a time."""
+    n = 0
+    for b in word:
+        n = (n << 1) | b
+    return n
+
+
+def expansion_value(preperiod, period) -> Fraction:
+    """0.u(c)^inf as u / 2^q plus c / (2^p - 1) shifted past the preperiod."""
+    q, p = len(preperiod), len(period)
+    total = Fraction(word_numerator(preperiod), 1 << q) if q else Fraction(0)
+    if p:
+        total += Fraction(word_numerator(period), (1 << p) - 1) / (1 << q)
+    return total
+
+
+# ---------------------------------------------------------------------------
+# The whole state graph: Tarjan from every id, then the children-first count
+
+
+def whole_graph_live_states(graph):
+    """(components, continuations, profiles, live) of a closed
+    ``machine.StateGraph``, with Tarjan started at every id from the root on
+    and the count pass run over its components alone, prefix states
+    included; the rules are those of the machine module docstring."""
+    flags = graph.flags
+    size = len(flags)
+    # children that are not all-ones dead ends, in digit order
+    live_children = [
+        [c if c >= 0 and not flags[c] & ONES_RAY else -1 for c in children]
+        for children in (graph.child0, graph.child1)
+    ]
+    index = [-1] * size
+    low = [0] * size
+    on_stack = bytearray(size)
+    next_bit = bytearray(size)  # the next child to try, per state on ``work``
+    stack: list[int] = []
+    comps: list[list[int]] = []
+    counter = 0
+    for start in range(size):
+        if index[start] >= 0 or flags[start] & ONES_RAY:
+            continue
+        work = [start]
+        while work:
+            v = work[-1]
+            if index[v] < 0:  # first visit
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = 1
+            bit = next_bit[v]
+            if bit < 2:
+                next_bit[v] = bit + 1
+                w = live_children[bit][v]
+                if w < 0:
+                    continue
+                if index[w] < 0:
+                    work.append(w)
+                elif on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+                continue
+            work.pop()
+            if work and low[v] < low[work[-1]]:
+                low[work[-1]] = low[v]
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = 0
+                    comp.append(w)
+                    if w == v:
+                        break
+                comps.append(comp)
+    counts, profiles = [0] * (size + 1), [0] * (size + 1)
+    for comp in comps:
+        if len(comp) > 1:
+            for v in comp:
+                counts[v] = profiles[v] = 1
+            continue
+        v = comp[0]
+        if flags[v] & ZERO_RAY:
+            counts[v] = profiles[v] = 1
+            continue
+        zero, one = graph.child0[v], graph.child1[v]
+        counts[v] = counts[zero] + counts[one]
+        if graph.slope[v]:
+            profiles[v] = profiles[zero] + profiles[one]
+        else:
+            profiles[v] = max(profiles[zero], profiles[one])
+    return comps, counts, profiles, [n > 0 for n in counts]
 
 
 # ---------------------------------------------------------------------------

@@ -473,3 +473,86 @@ def test_deep_report_fingerprint():
         hashlib.sha256(text.encode()).hexdigest()
         == "674e64afa53359fbed544bb2806f3d77a53b1a7bffea3722039d9c009e4fdda9"
     )
+
+
+def _seeded_ordinates(seed, depths, per_depth, odd):
+    """Seeded j / (3 * 4^n) for each n in ``depths``, then ``odd`` seeded
+    j / (m * 2^k) with odd m from 5 to 63 and k <= 5."""
+    rng = random.Random(seed)
+    ordinates = [
+        Fraction(rng.randrange(2 * 4**n + 1), 3 * 4**n) for n in depths for _ in range(per_depth)
+    ]
+    for _ in range(odd):
+        den = rng.randrange(5, 64, 2) << rng.randint(0, 5)
+        ordinates.append(Fraction(rng.randrange(1, 2 * den // 3 + 1), den))
+    return ordinates
+
+
+def test_prefix_is_a_layered_dag():
+    """The tagged states are the ids below ``prefix``; their edges lead one
+    depth down, to a larger id, and no core edge leads back into them."""
+    ordinates = [Fraction(j, 3 * 4**5) for j in range(2 * 4**5 + 1)]
+    ordinates += _seeded_ordinates(1717, (32, 64, 128), 20, 40)
+    for y in ordinates:
+        graph = close_graph(y, max_slope=256)
+        assert graph.closed, y
+        prefix, keys = graph.prefix, list(graph.nodes)
+        assert prefix == sum(len(key) == 3 for key in keys), y
+        for v, children in enumerate(zip(graph.child0, graph.child1)):
+            for child in children:
+                if child < 0:
+                    continue
+                if v < prefix:  # keys (depth, D, N) until the lattice depth
+                    assert child > v, (y, v, child)
+                    depth = keys[v][0] + 1
+                    assert keys[child][0] == depth if depth < graph.lattice_depth else child >= prefix
+                else:
+                    assert child >= prefix, (y, v, child)
+    for y in (Fraction(2, 3), Fraction(1, 5)):
+        graph = close_graph(y)
+        assert graph.lattice_depth == graph.prefix == 0 < len(graph.slope)
+    # closures stopped by a budget above the lattice depth: every state is tagged
+    for graph in (close_graph(Fraction(1, 2**20), max_states=3),
+                  close_graph(Fraction(37, 96), max_slope=1)):
+        assert not graph.closed and graph.lattice_depth > 0
+        assert graph.prefix == len(graph.slope)
+
+
+def test_core_tarjan_matches_whole_graph():
+    """Tarjan on the core and the prefix sweep against Tarjan from every id
+    and one count pass over its components (the reference in _oracles):
+    the same components in the same order, once the prefix ids are
+    filtered out, and the same counts, profiles and liveness everywhere."""
+    ordinates = [Fraction(j, 3 * 4**6) for j in range(2 * 4**6 + 1)]
+    ordinates += _seeded_ordinates(1718, (32, 64, 128), 40, 80)
+    cycles = 0
+    for y in ordinates:
+        graph = close_graph(y, max_slope=256)
+        if not graph.closed:
+            continue
+        comps, counts, profiles, live = machine._live_states(graph)
+        ref_comps, ref_counts, ref_profiles, ref_live = oracles.whole_graph_live_states(graph)
+        assert comps == [c for c in ref_comps if c[0] >= graph.prefix], y
+        assert (counts, profiles, live) == (ref_counts, ref_profiles, ref_live), y
+        cycles += sum(len(c) > 1 for c in comps)
+    assert cycles > 10_000
+
+
+def test_leftmost_matches_first_preimage_deep():
+    """The 0-digit-first walk from the root through the prefix into the
+    core: its first path is the first listed preimage, or the witness of
+    an exit edge leaving a cycle (no sampled ordinate has one; see
+    test_cycle_exit_is_countable).  A dyadic witness is some point of L(y),
+    so the leftmost preimage attains y and lies at or below it."""
+    finite = 0
+    for y in _seeded_ordinates(1719, (32, 64, 128), 20, 0):
+        report = classify(y)
+        if report.verdict is Verdict.FINITE:
+            assert leftmost_preimage(y) == report.preimages[0], y
+            finite += 1
+        elif report.verdict is Verdict.COUNTABLY_INFINITE:
+            x = leftmost_preimage(y)
+            if report.witness.startswith("cycle"):
+                assert x == report.witness_preimage, y
+            assert eval_rational(x) == y and x <= report.witness_preimage, y
+    assert finite > 40

@@ -1,6 +1,7 @@
 """Binary expansions, parsing and the machine's depth tag, over any denominator."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from takagi.rationals import (
     MAX_EVAL_DIGITS,
     BinaryExpansion,
     format_rational,
+    _word_numerator,
     ordinate_depth,
     parse_rational,
     split_denominator,
@@ -160,3 +162,23 @@ def test_non_canonical_expansions():
     assert rotated != canonical
     assert canonical == BinaryExpansion((0,) * 9, (0, 0, 1, 1))
     assert oracles.profile_classes([rotated, canonical]) == 1  # one |D| profile
+
+
+def test_value_is_one_fraction():
+    # every (preperiod, period) split of every word up to length 10, against
+    # the sum of a preperiod Fraction and a shifted period Fraction
+    for length in range(11):
+        for word in product((0, 1), repeat=length):
+            for q in range(length + 1):
+                u, c = word[:q], word[q:]
+                assert BinaryExpansion(u, c).value() == oracles.expansion_value(u, c), (u, c)
+            assert _word_numerator(word) == oracles.word_numerator(word)
+    assert BinaryExpansion((), (1,)).value() == 1
+    assert BinaryExpansion((), ()).value() == 0
+    # eval_rational hands over its sign runs as a generator of bools
+    assert _word_numerator(s < 0 for s in (-1, 1, 1, -1)) == 0b1001
+    assert _word_numerator((True, False, True)) == 5
+    assert _word_numerator(iter(())) == 0
+    for bad in ((1, 2), (0, -1), (1, 0, 48), (1, 32)):
+        with pytest.raises(ValueError):
+            _word_numerator(bad)
