@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 from .curve import TWO_THIRDS, eval_approx, eval_dyadic, eval_rational
 from .humps import MAX_CENSUS_ORDER, NotBalancedError, analyze_word, balanced_word_of
 from .humps import catalan, census, count_balanced
-from .machine import BudgetExceededError, DEFAULT_MAX_STATES, Verdict, classify
+from .machine import DEFAULT_MAX_STATES, Verdict, classify
 from .rationals import MAX_EVAL_DIGITS, format_rational, parse_rational
 from .signed import SignSequence, signed_extrema, truncated_local_count
 from .stats import (
@@ -441,9 +441,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.set_int_max_str_digits(max(cap, MAX_STR_DIGITS))
     try:
         return args.handler(args)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -30,6 +30,7 @@ the default, so each computation has one implementation for the whole family.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 
@@ -135,6 +136,11 @@ class SignSequence:
         """Net movement of the sign walk over one period."""
         return sum(self.period)
 
+    @cached_property
+    def _minus_words(self) -> tuple[int, int]:
+        """Preperiod and period as integers, a 1 per minus sign, leading first."""
+        return tuple(_word_numerator(s < 0 for s in run) for run in (self.preperiod, self.period))
+
 
 ALL_PLUS = SignSequence((), (1,))
 ALTERNATING = SignSequence((), (1, -1))
@@ -228,10 +234,8 @@ def eval_rational(x: Fraction, signs: SignSequence = ALL_PLUS) -> Fraction:
             f"the expansion needs a walk of {q + block} digits, over the limit of {MAX_EVAL_DIGITS}"
         )
     word = _prefix_word(head, k, period_word, p, q + block) if p else head
-    minus = lambda run: _word_numerator(s < 0 for s in run)
-    sign_word = _prefix_word(
-        minus(signs.preperiod), signs.transient, minus(signs.period), signs.period_length, q + block
-    )
+    minus_pre, minus_per = signs._minus_words
+    sign_word = _prefix_word(minus_pre, signs.transient, minus_per, signs.period_length, q + block)
     w_q, d_q = _walk(word >> block, sign_word >> block, q)
     if not block:
         return Fraction(w_q, 1 << q)

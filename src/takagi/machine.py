@@ -69,10 +69,10 @@ S = 2^k or 3 * 2^k the residues from there on lie on a fixed lattice
 
 The closed graph is flat: each state gets an integer id in breadth-first
 order (the root is 0), and parallel lists indexed by id hold its slope D,
-its N, its ray flags, its two children (-1 where the digit is infeasible)
-and the edge that first reached it.  The int-tuple keys serve only to merge
-states in the closure; every later pass runs on the lists, and R = N / S is
-formed only to print a label.  The tagged states are the ids below
+its N, its ray flag and its two children (-1 where the digit is
+infeasible).  The int-tuple keys serve only to merge states in the closure;
+every later pass runs on the lists, and R = N / S is formed only to print a
+label.  The tagged states are the ids below
 ``prefix``, the first state at the lattice depth.  They form a layered DAG:
 each edge leaves depth d for depth d + 1 and a larger id, and no edge of the
 untagged core leads back into the prefix.  So Tarjan and the walk's revisit
@@ -99,7 +99,7 @@ DEFAULT_MAX_SLOPE = 64
 # rather than listed: L(2/3 - 1/(3 * 2^k)) has 2^(k/2 + 1) points.
 MAX_PREIMAGES = 2**20
 
-# StateGraph.flags bits
+# StateGraph.flags values; a state is at most one kind of ray
 ZERO_RAY, ONES_RAY, MAX_RAY = 1, 2, 4
 
 State = tuple[int, Fraction]
@@ -142,12 +142,13 @@ class StateGraph:
     """The feasible states of L(y), numbered breadth-first from the root 0.
 
     ``nodes`` maps each state's key, (depth, D, N) before the lattice depth
-    and (D, N) after it, to its id; the lists are indexed by id.  ``child0``
-    and ``child1`` hold -1 for an infeasible digit and for an unexpanded
-    ray; ``parent`` is 2 * id + digit of the edge that first reached the
-    state, -1 at the root.  ``prefix`` is the first id at the lattice depth
-    (the number of tagged states; every id when the closure stops above that
-    depth).  An ordinate outside [0, 2/3] has no states.
+    and (D, N) after it, to its id; the lists are indexed by id.  A flag is
+    0 or one of ZERO_RAY, ONES_RAY and MAX_RAY, never a union: the rays
+    exclude one another.  ``child0`` and ``child1`` hold -1 for an
+    infeasible digit and for an unexpanded ray.  ``prefix`` is the first id
+    at the lattice depth (the number of tagged states; every id when the
+    closure stops above that depth).  An ordinate outside [0, 2/3] has no
+    states.
     """
 
     ordinate: Fraction
@@ -158,10 +159,12 @@ class StateGraph:
     flags: list[int] = field(default_factory=list)
     child0: list[int] = field(default_factory=list)
     child1: list[int] = field(default_factory=list)
-    parent: list[int] = field(default_factory=list)
     prefix: int = 0
-    closed: bool = True
     budget_reason: Optional[str] = None
+
+    @property
+    def closed(self) -> bool:
+        return self.budget_reason is None
 
 
 def close_graph(
@@ -183,11 +186,9 @@ def close_graph(
     scale, root_num = y.denominator, y.numerator
     root_key = (0, 0, root_num) if lattice_depth > 0 else (0, root_num)
     root_ray = ZERO_RAY if root_num == 0 else MAX_RAY if 3 * root_num == 2 * scale else 0
-    graph = StateGraph(
-        y, lattice_depth, {root_key: 0}, [0], [root_num], [root_ray], [-1], [-1], [-1]
-    )
+    graph = StateGraph(y, lattice_depth, {root_key: 0}, [0], [root_num], [root_ray], [-1], [-1])
     nodes, slopes, nums, flags = graph.nodes, graph.slope, graph.num, graph.flags
-    child0, child1, parent = graph.child0, graph.child1, graph.parent
+    child0, child1 = graph.child0, graph.child1
     reason: Optional[str] = None
     depth, level_end = 0, 1  # state v is this deep while v < level_end
     tagged = lattice_depth - 1  # children of states at least this deep carry no tag
@@ -238,12 +239,10 @@ def close_graph(
                 flags.append(MAX_RAY if headroom == 0 else ray)
                 child0.append(-1)
                 child1.append(-1)
-                parent.append(2 * v + bit)
             (child1 if bit else child0)[v] = child
         v += 1
     if depth < lattice_depth:
         graph.prefix = len(slopes)
-    graph.closed = reason is None
     graph.budget_reason = reason
     return graph
 
@@ -272,13 +271,8 @@ def _strong_components(graph: StateGraph) -> list[list[int]]:
     """Tarjan over the no-dead-end subgraph of the core, the states from
     ``graph.prefix`` on; emitted children-first.  No core edge leads back
     into the tagged prefix, so the search never leaves the core."""
-    flags = graph.flags
+    flags, children = graph.flags, (graph.child0, graph.child1)
     size = len(flags)
-    # children that are not all-ones dead ends, in digit order
-    live_children = [
-        [c if c >= 0 and not flags[c] & ONES_RAY else -1 for c in children]
-        for children in (graph.child0, graph.child1)
-    ]
     index = [-1] * size
     low = [0] * size
     on_stack = bytearray(size)
@@ -300,8 +294,8 @@ def _strong_components(graph: StateGraph) -> list[list[int]]:
             bit = next_bit[v]
             if bit < 2:
                 next_bit[v] = bit + 1
-                w = live_children[bit][v]
-                if w < 0:
+                w = children[bit][v]
+                if w < 0 or flags[w] & ONES_RAY:  # no digit, or an all-ones dead end
                     continue
                 if index[w] < 0:
                     work.append(w)
@@ -323,16 +317,16 @@ def _strong_components(graph: StateGraph) -> list[list[int]]:
     return comps
 
 
-def _live_states(graph: StateGraph) -> tuple[list[list[int]], list[int], list[int], list[bool]]:
-    """The core's components, then (continuations, profiles) and liveness
-    per state, children first: over the components, then down the prefix
-    ids, whose edges all lead to larger ids.
+def _live_states(graph: StateGraph) -> tuple[list[list[int]], list[int], list[int]]:
+    """The core's components, then (continuations, profiles) per state,
+    children first: over the components, then down the prefix ids, whose
+    edges all lead to larger ids.
 
     Infinite paths in a finite graph must reach a cycle or stop on the
-    all-zeros ray, so live = continuations > 0.  Under a Finite verdict
-    (exit-free simple cycles) both counts are exact: path counts and counts
-    of distinct |D_j| sequences.  Dead ends count 0, and so does one extra
-    last entry, which a missing child (-1) reads.
+    all-zeros ray, so a state is live iff its continuations are > 0.  Under
+    a Finite verdict (exit-free simple cycles) both counts are exact: path
+    counts and counts of distinct |D_j| sequences.  Dead ends count 0, and
+    so does one extra last entry, which a missing child (-1) reads.
     """
     comps = _strong_components(graph)
     counts, profiles = [0] * (len(graph.flags) + 1), [0] * (len(graph.flags) + 1)
@@ -352,7 +346,7 @@ def _live_states(graph: StateGraph) -> tuple[list[list[int]], list[int], list[in
             profiles[v] = profiles[zero] + profiles[one]
         else:
             profiles[v] = max(profiles[zero], profiles[one])
-    return comps, counts, profiles, [n > 0 for n in counts]
+    return comps, counts, profiles
 
 
 def _state_label(graph: StateGraph, v: int) -> str:
@@ -362,25 +356,28 @@ def _state_label(graph: StateGraph, v: int) -> str:
 def _dyadic_witness(graph: StateGraph) -> Fraction:
     """Digits of a shortest root-to-zero-ray path, as a dyadic preimage.
 
-    close_graph is breadth-first, 0-digit first: the first zero ray in id
-    order, walked back through parents, is the leftmost shortest such path.
+    close_graph is breadth-first, 0-digit first, so the first edge into an
+    id, in id order, is the edge that found it: the first zero ray, walked
+    back along those edges, is the leftmost shortest such path.
     """
-    v = next(v for v, f in enumerate(graph.flags) if f & ZERO_RAY)
+    v = graph.flags.index(ZERO_RAY)
+    found: dict[int, int] = {}  # each id's first in-edge, as 2 * source + digit
+    for edge, child in enumerate(chain.from_iterable(zip(graph.child0[:v], graph.child1[:v]))):
+        found.setdefault(child, edge)
     bits: list[int] = []
-    while graph.parent[v] >= 0:
-        bits.append(graph.parent[v] & 1)
-        v = graph.parent[v] >> 1
-    bits.reverse()
-    return BinaryExpansion(tuple(bits), ()).value()
+    while v:
+        v, bit = divmod(found[v], 2)
+        bits.append(bit)
+    return BinaryExpansion(tuple(reversed(bits)), ()).value()
 
 
-def _paths(graph: StateGraph, live: list[bool]) -> Iterator[BinaryExpansion]:
-    """Root paths through ``live`` states, depth-first, 0-digit first (the
-    module docstring says how a path ends).  Under a Finite verdict a path
-    goes once round its exit-free cycle, keeping the rotation it entered at,
-    e.g. 0^10 (0110) where :func:`to_binary` has 0^9 (0011).  A prefix state
-    is never revisited, so only core states are recorded on the path.  The
-    walk keeps its own stack, so prefixes of thousands of digits are fine.
+def _paths(graph: StateGraph, counts: list[int]) -> Iterator[BinaryExpansion]:
+    """Root paths through live states (count > 0), depth-first, 0-digit
+    first (the module docstring says how a path ends).  Under a Finite
+    verdict a path goes once round its exit-free cycle, keeping the rotation
+    it entered at, e.g. 0^10 (0110) where :func:`to_binary` has 0^9 (0011).
+    A prefix state is never revisited, so only core states are recorded on
+    the path.  The walk keeps its own stack, so long prefixes are fine.
     """
     flags, child0, child1, prefix = graph.flags, graph.child0, graph.child1, graph.prefix
     offset = graph.lattice_depth  # every path enters the core at this depth
@@ -406,12 +403,12 @@ def _paths(graph: StateGraph, live: list[bool]) -> Iterator[BinaryExpansion]:
                 position[v] = len(path)
                 path.append(v)
             zero, one = child0[v], child1[v]
-            if live[zero]:
-                if live[one]:
+            if counts[zero] > 0:
+                if counts[one] > 0:
                     stack.append((one, len(digits), (1,)))
                 digits.append(0)
                 v = zero
-            elif live[one]:
+            elif counts[one] > 0:
                 digits.append(1)
                 v = one
             else:
@@ -446,14 +443,13 @@ def analyze(graph: StateGraph) -> LevelSetReport:
     if not graph.closed:
         return report(Verdict.INDETERMINATE, witness=f"budget exceeded ({graph.budget_reason})")
 
-    comps, counts, profiles, live = _live_states(graph)
+    comps, counts, profiles = _live_states(graph)
     nontrivial = [c for c in comps if len(c) > 1]
     diagnostics["cycles"] = len(nontrivial)
-    diagnostics["live_states"] = sum(live)
+    diagnostics["live_states"] = sum(map(bool, counts))
 
-    max_ray = next((v for v, f in enumerate(graph.flags) if f & MAX_RAY), None)
-    if max_ray is not None:
-        witness = f"max-envelope state {_state_label(graph, max_ray)} reached"
+    if MAX_RAY in graph.flags:
+        witness = f"max-envelope state {_state_label(graph, graph.flags.index(MAX_RAY))} reached"
         return report(Verdict.UNCOUNTABLE, witness=witness)
     exit_witness: Optional[str] = None  # names the first edge leaving a cycle
     for comp in nontrivial:
@@ -463,7 +459,7 @@ def analyze(graph: StateGraph) -> LevelSetReport:
             for child in (graph.child0[v], graph.child1[v]):
                 if child in members:
                     inner += 1
-                elif exit_witness is None and live[child]:
+                elif exit_witness is None and counts[child] > 0:
                     exit_witness = (
                         f"cycle through {_state_label(graph, v)} "
                         f"can be left towards {_state_label(graph, child)}"
@@ -478,18 +474,18 @@ def analyze(graph: StateGraph) -> LevelSetReport:
             labels = ", ".join(_state_label(graph, v) for v in ordered)
             return report(Verdict.UNCOUNTABLE, witness=f"branching cycle cluster {{{labels}}}")
 
-    if any(f & ZERO_RAY for f in graph.flags):
+    if ZERO_RAY in graph.flags:
         return report(
             Verdict.COUNTABLY_INFINITE,
             witness="attained at a dyadic point",
             witness_preimage=_dyadic_witness(graph),
         )
     if exit_witness is not None:
-        assert live[0]
+        assert counts[0] > 0
         return report(
             Verdict.COUNTABLY_INFINITE,
             witness=exit_witness,
-            witness_preimage=next(_paths(graph, live)).value(),
+            witness_preimage=next(_paths(graph, counts)).value(),
         )
 
     # Finite: the root's counts are the root-to-cycle paths and their profiles.
@@ -497,7 +493,7 @@ def analyze(graph: StateGraph) -> LevelSetReport:
     if total > MAX_PREIMAGES:
         diagnostics["budget_reason"] = "preimages"
         return report(Verdict.INDETERMINATE, witness="budget exceeded (preimages)")
-    path_list = list(_paths(graph, live))
+    path_list = list(_paths(graph, counts))
     assert len(path_list) == total, "path enumeration disagrees with path count"
     preimages = tuple(p.value() for p in path_list)
     assert all(a < b for a, b in zip(preimages, preimages[1:])), "preimages not sorted"
@@ -531,9 +527,9 @@ def leftmost_preimage(
         raise BudgetExceededError(
             f"state graph for {y} did not close ({graph.budget_reason})"
         )
-    live = _live_states(graph)[3]
-    assert live[0]
-    return next(_paths(graph, live)).value()
+    counts = _live_states(graph)[1]
+    assert counts[0] > 0
+    return next(_paths(graph, counts)).value()
 
 
 def classify(

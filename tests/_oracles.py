@@ -14,7 +14,7 @@ from math import floor, lcm
 
 import numpy as np
 
-from takagi.machine import ONES_RAY, ZERO_RAY
+from takagi.machine import ONES_RAY, ZERO_RAY, is_feasible, step
 
 HALF = Fraction(1, 2)
 TWO_THIRDS = Fraction(2, 3)
@@ -230,6 +230,31 @@ def whole_graph_live_states(graph):
         else:
             profiles[v] = max(profiles[zero], profiles[one])
     return comps, counts, profiles, [n > 0 for n in counts]
+
+
+# ---------------------------------------------------------------------------
+# The dyadic witness: breadth-first over digit words
+
+
+def first_dyadic_preimage(y: Fraction, max_digits: int = 4096) -> Fraction:
+    """The value of the first digit word, breadth-first and 0-digit first,
+    whose state from the root (0, y) under the Fraction ``machine.step`` and
+    ``machine.is_feasible`` rules ends on R == 0, D >= 0.  Words of one
+    length that reach the same state have the same continuations, so each
+    level keeps the first word per state; the levels stay in word order."""
+    level = {(0, y): ()}
+    for _ in range(max_digits + 1):
+        for (slope, residue), word in level.items():
+            if residue == 0 and slope >= 0:
+                return Fraction(word_numerator(word), 1 << len(word))
+        following: dict = {}
+        for state, word in level.items():
+            for bit in (0, 1):
+                child = step(state, bit)
+                if is_feasible(child) and child not in following:
+                    following[child] = word + (bit,)
+        level = following
+    raise ValueError(f"no word of at most {max_digits} digits reaches a zero ray from {y}")
 
 
 # ---------------------------------------------------------------------------

@@ -172,7 +172,6 @@ def _hand_graph(y, edges):
         )
         graph.child0.append(ids[out[0]] if 0 in out else -1)
         graph.child1.append(ids[out[1]] if 1 in out else -1)
-        graph.parent.append(-1)
     return graph
 
 
@@ -329,11 +328,11 @@ def test_residuals_recompute_along_graph():
 def test_integer_closure_matches_fraction_reference():
     """Every edge of the integer closure, present or omitted, against the
     Fraction rules: a present child is step() of its parent and feasible, an
-    omitted one is infeasible, and each state's ray flags match their (D, R)
-    definitions.  Ids number the states in breadth-first order and each
-    state's parent edge leads to it.  The graph is closed under the fold,
-    which the profile count relies on.  The deep draws push |D| past 40,
-    where 2^|D| is big."""
+    omitted one is infeasible, and each state's flag, 0 or a single ray,
+    matches the rays' (D, R) definitions.  Ids number the states in
+    breadth-first order, so each state but the root has an edge in from a
+    smaller id.  The graph is closed under the fold, which the profile count
+    relies on.  The deep draws push |D| past 40, where 2^|D| is big."""
     rng = random.Random(1102)
     ordinates = [Fraction(2, 3), Fraction(1, 2), Fraction(37, 96)]
     for n in (4, 16, 64, 128):
@@ -345,6 +344,11 @@ def test_integer_closure_matches_fraction_reference():
         assert graph.closed, y
         keys = list(graph.nodes)
         assert list(graph.nodes.values()) == list(range(len(keys)))
+        assert set(graph.flags) <= {0, ZERO_RAY, ONES_RAY, MAX_RAY}
+        first_source = {}  # the smallest id with an edge into each id
+        for u, children in enumerate(zip(graph.child0, graph.child1)):
+            for c in children:
+                first_source.setdefault(c, u)
 
         def fold(key):  # (D, N) -> (-D, N - D S): the complemented suffix
             *depth, slope, num = key
@@ -360,8 +364,7 @@ def test_integer_closure_matches_fraction_reference():
                 bool(graph.flags[v] & ray) for ray in (ZERO_RAY, ONES_RAY, MAX_RAY)
             )
             if v:
-                via, bit = divmod(graph.parent[v], 2)
-                assert via < v and (graph.child0, graph.child1)[bit][via] == v
+                assert first_source[v] < v
             # the fold of every state is a state, at the same depth before the lattice
             mirror = graph.nodes[fold(key)]
             if zero_ray and slope >= 1:
@@ -530,9 +533,10 @@ def test_core_tarjan_matches_whole_graph():
         graph = close_graph(y, max_slope=256)
         if not graph.closed:
             continue
-        comps, counts, profiles, live = machine._live_states(graph)
+        comps, counts, profiles = machine._live_states(graph)
         ref_comps, ref_counts, ref_profiles, ref_live = oracles.whole_graph_live_states(graph)
         assert comps == [c for c in ref_comps if c[0] >= graph.prefix], y
+        live = [n > 0 for n in counts]
         assert (counts, profiles, live) == (ref_counts, ref_profiles, ref_live), y
         cycles += sum(len(c) > 1 for c in comps)
     assert cycles > 10_000
@@ -556,3 +560,29 @@ def test_leftmost_matches_first_preimage_deep():
                 assert x == report.witness_preimage, y
             assert eval_rational(x) == y and x <= report.witness_preimage, y
     assert finite > 40
+
+
+def test_dyadic_witness_is_first_breadth_first_word():
+    """The dyadic witness, rebuilt from the child lists, against a
+    breadth-first, 0-digit-first search over the Fraction rules (_oracles):
+    the value of the first word that ends on a zero ray.  Every countable
+    row of the depth-6 lattice and seeded deep and open-denominator draws;
+    a SHA-256 of (y, witness) over the depth-6 rows pins the witnesses."""
+
+    def witness(y):  # the checked witness of a countable L(y), else None
+        report = classify(y)
+        if report.verdict is not Verdict.COUNTABLY_INFINITE:
+            return None
+        assert report.witness == "attained at a dyadic point", y
+        assert report.witness_preimage == oracles.first_dyadic_preimage(y), y
+        return report.witness_preimage
+
+    lattice = [Fraction(j, 3 * 4**6) for j in range(2 * 4**6 + 1)]
+    lines = [f"{y}|{x}" for y in lattice if (x := witness(y)) is not None]
+    assert len(lines) == 2002
+    assert (
+        hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        == "c87ecdbbb4a0a248f5ee097eaa6b218daae28a8482e56fff2883a71c34c0772e"
+    )
+    drawn = [witness(y) for y in _seeded_ordinates(1720, (32, 64, 128), 60, 120)]
+    assert sum(x is not None for x in drawn) > 30
