@@ -38,11 +38,16 @@ that a D = 0 state takes one child's count, both children having the same
 profiles.  Under a Finite verdict the root's profile count is n_local, the
 number of local level sets.
 
-Preimages come from one depth-first walk over the live states that takes
-the 0-digit first.  A path ends on the all-zeros ray (a terminating
-expansion) or when it first revisits one of its own states (the period is
-the digits since that state's first visit).  Its first path is min L(y);
-under a Finite verdict its paths are the whole of L(y), in increasing order.
+Preimages come from one depth-first walk, 0-digit first, over the live
+states of the root's 0-subtree.  A path ends on the all-zeros ray (a
+terminating expansion) or when it first revisits one of its own states
+(the period is the digits since that state's first visit).  Its first path
+is min L(y), which lies below 1/2.  Under a Finite verdict the fold lists
+the rest: it fixes the root, swaps its children and keeps every state
+live or dead (a Finite graph has no zero ray, the one live state whose
+fold, a ones ray, is dead), so the root's 1-subtree holds the complements
+of the walk's paths, in reverse order.  The walk's paths, then those
+complements, are the whole of L(y) in increasing order.
 
 The closure runs on integers.  With S = den(y) it carries (D, N), N = R * S,
 which is an integer at every depth: R * S = num(y) * 2^j - v_j 2^j * S, and
@@ -58,7 +63,11 @@ Nothing assumes the shape of S.  Feasibility confines N to
     min(0, D) S <= N <= max(0, D) S + 2S / (3 * 2^|D|),
 
 at most (|D| + 1) S + 1 integers for each D, so the state set is finite
-once |D| <= max_slope and the breadth-first closure ends.  A suffix that
+once |D| <= max_slope and the breadth-first closure ends.  It expands one
+level at a time.  Of a state's two children, the one whose |D| shrinks has
+its parent's headroom 2S - 3 * 2^|D| * (N - max(0, D) S), so only its
+lower bound is tested; the one whose |D| grows (both at D = 0) is tested
+against the top of the envelope and the slope budget.  A suffix that
 drifts, such as (001)^inf under y = 1/49, moves D by one per period: it
 ends in the slope budget, as Indeterminate, and does not hang.  For the
 first 2n digits, n = :func:`~takagi.rationals.ordinate_depth` (read off the
@@ -146,9 +155,10 @@ class StateGraph:
     0 or one of ZERO_RAY, ONES_RAY and MAX_RAY, never a union: the rays
     exclude one another.  ``child0`` and ``child1`` hold -1 for an
     infeasible digit and for an unexpanded ray.  ``prefix`` is the first id
-    at the lattice depth (the number of tagged states; every id when the
-    closure stops above that depth).  An ordinate outside [0, 2/3] has no
-    states.
+    at the lattice depth (the number of tagged states), or every id when
+    the closure stops above that depth.  That includes a budget exit while
+    the last tagged level is expanded: the untagged children already made
+    are below ``prefix`` too.  An ordinate outside [0, 2/3] has no states.
     """
 
     ordinate: Fraction
@@ -178,7 +188,8 @@ def close_graph(
     Stops early (closed=False) if more than ``max_states`` states appear or
     some slope exceeds ``max_slope`` in absolute value; analysis then reports
     Indeterminate rather than guessing.  Terminal rays are kept as states but
-    never expanded.  The walk runs on integer states (D, N), N = R * S.
+    never expanded.  The walk runs on integer states (D, N), N = R * S, one
+    breadth-first level at a time.
     """
     if not 0 <= y <= TWO_THIRDS:
         return StateGraph(y, 0)
@@ -189,59 +200,85 @@ def close_graph(
     graph = StateGraph(y, lattice_depth, {root_key: 0}, [0], [root_num], [root_ray], [-1], [-1])
     nodes, slopes, nums, flags = graph.nodes, graph.slope, graph.num, graph.flags
     child0, child1 = graph.child0, graph.child1
+    twice = 2 * scale
     reason: Optional[str] = None
-    depth, level_end = 0, 1  # state v is this deep while v < level_end
-    tagged = lattice_depth - 1  # children of states at least this deep carry no tag
-    v = 0  # the queue is the id range v, v + 1, ..., len(slopes) - 1
-    while v < len(slopes) and reason is None:
-        if v == level_end:
-            depth, level_end = depth + 1, len(slopes)
-            if depth == lattice_depth:
-                graph.prefix = v
-        slope, num = slopes[v], nums[v]
-        if flags[v] & (ZERO_RAY | ONES_RAY):
-            v += 1
-            continue
-        for bit, child_slope, child_num in (
-            (0, slope + 1, 2 * num),
-            (1, slope - 1, 2 * num - (slope + 1) * scale),
-        ):
-            # feasible iff min(0, D) S <= N and the headroom to g(D),
-            # 2S - 3 * 2^|D| * (N - max(0, D) S), is >= 0; the rays exclude
-            # one another
-            if child_slope >= 0:
-                if child_num < 0:
-                    continue
-                headroom = 2 * scale - (3 * (child_num - child_slope * scale) << child_slope)
-                ray = ZERO_RAY if child_num == 0 else 0
-            else:
-                if child_num < child_slope * scale:
-                    continue
-                headroom = 2 * scale - (3 * child_num << -child_slope)
-                ray = ONES_RAY if child_num == child_slope * scale else 0
-            if headroom < 0:
+    depth, start, end = 0, 0, 1  # the level: ids start..end - 1, all this deep
+    while start < end:
+        tag = depth + 1 if depth + 1 < lattice_depth else 0  # the children's key tag, if any
+        for v in range(start, end):
+            flag = flags[v]
+            if flag & (ZERO_RAY | ONES_RAY):
                 continue
-            if abs(child_slope) > max_slope:
-                reason = "slope"
-                break
-            key = (
-                (child_slope, child_num) if depth >= tagged else (depth + 1, child_slope, child_num)
-            )
-            child = nodes.get(key)
-            if child is None:
-                child = len(slopes)
-                if child >= max_states:
-                    reason = "states"
+            slope, num = slopes[v], nums[v]
+            one = 2 * num - (slope + 1) * scale  # the 1-child's N
+            # ``ray`` is the child's flag, -1 for an infeasible digit.  The child
+            # whose |D| shrinks keeps its parent's headroom, and with it the
+            # parent's MAX_RAY flag (module docstring)
+            if slope >= 0:  # 0-child (D + 1, 2N) grows; 2N > 0, as N = 0 is a zero ray
+                headroom = twice - (3 * one << slope + 1)
+                if headroom < 0:
+                    ray = -1
+                elif slope >= max_slope:
+                    reason = "slope"
                     break
-                nodes[key] = child
-                slopes.append(child_slope)
-                nums.append(child_num)
-                flags.append(MAX_RAY if headroom == 0 else ray)
-                child0.append(-1)
-                child1.append(-1)
-            (child1 if bit else child0)[v] = child
-        v += 1
-    if depth < lattice_depth:
+                else:
+                    ray = 0 if headroom else MAX_RAY
+            elif one > 0:  # 0-child shrinks: 2N > min(0, D + 1) S
+                ray = flag
+            else:  # 2N = min(0, D + 1) S is a zero ray at D + 1 = 0, else a ones ray
+                ray = -1 if one else ZERO_RAY if slope == -1 else ONES_RAY
+            if ray >= 0:
+                key = (tag, slope + 1, 2 * num) if tag else (slope + 1, 2 * num)
+                child = nodes.get(key)
+                if child is None:
+                    child = len(slopes)
+                    if child >= max_states:
+                        reason = "states"
+                        break
+                    nodes[key] = child
+                    slopes.append(slope + 1)
+                    nums.append(2 * num)
+                    flags.append(ray)
+                    child0.append(-1)
+                    child1.append(-1)
+                child0[v] = child
+            if slope <= 0:  # 1-child (D - 1, e) grows: e >= (D - 1) S and its headroom
+                above = one - (slope - 1) * scale
+                headroom = twice - (3 * one << 1 - slope)
+                if above < 0 or headroom < 0:
+                    ray = -1
+                elif slope <= -max_slope:
+                    reason = "slope"
+                    break
+                else:
+                    ray = MAX_RAY if not headroom else 0 if above else ONES_RAY
+            elif one > 0:  # 1-child shrinks: e > 0
+                ray = flag
+            else:  # e = 0 is a zero ray
+                ray = -1 if one else ZERO_RAY
+            if ray >= 0:
+                key = (tag, slope - 1, one) if tag else (slope - 1, one)
+                child = nodes.get(key)
+                if child is None:
+                    child = len(slopes)
+                    if child >= max_states:
+                        reason = "states"
+                        break
+                    nodes[key] = child
+                    slopes.append(slope - 1)
+                    nums.append(one)
+                    flags.append(ray)
+                    child0.append(-1)
+                    child1.append(-1)
+                child1[v] = child
+        else:  # the level is expanded: on to the next, if it has states
+            depth += 1
+            if depth == lattice_depth:
+                graph.prefix = end
+            start, end = end, len(slopes)
+            continue
+        break
+    if depth < lattice_depth:  # a budget exit or an empty level above the lattice
         graph.prefix = len(slopes)
     graph.budget_reason = reason
     return graph
@@ -372,20 +409,28 @@ def _dyadic_witness(graph: StateGraph) -> Fraction:
 
 
 def _paths(graph: StateGraph, counts: list[int]) -> Iterator[BinaryExpansion]:
-    """Root paths through live states (count > 0), depth-first, 0-digit
-    first (the module docstring says how a path ends).  Under a Finite
-    verdict a path goes once round its exit-free cycle, keeping the rotation
-    it entered at, e.g. 0^10 (0110) where :func:`to_binary` has 0^9 (0011).
-    A prefix state is never revisited, so only core states are recorded on
-    the path.  The walk keeps its own stack, so long prefixes are fine.
+    """Paths from the root through its 0-child and on through live states
+    (count > 0), depth-first, 0-digit first (the module docstring says how a
+    path ends).  The root's 1-branch is never taken: under a Finite verdict
+    the fold maps its paths onto these, digits flipped, so :func:`analyze`
+    lists it as the complements of these paths in reverse order.  The first
+    path is min L(y) under any verdict: the complement of a point of L(y) is
+    one too, so min L(y) < 1/2 (L(1/2) holds 1/6 as well as 1/2), and it
+    lies in the 0-subtree.  A path goes once round its exit-free cycle,
+    keeping the rotation it entered at, e.g. 0^10 (0110) where
+    :func:`to_binary` has 0^9 (0011).  A prefix state is never revisited, so
+    only core states are recorded on the path.  The walk keeps its own
+    stack, so long prefixes are fine.
     """
     flags, child0, child1, prefix = graph.flags, graph.child0, graph.child1, graph.prefix
     offset = graph.lattice_depth  # every path enters the core at this depth
     digits: list[int] = []
-    path: list[int] = []  # the path's core states: digits[offset + i] leaves path[i]
+    # the path's core states, the root among them when it is one (no prefix):
+    # digits[offset + i] leaves path[i]
+    path: list[int] = [] if prefix else [0]
     position = [0] * len(flags)  # where a state stands on the path, if it is on it
     # (state, digits before the edge into it, that edge's digit)
-    stack: list[tuple[int, int, tuple[int, ...]]] = [(0, 0, ())]
+    stack: list[tuple[int, int, tuple[int, ...]]] = [(child0[0], 0, (0,))]
     while stack:
         v, depth, edge = stack.pop()
         digits[depth:] = edge
@@ -413,6 +458,16 @@ def _paths(graph: StateGraph, counts: list[int]) -> Iterator[BinaryExpansion]:
                 v = one
             else:
                 raise AssertionError("live state with no live successor")
+
+
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
+
+
+def _complement(path: BinaryExpansion) -> BinaryExpansion:
+    """The expansion of 1 - x: every digit flipped, at the same split."""
+    word = tuple(bytes(path.preperiod + path.period).translate(_FLIP))
+    split = len(path.preperiod)
+    return BinaryExpansion(word[:split], word[split:])
 
 
 def analyze(graph: StateGraph) -> LevelSetReport:
@@ -493,9 +548,12 @@ def analyze(graph: StateGraph) -> LevelSetReport:
     if total > MAX_PREIMAGES:
         diagnostics["budget_reason"] = "preimages"
         return report(Verdict.INDETERMINATE, witness="budget exceeded (preimages)")
-    path_list = list(_paths(graph, counts))
+    # the points below 1/2, then their complements (the fold), in reverse
+    half = list(_paths(graph, counts))
+    path_list = half + [_complement(p) for p in reversed(half)]
     assert len(path_list) == total, "path enumeration disagrees with path count"
-    preimages = tuple(p.value() for p in path_list)
+    preimages = tuple(p.value() for p in half)
+    preimages += tuple(1 - x for x in reversed(preimages))
     assert all(a < b for a, b in zip(preimages, preimages[1:])), "preimages not sorted"
     return report(
         Verdict.FINITE,

@@ -14,7 +14,17 @@ from math import floor, lcm
 
 import numpy as np
 
-from takagi.machine import ONES_RAY, ZERO_RAY, is_feasible, step
+from takagi.machine import (
+    DEFAULT_MAX_SLOPE,
+    DEFAULT_MAX_STATES,
+    MAX_RAY,
+    ONES_RAY,
+    ZERO_RAY,
+    StateGraph,
+    is_feasible,
+    step,
+)
+from takagi.rationals import BinaryExpansion, ordinate_depth
 
 HALF = Fraction(1, 2)
 TWO_THIRDS = Fraction(2, 3)
@@ -154,6 +164,120 @@ def expansion_value(preperiod, period) -> Fraction:
     if p:
         total += Fraction(word_numerator(period), (1 << p) - 1) / (1 << q)
     return total
+
+
+# ---------------------------------------------------------------------------
+# The closure and the walk as first written: one queue, a digit loop per
+# state, every check on both children; the walk takes both root branches
+
+
+def reference_close_graph(
+    y: Fraction, *, max_states: int = DEFAULT_MAX_STATES, max_slope: int = DEFAULT_MAX_SLOPE
+) -> StateGraph:
+    """``machine.close_graph`` one state at a time: the queue is the id range
+    from ``v`` on, the depth advances when ``v`` reaches the end of a level,
+    and each child is tested on both feasibility bounds and the slope budget
+    whichever way its |D| moves."""
+    if not 0 <= y <= TWO_THIRDS:
+        return StateGraph(y, 0)
+    lattice_depth = 2 * ordinate_depth(y)
+    scale, root_num = y.denominator, y.numerator
+    root_key = (0, 0, root_num) if lattice_depth > 0 else (0, root_num)
+    root_ray = ZERO_RAY if root_num == 0 else MAX_RAY if 3 * root_num == 2 * scale else 0
+    graph = StateGraph(y, lattice_depth, {root_key: 0}, [0], [root_num], [root_ray], [-1], [-1])
+    nodes, slopes, nums, flags = graph.nodes, graph.slope, graph.num, graph.flags
+    child0, child1 = graph.child0, graph.child1
+    reason = None
+    depth, level_end = 0, 1  # state v is this deep while v < level_end
+    tagged = lattice_depth - 1  # children of states at least this deep carry no tag
+    v = 0  # the queue is the id range v, v + 1, ..., len(slopes) - 1
+    while v < len(slopes) and reason is None:
+        if v == level_end:
+            depth, level_end = depth + 1, len(slopes)
+            if depth == lattice_depth:
+                graph.prefix = v
+        slope, num = slopes[v], nums[v]
+        if flags[v] & (ZERO_RAY | ONES_RAY):
+            v += 1
+            continue
+        for bit, child_slope, child_num in (
+            (0, slope + 1, 2 * num),
+            (1, slope - 1, 2 * num - (slope + 1) * scale),
+        ):
+            if child_slope >= 0:
+                if child_num < 0:
+                    continue
+                headroom = 2 * scale - (3 * (child_num - child_slope * scale) << child_slope)
+                ray = ZERO_RAY if child_num == 0 else 0
+            else:
+                if child_num < child_slope * scale:
+                    continue
+                headroom = 2 * scale - (3 * child_num << -child_slope)
+                ray = ONES_RAY if child_num == child_slope * scale else 0
+            if headroom < 0:
+                continue
+            if abs(child_slope) > max_slope:
+                reason = "slope"
+                break
+            key = (
+                (child_slope, child_num) if depth >= tagged else (depth + 1, child_slope, child_num)
+            )
+            child = nodes.get(key)
+            if child is None:
+                child = len(slopes)
+                if child >= max_states:
+                    reason = "states"
+                    break
+                nodes[key] = child
+                slopes.append(child_slope)
+                nums.append(child_num)
+                flags.append(MAX_RAY if headroom == 0 else ray)
+                child0.append(-1)
+                child1.append(-1)
+            (child1 if bit else child0)[v] = child
+        v += 1
+    if depth < lattice_depth:
+        graph.prefix = len(slopes)
+    graph.budget_reason = reason
+    return graph
+
+
+def full_walk_paths(graph: StateGraph, counts: list[int]):
+    """``machine._paths`` over both branches of the root: every root path
+    through live states, depth-first, 0-digit first, with no fold."""
+    flags, child0, child1, prefix = graph.flags, graph.child0, graph.child1, graph.prefix
+    offset = graph.lattice_depth
+    digits: list[int] = []
+    path: list[int] = []  # the path's core states: digits[offset + i] leaves path[i]
+    position = [0] * len(flags)
+    stack = [(0, 0, ())]  # (state, digits before the edge into it, that edge's digit)
+    while stack:
+        v, depth, edge = stack.pop()
+        digits[depth:] = edge
+        del path[max(len(digits) - offset, 0) :]
+        while True:
+            if flags[v] & ZERO_RAY:
+                yield BinaryExpansion(tuple(digits), ())
+                break
+            if v >= prefix:
+                start = position[v]
+                if start < len(path) and path[start] == v:
+                    start += offset
+                    yield BinaryExpansion(tuple(digits[:start]), tuple(digits[start:]))
+                    break
+                position[v] = len(path)
+                path.append(v)
+            zero, one = child0[v], child1[v]
+            if counts[zero] > 0:
+                if counts[one] > 0:
+                    stack.append((one, len(digits), (1,)))
+                digits.append(0)
+                v = zero
+            elif counts[one] > 0:
+                digits.append(1)
+                v = one
+            else:
+                raise AssertionError("live state with no live successor")
 
 
 # ---------------------------------------------------------------------------

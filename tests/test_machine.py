@@ -586,3 +586,63 @@ def test_dyadic_witness_is_first_breadth_first_word():
     )
     drawn = [witness(y) for y in _seeded_ordinates(1720, (32, 64, 128), 60, 120)]
     assert sum(x is not None for x in drawn) > 30
+
+
+def _graph_fields(graph):
+    return (list(graph.nodes.items()), graph.slope, graph.num, graph.flags, graph.child0,
+            graph.child1, graph.prefix, graph.budget_reason)
+
+
+def test_closure_kernel_matches_reference():
+    """The level-by-level closure against the state-at-a-time reference in
+    _oracles: the same keys and ids, lists, ``prefix`` and budget reason on
+    every depth-6 row, on seeded deep and open-denominator draws, and under
+    every state budget up to the closed size and every slope budget 0-11.
+    The sweep includes exits while the last tagged level is expanded, where
+    the untagged children already made count in ``prefix``."""
+    ordinates = [Fraction(j, 3 * 4**6) for j in range(2 * 4**6 + 1)]
+    ordinates += _seeded_ordinates(1721, (32, 48, 64, 128), 25, 80)
+    for y in ordinates:
+        assert _graph_fields(close_graph(y)) == _graph_fields(oracles.reference_close_graph(y)), y
+    exits = last_level_exits = 0
+    for y in (Fraction(2, 3), Fraction(1, 5), Fraction(37, 96), Fraction(1, 49), Fraction(2, 13),
+              Fraction(1, 2**20)):
+        for max_states in range(1, len(close_graph(y).slope) + 2):
+            for max_slope in range(12):
+                graph = close_graph(y, max_states=max_states, max_slope=max_slope)
+                reference = oracles.reference_close_graph(
+                    y, max_states=max_states, max_slope=max_slope
+                )
+                assert _graph_fields(graph) == _graph_fields(reference), (y, max_states, max_slope)
+                if reference.closed:
+                    continue
+                exits += 1
+                # stopped past the tagged levels: untagged keys, below ``prefix`` only
+                # while the last tagged level was being expanded
+                if reference.lattice_depth and any(len(key) == 2 for key in reference.nodes):
+                    last_level_exits += reference.prefix == len(reference.slope)
+    assert exits > 5000 and last_level_exits > 20
+
+
+def test_mirrored_listing_matches_full_walk():
+    """A Finite listing is the walk of the root's 0-subtree followed by the
+    complements of its paths in reverse order.  Against the walk over both
+    root branches (_oracles): the same paths and preimages in the same order,
+    on every Finite depth-6 row, on seeded deep draws and on odd
+    denominators, whose lattice depth is 0, so the root is a core state."""
+    ordinates = [Fraction(j, 3 * 4**6) for j in range(1, 2 * 4**6 + 1)]
+    ordinates += _seeded_ordinates(1722, (32, 64, 128), 40, 80)
+    ordinates += sorted({Fraction(j, m) for m in range(5, 64, 2) for j in range(1, 2 * m // 3 + 1)})
+    finite = core_root = 0
+    for y in ordinates:
+        graph = close_graph(y)
+        report = analyze(graph)
+        if report.verdict is not Verdict.FINITE:
+            continue
+        counts = machine._live_states(graph)[1]
+        paths = tuple(oracles.full_walk_paths(graph, counts))
+        assert report.paths == paths, y
+        assert report.preimages == tuple(p.value() for p in paths), y
+        finite += 1
+        core_root += graph.lattice_depth == 0
+    assert finite > 4000 and core_root > 300
