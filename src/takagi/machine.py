@@ -36,7 +36,8 @@ D = 0 the 1-child is the fold of the 0-child.  The same pass counts each
 state's distinct |D_j| sequences (profiles): like the continuations, except
 that a D = 0 state takes one child's count, both children having the same
 profiles.  Under a Finite verdict the root's profile count is n_local, the
-number of local level sets.
+number of local level sets.  So the verdict, the cardinality and n_local
+need no listing.
 
 Preimages come from one depth-first walk, 0-digit first, over the live
 states of the root's 0-subtree.  A path ends on the all-zeros ray (a
@@ -105,7 +106,8 @@ from .rationals import ZERO, BinaryExpansion, ordinate_depth
 DEFAULT_MAX_STATES = 100_000
 DEFAULT_MAX_SLOPE = 64
 # A Finite level set with more points than this is reported Indeterminate
-# rather than listed: L(2/3 - 1/(3 * 2^k)) has 2^(k/2 + 1) points.
+# when it is to be listed (a count-only report has no such bound):
+# L(2/3 - 1/(3 * 2^k)) has 2^(k/2 + 1) points.
 MAX_PREIMAGES = 2**20
 
 # StateGraph.flags values; a state is at most one kind of ray
@@ -470,8 +472,16 @@ def _complement(path: BinaryExpansion) -> BinaryExpansion:
     return BinaryExpansion(word[:split], word[split:])
 
 
-def analyze(graph: StateGraph) -> LevelSetReport:
-    """Turn a closed state graph into a verdict (and exact preimages if finite).
+def analyze(graph: StateGraph, *, listing: bool = True) -> LevelSetReport:
+    """Turn a closed state graph into a verdict, and list the points if asked.
+
+    The verdict, the cardinality (the root's count), ``n_local`` (the root's
+    profile count), the witness text and the diagnostics are read off the
+    count pass alone.  ``listing`` adds the rest: the preimages and paths of
+    a Finite verdict, in increasing order, and a countable verdict's witness
+    preimage.  Without it those three fields are None, and a Finite verdict
+    is not bounded by ``MAX_PREIMAGES``; it checks instead that the root's
+    two children count alike, the fold symmetry the listing relies on.
 
     The ordinate 0 is special-cased: its zero ray would read as "dyadic point
     attained", but 0 is attained only at the endpoints, so L(0) = {0, 1}.
@@ -490,11 +500,11 @@ def analyze(graph: StateGraph) -> LevelSetReport:
 
     if y == 0:
         paths = (BinaryExpansion((), ()), BinaryExpansion((), (1,)))
-        return report(
-            Verdict.FINITE, cardinality=2, preimages=(ZERO, Fraction(1)), paths=paths, n_local=1
-        )
+        listed = {"preimages": (ZERO, Fraction(1)), "paths": paths} if listing else {}
+        return report(Verdict.FINITE, cardinality=2, n_local=1, **listed)
     if not graph.nodes:  # y outside [0, 2/3]
-        return report(Verdict.FINITE, cardinality=0, preimages=(), paths=(), n_local=0)
+        listed = {"preimages": (), "paths": ()} if listing else {}
+        return report(Verdict.FINITE, cardinality=0, n_local=0, **listed)
     if not graph.closed:
         return report(Verdict.INDETERMINATE, witness=f"budget exceeded ({graph.budget_reason})")
 
@@ -533,18 +543,21 @@ def analyze(graph: StateGraph) -> LevelSetReport:
         return report(
             Verdict.COUNTABLY_INFINITE,
             witness="attained at a dyadic point",
-            witness_preimage=_dyadic_witness(graph),
+            witness_preimage=_dyadic_witness(graph) if listing else None,
         )
     if exit_witness is not None:
         assert counts[0] > 0
         return report(
             Verdict.COUNTABLY_INFINITE,
             witness=exit_witness,
-            witness_preimage=next(_paths(graph, counts)).value(),
+            witness_preimage=next(_paths(graph, counts)).value() if listing else None,
         )
 
     # Finite: the root's counts are the root-to-cycle paths and their profiles.
     total = counts[0]
+    if not listing:
+        assert counts[graph.child0[0]] == counts[graph.child1[0]], "root's subtrees differ in count"
+        return report(Verdict.FINITE, cardinality=total, n_local=profiles[0])
     if total > MAX_PREIMAGES:
         diagnostics["budget_reason"] = "preimages"
         return report(Verdict.INDETERMINATE, witness="budget exceeded (preimages)")
@@ -595,12 +608,15 @@ def classify(
     *,
     max_states: int = DEFAULT_MAX_STATES,
     max_slope: int = DEFAULT_MAX_SLOPE,
+    listing: bool = True,
 ) -> LevelSetReport:
     """Full classification of L(y) for any rational ordinate.
 
-    Finite verdicts come back with exact sorted preimages, their expansions,
-    and the number of local level sets: the root's profile count, read off
-    the fold-symmetric graph (module docstring).  Ordinates outside [0, 2/3]
-    are Finite(0); blown budgets give Indeterminate, never a guess.
+    Finite verdicts come back with their cardinality and the number of local
+    level sets, the root's profile count, read off the fold-symmetric graph
+    (module docstring); under ``listing`` (the default) also with exact
+    sorted preimages and their expansions (see :func:`analyze`).  Ordinates
+    outside [0, 2/3] are Finite(0); blown budgets give Indeterminate, never
+    a guess.
     """
-    return analyze(close_graph(y, max_states=max_states, max_slope=max_slope))
+    return analyze(close_graph(y, max_states=max_states, max_slope=max_slope), listing=listing)

@@ -181,6 +181,8 @@ def grid_experiment(
     aborting the sweep, and two sweeps of the same depth produce identical
     reports.  A finite interior ordinate with
     odd cardinality would contradict the x -> 1 - x pairing, so it raises.
+    A row reads only the verdict, the counts and the state count, so each
+    ordinate is classified once, count-only: no point is listed.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -190,7 +192,7 @@ def grid_experiment(
     rows = []
     for j in range(2 * mesh + 1):
         y = Fraction(j, 3 * mesh)
-        report = classify(y, max_states=max_states, max_slope=max_slope)
+        report = classify(y, max_states=max_states, max_slope=max_slope, listing=False)
         if (
             report.verdict is Verdict.FINITE
             and 0 < y < TWO_THIRDS

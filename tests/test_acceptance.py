@@ -149,9 +149,10 @@ def test_07_grid_statistics():
     than half of them have two points, and the mean number of local level
     sets is 3/2 (Lagarias-Maddock).  The depth-6 lattice j / (3 * 4^6)
     cannot show these: a third of its points (3 | j) are dyadic, and every
-    value of T at a dyadic point is dyadic and has an infinite level set, so
-    its finite fraction is 0.74; and it resolves humps of order <= 6 only,
-    so its mean local count 1.15 sits near (3/4) S_6 = 1.19.
+    value of T at a dyadic point is dyadic and has an infinite level set,
+    except T(0) = T(1) = 0 (L(0) = {0, 1}), so its finite fraction is 0.74;
+    and it resolves humps of order <= 6 only, so its mean local count 1.15
+    sits near (3/4) S_6 = 1.19.
 
     Here y = j / (3 * 4^128) with j uniform and 3 not dividing j: the first
     256 binary digits of a uniform ordinate followed by the periodic tail

@@ -1,5 +1,6 @@
 """State machine: feasibility envelope, graph closure, verdicts, preimages."""
 
+import dataclasses
 import hashlib
 import random
 import time
@@ -239,6 +240,18 @@ def test_preimage_budget_is_indeterminate(monkeypatch):
     assert classify(y).cardinality == 16
     monkeypatch.setattr(machine, "MAX_PREIMAGES", 15)
     assert classify(y).verdict is Verdict.INDETERMINATE
+
+
+def test_count_only_has_no_preimage_budget():
+    """A count-only report lists no point, so ``MAX_PREIMAGES`` does not
+    bound it: L(2/3 - 1/(3 * 2^68)) is Finite, with 2^35 points in one local
+    level set, read off the root of its 109-state graph."""
+    start = time.perf_counter()
+    report = classify(Fraction(2**69 - 1, 3 * 2**68), listing=False)
+    assert time.perf_counter() - start < 1.0
+    assert (report.verdict, report.cardinality, report.n_local) == (Verdict.FINITE, 2**35, 1)
+    assert report.preimages is None and report.paths is None
+    assert report.diagnostics["states"] == 109 and "budget_reason" not in report.diagnostics
 
 
 def test_leftmost_pins():
@@ -646,3 +659,51 @@ def test_mirrored_listing_matches_full_walk():
         finite += 1
         core_root += graph.lattice_depth == 0
     assert finite > 4000 and core_root > 300
+
+
+def _live_by_pruning(graph):
+    """How many states have an infinite continuation, from the rules alone:
+    from the set of all states, drop each state that is not a zero ray and
+    has no child left in the set (a ones ray has no children), until none
+    is dropped."""
+    flags, child0, child1 = graph.flags, graph.child0, graph.child1
+    live = [True] * len(flags)
+    dropped = True
+    while dropped:
+        dropped = False
+        for v in reversed(range(len(flags))):
+            zero, one = child0[v], child1[v]
+            if (live[v] and not flags[v] & ZERO_RAY
+                    and not (zero >= 0 and live[zero] or one >= 0 and live[one])):
+                live[v], dropped = False, True
+    return sum(live)
+
+
+def test_count_only_matches_listing():
+    """``listing=False`` gives the listed report without its points: every
+    field equal except ``preimages``, ``paths`` and ``witness_preimage``,
+    which are None.  Every depth-6 row, seeded deep and open-denominator
+    draws, and state and slope budget exits.  The listing checks the count
+    pass both read: a Finite cardinality is the number of points listed and
+    n_local the number of their |D| profile classes, and the live-state
+    diagnostic is the number of states left by pruning (above)."""
+    ordinates = [Fraction(j, 3 * 4**6) for j in range(2 * 4**6 + 1)]
+    ordinates += _seeded_ordinates(1723, (32, 64, 128), 40, 80)
+    cases = [(y, {}) for y in ordinates]
+    for y in (Fraction(1, 2), Fraction(2, 13), Fraction(37, 96), Fraction(1, 49), Fraction(7, 12)):
+        cases += [(y, {"max_states": n}) for n in (1, 3, 10, 30)]
+        cases += [(y, {"max_slope": n}) for n in (0, 1, 2, 4)]
+    points = dict(preimages=None, paths=None, witness_preimage=None)
+    verdicts = dict.fromkeys(Verdict, 0)
+    for y, budget in cases:
+        graph = close_graph(y, **budget)
+        listed = analyze(graph)
+        counted = classify(y, listing=False, **budget)
+        assert counted == dataclasses.replace(listed, **points), (y, budget)
+        verdicts[listed.verdict] += 1
+        if listed.verdict is Verdict.FINITE:
+            assert len(listed.preimages) == len(listed.paths) == listed.cardinality, y
+            assert listed.n_local == oracles.profile_classes(listed.paths), y
+        if "live_states" in listed.diagnostics:
+            assert listed.diagnostics["live_states"] == _live_by_pruning(graph), y
+    assert verdicts[Verdict.FINITE] > 6000 and min(verdicts.values()) > 20

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from takagi import stats
 from takagi.machine import Verdict
 from takagi.stats import (
     catalan,
@@ -117,6 +118,22 @@ def test_grid_interior_cardinalities_even():
 
 def test_grid_determinism():
     assert grid_experiment(2).rows == grid_experiment(2).rows
+
+
+def test_grid_calls_classify_once_per_row(monkeypatch):
+    """Each grid row is one count-only call through the name ``stats.classify``
+    (a timing hook may wrap that name): 2 * 4^3 + 1 calls at depth 3."""
+    calls = []
+    inner = stats.classify
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("listing", True))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(stats, "classify", counting)
+    report = grid_experiment(3)
+    assert calls == [False] * report.ordinate_count
+    assert report.ordinate_count == 2 * 4**3 + 1
 
 
 def test_grid_depth_guard():
