@@ -220,9 +220,9 @@ def eval_rational(x: Fraction, signs: SignSequence = ALL_PLUS) -> Fraction:
     one Fraction at the end, e.g. T(1/3) = 2/3, T(1/6) = 1/2, T(1/5) = 8/15.
     Walks longer than :data:`MAX_EVAL_DIGITS` digits raise ValueError.
     """
-    if not 0 <= x <= 1:
+    if not 0 <= x.numerator <= x.denominator:
         raise ValueError(f"need 0 <= x <= 1, got {x}")
-    if x == 1:
+    if x.numerator == x.denominator:
         return ZERO
     k, head, p, period_word = _expansion_words(x)
     if p:

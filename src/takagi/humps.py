@@ -12,7 +12,8 @@ without listing a word, so the closed forms have an independent check.
 
 The pruned word search for humps whose truncated projection contains an
 ordinate y is written once for the whole signed family, with the signs and
-the per-depth extrema of the shifted function as parameters:
+the per-depth extrema of the shifted function as one integer table, built
+once per (signs, max_order):
 :func:`truncated_hits` lists its all-plus hits and
 :func:`takagi.signed.truncated_local_count` counts its signed leading hits.
 """
@@ -21,11 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from math import comb
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
-from .curve import ALL_PLUS, HALF, TWO_THIRDS, SignSequence, _walk
+from .curve import ALL_PLUS, TWO_THIRDS, SignSequence, _walk
 from .rationals import ZERO, _word_digits, _word_numerator, to_binary
 
 
@@ -70,18 +72,19 @@ def analyze_word(word: Sequence[int]) -> Hump:
     order = len(word) // 2
     numerator = _word_numerator(word)
     scaled, _ = _walk(numerator, 0, len(word))
-    corner = Fraction(numerator, 1 << len(word))
-    width = Fraction(1, 1 << (2 * order))
-    base = Fraction(scaled, 1 << len(word))
+    # each endpoint is an integer over 4^m, 3 * 4^m or 2 * 4^m: the box is
+    # 4^-m wide, (2/3) 4^-m tall and truncated to (1/2) 4^-m
+    unit = 1 << len(word)
+    base = Fraction(scaled, unit)
     return Hump(
         word=word,
         order=order,
         generation=slopes.count(0),
         is_leading=min(slopes, default=0) >= 0,
         base=base,
-        x_interval=(corner, corner + width),
-        y_projection=(base, base + TWO_THIRDS * width),
-        y_projection_truncated=(base, base + HALF * width),
+        x_interval=(Fraction(numerator, unit), Fraction(numerator + 1, unit)),
+        y_projection=(base, Fraction(3 * scaled + 2, 3 * unit)),
+        y_projection_truncated=(base, Fraction(2 * scaled + 1, 2 * unit)),
     )
 
 
@@ -133,19 +136,45 @@ def census(order: int) -> tuple[int, int]:
     return central_binomial(order), catalan(order)
 
 
-def _hit_words(
-    y: Fraction,
-    signs: SignSequence,
-    extrema: Sequence[tuple[Fraction, Fraction]],
-    max_order: int,
-    leading_only: bool,
-) -> Iterator[tuple[int, ...]]:
-    """Hump words of order <= max_order whose truncated band contains y = a/b.
+#: The integer window of the hump search to a depth, five columns over the
+#: lengths j: the signs r_j, then the numerators and denominators of lo and
+#: hi, the bounds of the shifted function past length j.
+Window = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+
+
+def _search_window(
+    signs: SignSequence, max_order: int, extrema: Callable[[int], tuple[Fraction, Fraction]]
+) -> Window:
+    """The window of :func:`_hit_words` to depth 2 max_order, ``extrema(j)``
+    being (lo, hi) past length j; max_order < 0 raises ValueError."""
+    if max_order < 0:
+        raise ValueError("max_order must be >= 0")
+    depths = range(2 * max_order + 1)
+    bounds = [extrema(j) for j in depths]
+    return (
+        tuple(signs.term(j) for j in depths),
+        tuple(lo.numerator for lo, _ in bounds),
+        tuple(lo.denominator for lo, _ in bounds),
+        tuple(hi.numerator for _, hi in bounds),
+        tuple(hi.denominator for _, hi in bounds),
+    )
+
+
+@lru_cache(maxsize=64)
+def _plus_window(max_order: int) -> Window:
+    """The all-plus window: T ranges over [0, 2/3] past every depth."""
+    return _search_window(ALL_PLUS, max_order, lambda j: (ZERO, TWO_THIRDS))
+
+
+def _hit_words(y: Fraction, window: Window, leading_only: bool) -> Iterator[tuple[int, ...]]:
+    """Hump words no longer than ``window`` whose truncated band contains
+    y = a/b.
 
     A hump word has signed walk D_{2m} = 0; its truncated band spans
     (1/2) 4^-m from f(x0) in the direction of the next sign r_{2m}, upwards
-    for T.  ``extrema[j]`` = (lo, hi) bounds the shifted function past depth
-    j, (0, 2/3) for T.  The search walks the word tree pruning by the
+    for T.  The window (:func:`_search_window`) gives r_j and (lo, hi), the
+    bounds of the shifted function past length j, (0, 2/3) at every j for T,
+    as integers.  The search walks the word tree pruning by the
     reachable-value window: below a prefix of length j with slope D and
     scaled value w = v 2^j, every value lies within
     [(w + min(0, D) + lo) 2^-j, (w + max(0, D) + hi) 2^-j].  Both ends of a
@@ -159,21 +188,16 @@ def _hit_words(
     0 <= r_j (a 2^(j+1) - 2 w b) <= b: integer comparisons throughout.
     ``leading_only`` prunes every word whose walk goes negative.
     """
-    if max_order < 0:
-        raise ValueError("max_order must be >= 0")
+    terms, low_n, low_d, high_n, high_d = window
     a, b = y.numerator, y.denominator
-    depth_cap = 2 * max_order
-    terms = [signs.term(j) for j in range(depth_cap + 1)]
+    depth_cap = len(terms) - 1
     scaled_y = [a << j for j in range(depth_cap + 2)]  # y 2^j b
     # Per length j, the window tests as (w + min(0, D)) * low_k[j] <= low_c[j]
     # and (w + max(0, D)) * high_k[j] >= high_c[j].
-    low_k, low_c, high_k, high_c = [], [], [], []
-    for j in range(depth_cap + 1):
-        lo, hi = extrema[j]
-        low_k.append(lo.denominator * b)
-        low_c.append(lo.denominator * scaled_y[j] - lo.numerator * b)
-        high_k.append(hi.denominator * b)
-        high_c.append(hi.denominator * scaled_y[j] - hi.numerator * b)
+    low_k = [ld * b for ld in low_d]
+    low_c = [ld * ay - ln * b for ln, ld, ay in zip(low_n, low_d, scaled_y)]
+    high_k = [hd * b for hd in high_d]
+    high_c = [hd * ay - hn * b for hn, hd, ay in zip(high_n, high_d, scaled_y)]
     # Depth-first on an explicit stack, so orders in the thousands are fine:
     # each entry is a word as (length, D, w, its digits as an integer).
     stack = [(0, 0, 0, 0)]
@@ -205,8 +229,7 @@ def truncated_hits(
     only for the humps returned.  The root hump counts whenever
     0 <= y <= 1/2.  Results sorted by (order, corner).
     """
-    extrema = [(ZERO, TWO_THIRDS)] * (2 * max_order + 1)
-    words = _hit_words(y, ALL_PLUS, extrema, max_order, leading_only)
+    words = _hit_words(y, _plus_window(max_order), leading_only)
     return sorted(map(analyze_word, words), key=lambda h: (h.order, h.corner))
 
 

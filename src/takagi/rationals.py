@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable
 
 ZERO = Fraction(0)
@@ -108,6 +109,7 @@ class BinaryExpansion:
 
 # the bytes 0 and 1 to the characters "0" and "1", every other byte to "2"
 _BINARY_DIGITS = b"01" + b"2" * 254
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # "0" and "1" back to the bytes 0 and 1
 
 
 def _word_numerator(word: Iterable[int]) -> int:
@@ -119,26 +121,37 @@ def _word_numerator(word: Iterable[int]) -> int:
 
 def _word_digits(n: int, width: int) -> tuple[int, ...]:
     """The ``width`` binary digits of 0 <= n < 2^width: (5, 4) -> (0, 1, 0, 1)."""
-    return tuple(map(int, f"{n:0{width}b}")) if width else ()
+    return tuple(f"{n:0{width}b}".encode().translate(_DIGIT_BYTES)) if width else ()
+
+
+@lru_cache(maxsize=1024)
+def _period_of_two(odd: int) -> int:
+    """The order of 2 modulo the odd number ``odd`` > 1: the least p >= 1 with
+    2^p = 1 (mod odd), the period of every fraction c / odd in lowest terms.
+    Kept across calls; an order over :data:`MAX_EVAL_DIGITS` raises
+    ValueError, which is never kept."""
+    p, r = 1, 2 % odd
+    while r != 1:
+        if p == MAX_EVAL_DIGITS:
+            raise ValueError(f"the expansion has more than {MAX_EVAL_DIGITS} digits")
+        p, r = p + 1, (r << 1) % odd
+    return p
 
 
 def _expansion_words(x: Fraction) -> tuple[int, int, int, int]:
     """The canonical expansion of x in [0, 1) as integers (k, head, p, c):
     x = (head + c / (2^p - 1)) / 2^k, the k-digit preperiod ``head`` and the
     p-digit period ``c``.  With den(x) = 2^k * odd and (head, start) =
-    divmod(num, odd), p is the order of 2 mod odd (0 when odd = 1), since
-    gcd(start, odd) = 1, and c = start (2^p - 1) / odd exactly.  Expansions
-    of more than :data:`MAX_EVAL_DIGITS` digits raise ValueError.
+    divmod(num, odd), p is the order of 2 mod odd (:func:`_period_of_two`,
+    0 when odd = 1), since gcd(start, odd) = 1, and c = start (2^p - 1) / odd
+    exactly.  Expansions of more than :data:`MAX_EVAL_DIGITS` digits raise
+    ValueError.
     """
-    if not 0 <= x < 1:
+    if not 0 <= x.numerator < x.denominator:
         raise ValueError(f"expansion needs 0 <= x < 1, got {x}")
     k, odd = split_denominator(x)
     head, start = divmod(x.numerator, odd)
-    p, r = 0, 1
-    while odd > 1 and k + p <= MAX_EVAL_DIGITS:
-        p, r = p + 1, (r << 1) % odd
-        if r == 1:
-            break
+    p = _period_of_two(odd) if odd > 1 else 0
     if k + p > MAX_EVAL_DIGITS:
         raise ValueError(f"the expansion has more than {MAX_EVAL_DIGITS} digits")
     return k, head, p, start * ((1 << p) - 1) // odd

@@ -35,7 +35,7 @@ from typing import Optional
 from .curve import (  # noqa: F401
     ALL_PLUS, ALTERNATING, HALF, TWO_THIRDS, SignSequence, eval_rational as eval_signed_rational
 )
-from .humps import _hit_words, catalan
+from .humps import Window, _hit_words, _search_window, catalan
 from .rationals import ZERO
 
 
@@ -179,12 +179,22 @@ def signed_extrema(signs: SignSequence) -> SignedExtrema:
 # Signed humps against a horizontal line.
 
 
-@lru_cache(maxsize=1024)
-def _phase_extrema(signs: SignSequence, phase: int) -> tuple[Fraction, Fraction]:
-    """(min, max) of the shifted function f^(phase), kept across calls: the
-    hump search needs it at every depth, and depths share a phase."""
-    shifted = signs.shift(phase)
-    return -_side_sum(shifted.flipped()), _side_sum(shifted)
+@lru_cache(maxsize=64)
+def _phase_extrema(signs: SignSequence, max_order: int) -> Window:
+    """The hump-search window of these signs to depth 2 max_order: the
+    (min, max) of each shifted function f^(j), kept across calls, since
+    the search needs it at every depth and depths share a phase."""
+    alpha, pi = signs.transient, signs.period_length
+    by_phase: dict[int, tuple[Fraction, Fraction]] = {}
+
+    def extrema(j: int) -> tuple[Fraction, Fraction]:
+        phase = j if j < alpha else alpha + (j - alpha) % pi
+        if phase not in by_phase:
+            shifted = signs.shift(phase)
+            by_phase[phase] = -_side_sum(shifted.flipped()), _side_sum(shifted)
+        return by_phase[phase]
+
+    return _search_window(signs, max_order, extrema)
 
 
 def truncated_local_count(y: Fraction, signs: SignSequence, max_order: int) -> int:
@@ -198,12 +208,7 @@ def truncated_local_count(y: Fraction, signs: SignSequence, max_order: int) -> i
     the unsigned leading-hit count; the root hump is included (its band is
     [0, 1/2] when r_0 = +1).
     """
-    alpha, pi = signs.transient, signs.period_length
-    table = [
-        _phase_extrema(signs, j if j < alpha else alpha + (j - alpha) % pi)
-        for j in range(2 * max_order + 1)
-    ]
-    return sum(1 for _ in _hit_words(y, signs, table, max_order, leading_only=True))
+    return sum(1 for _ in _hit_words(y, _phase_extrema(signs, max_order), leading_only=True))
 
 
 def expected_local_window(signs: SignSequence, max_order: int) -> Fraction:

@@ -46,7 +46,7 @@ def test_analyze_word_pins():
 
 def test_hump_box_is_an_affine_copy():
     # Over its interval, the hump's graph spans exactly the projected box.
-    for word in [(0, 1), (1, 0), (0, 0, 1, 1), (0, 1, 0, 1, 1, 0)]:
+    for word in (w for m in range(6) for w in oracles.balanced_words(m)):
         h = analyze_word(word)
         left, right = h.x_interval
         assert eval_dyadic(left) == h.base
@@ -94,6 +94,16 @@ def test_count_balanced_matches_listing():
 def test_count_balanced_rejects_negative_order():
     with pytest.raises(ValueError):
         count_balanced(-1)
+
+
+def test_hump_searches_reject_negative_order():
+    for y in (Fraction(0), Fraction(1, 3)):
+        with pytest.raises(ValueError, match="max_order"):
+            truncated_hits(y, -1)
+        with pytest.raises(ValueError, match="max_order"):
+            truncated_hits(y, -1, leading_only=True)
+        with pytest.raises(ValueError, match="max_order"):
+            truncated_local_count(y, ALL_PLUS, -1)
 
 
 ordinates = st.fractions(min_value=0, max_value=Fraction(2, 3), max_denominator=3 * 4**3)

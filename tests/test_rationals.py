@@ -1,7 +1,7 @@
 """Binary expansions, parsing and the machine's depth tag, over any denominator."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +13,7 @@ from takagi.rationals import (
     MAX_EVAL_DIGITS,
     BinaryExpansion,
     format_rational,
+    _period_of_two,
     _word_numerator,
     ordinate_depth,
     parse_rational,
@@ -89,6 +90,39 @@ def test_expansion_digit_limit():
               Fraction(1, 32771), Fraction(1, 1000000000039)):
         with pytest.raises(ValueError, match=str(MAX_EVAL_DIGITS)):
             to_binary(x)
+
+
+def test_period_of_two_against_brute_force():
+    # the least p >= 1 with 2^p = 1 (mod odd), for every odd number from 3 up
+    # to 4,095 (odd = 1 is the dyadic case: no period, and no such p)
+    for odd in range(3, 4097, 2):
+        assert _period_of_two(odd) == next(p for p in count(1) if pow(2, p, odd) == 1), odd
+
+
+def test_kept_period_keeps_no_refusal():
+    # 1/5 = 0.(0011): with odd part 5 the expansion has k + 4 digits, refused
+    # past MAX_EVAL_DIGITS; the period kept from a refused x serves the next x
+    _period_of_two.cache_clear()
+    with pytest.raises(ValueError, match=str(MAX_EVAL_DIGITS)):
+        to_binary(Fraction(1, 5 << (MAX_EVAL_DIGITS - 3)))
+    with pytest.raises(ValueError, match=str(MAX_EVAL_DIGITS)):
+        eval_rational(Fraction(1, 5 << (MAX_EVAL_DIGITS - 3)))
+    assert to_binary(Fraction(1, 5 << 3)) == BinaryExpansion((0, 0, 0), (0, 0, 1, 1))
+    assert eval_rational(Fraction(1, 5)) == Fraction(8, 15)
+    assert len(to_binary(Fraction(1, 5 << (MAX_EVAL_DIGITS - 4))).preperiod) == MAX_EVAL_DIGITS - 4
+    assert _period_of_two.cache_info().misses == 1
+    # an order past the limit is refused on every call, and never kept
+    for _ in range(2):
+        with pytest.raises(ValueError, match=str(MAX_EVAL_DIGITS)):
+            to_binary(Fraction(1, 32771))
+    assert _period_of_two.cache_info().currsize == 1
+
+
+def test_expansion_digits_are_plain_ints():
+    for x in (Fraction(5, 8), Fraction(13, 48), Fraction(1, 3), Fraction(998, 999)):
+        e = to_binary(x)
+        assert {type(d) for d in e.preperiod + e.period} <= {int}
+        assert {*e.preperiod, *e.period} <= {0, 1}
 
 
 def test_expansion_matches_long_division_exhaustively():

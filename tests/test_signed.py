@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles as oracles
-from takagi import signed
+from takagi import humps, signed
 from takagi.curve import d_expression_residual, eval_dyadic, eval_rational, signed_constant
 from takagi.signed import (
     ALL_PLUS,
@@ -250,6 +250,16 @@ def test_suffix_extrema_kept_across_calls(monkeypatch):
     first = len(calls)
     truncated_local_count(Fraction(2, 7), signs, 8)
     assert first > 0 and len(calls) == first
+
+
+def test_all_plus_window_is_the_curves_range():
+    # tabled from the passage sums, the all-plus window is [0, 2/3] at every
+    # depth: the window truncated_hits uses without computing a sum
+    for max_order in range(5):
+        depths = 2 * max_order + 1
+        expected = ((1,) * depths, (0,) * depths, (1,) * depths, (2,) * depths, (3,) * depths)
+        assert signed._phase_extrema(ALL_PLUS, max_order) == expected
+        assert humps._plus_window(max_order) == expected
 
 
 def test_local_count_against_brute_scan():
