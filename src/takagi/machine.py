@@ -90,6 +90,25 @@ check run on the core alone, and the count pass finishes with one sweep down
 the prefix ids.  :func:`step`, :func:`is_feasible` and the
 ``envelope_*`` functions state the same rules on (D, R) with Fractions and
 are the exact reference the closure is tested against.
+
+A core state's facts do not depend on y beyond the odd part m of
+S = 2^k m.  Past depth k every untagged N is a multiple of 2^k: both terms
+of N = num(y) 2^j - (v_j 2^j) S are, once j >= k, and the untagged states
+lie at depth 2n >= k.  Each step and each feasibility and ray test above is
+homogeneous in (N, S), so in N / 2^k the integer steps are the same with m
+in place of S.  So the part of the graph below an untagged state (D, N),
+and with it the state's continuations, its profiles and the cycle cluster
+it lies on, is fixed by (m, D, N >> k).  :func:`classify` and
+:func:`leftmost_preimage` keep those facts in a bounded memo across
+ordinates (the grid's j / (3 * 4^n) all have m = 1 or 3).  When every core
+state of a closed graph is in it, the count pass takes the core's counts
+from the memo, sweeps the prefix as before, counts the distinct clusters
+and runs no Tarjan; on a miss Tarjan runs and the core is written.  Two
+witnesses keep Tarjan: a branching cluster and a cycle exit are named as
+the first such cluster or edge in Tarjan's order, which the memo does not
+keep.  A max ray, a dyadic point and a Finite verdict need neither, so they
+read the memo.  :func:`analyze` on a caller's graph neither reads nor
+writes the memo, as a graph edited after its closure would poison it.
 """
 
 from __future__ import annotations
@@ -98,10 +117,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .curve import TWO_THIRDS
-from .rationals import ZERO, BinaryExpansion, ordinate_depth
+from .rationals import ZERO, BinaryExpansion, ordinate_depth, split_denominator
 
 DEFAULT_MAX_STATES = 100_000
 DEFAULT_MAX_SLOPE = 64
@@ -369,23 +388,137 @@ def _live_states(graph: StateGraph) -> tuple[list[list[int]], list[int], list[in
     """
     comps = _strong_components(graph)
     counts, profiles = [0] * (len(graph.flags) + 1), [0] * (len(graph.flags) + 1)
-    slopes, flags, child0, child1 = graph.slope, graph.flags, graph.child0, graph.child1
     for comp in comps:  # every cycle state counts 1, before the states that read it
         if len(comp) > 1:
             for v in comp:
                 counts[v] = profiles[v] = 1
-    for v in chain((c[0] for c in comps if len(c) == 1), range(graph.prefix - 1, -1, -1)):
+    singles = (c[0] for c in comps if len(c) == 1)
+    _count_from_children(graph, counts, profiles, chain(singles, range(graph.prefix - 1, -1, -1)))
+    return comps, counts, profiles
+
+
+def _count_from_children(
+    graph: StateGraph, counts: list[int], profiles: list[int], states: Iterable[int]
+) -> None:
+    """Count each of ``states``, in order, off its children's counts: 1 on a
+    zero ray, else the sum, except that a D = 0 state's profiles are its
+    children's, the two children being folds of each other."""
+    slopes, flags, child0, child1 = graph.slope, graph.flags, graph.child0, graph.child1
+    for v in states:
         if flags[v] & ZERO_RAY:
             counts[v] = profiles[v] = 1
             continue
         zero, one = child0[v], child1[v]
         counts[v] = counts[zero] + counts[one]
-        # at D = 0 the children are folds of each other: same profiles
         if slopes[v]:
             profiles[v] = profiles[zero] + profiles[one]
         else:
             profiles[v] = max(profiles[zero], profiles[one])
-    return comps, counts, profiles
+
+
+def _cluster_shape(graph: StateGraph, comp: list[int], counts: list[int]) -> tuple[bool, int, int]:
+    """Whether a cycle cluster branches (more edges inside it than states),
+    and its first edge to a live state outside it, as (state, child), in
+    member order, 0-digit first; (-1, -1) when it has none."""
+    members = set(comp)
+    inner, exit_edge = 0, (-1, -1)
+    for v in comp:
+        for child in (graph.child0[v], graph.child1[v]):
+            if child in members:
+                inner += 1
+            elif exit_edge[0] < 0 and counts[child] > 0:
+                exit_edge = (v, child)
+    return inner > len(comp), *exit_edge
+
+
+# The core memo: each untagged state that :func:`classify` or
+# :func:`leftmost_preimage` has analysed, keyed (m, D, N >> k) for S = 2^k m,
+# maps to its (continuations, profiles, cycle cluster, shape bits).  The
+# cluster is the least key among its states (None off a cycle); the bits say
+# whether it branches and whether it can be left towards a live state.  A
+# write that would take the memo past _CORE_MEMO_STATES entries empties it
+# first.  An entry takes about 220 bytes for the grid's and the deep
+# sample's ordinates and at most 330 while its numbers fit in 60 bits: at
+# most 2.7 MB at the bound.  Wider numbers add their own bytes: m and N grow
+# with den(y), and a count, in principle, with the longest path through a
+# core small enough to be written (below 2^8192).
+_CORE_MEMO: dict[tuple[int, int, int], tuple[int, int, Optional[tuple[int, int, int]], int]] = {}
+_CORE_MEMO_STATES = 8192
+_BRANCHES, _EXITS = 1, 2
+# The graph classify has closed, while analyze runs on it: the one graph
+# whose core analyze reads from and writes to the memo, as a caller's graph
+# may not be what close_graph made.
+_classified: Optional[StateGraph] = None
+
+
+def _recall(graph: StateGraph) -> Optional[tuple[list[int], list[int], int, int]]:
+    """The count pass off the core memo: the core's counts and profiles as
+    remembered and the prefix swept as :func:`_live_states` sweeps it, the
+    number of distinct cycle clusters among the core states and the union
+    of their shape bits; None if some core state is not remembered."""
+    shift, odd = split_denominator(graph.ordinate)
+    prefix, size = graph.prefix, len(graph.flags)
+    counts, profiles = [0] * (size + 1), [0] * (size + 1)
+    cycles: set[tuple[int, int, int]] = set()
+    shape = 0
+    recall = _CORE_MEMO.get
+    for v, slope, num in zip(range(prefix, size), graph.slope[prefix:], graph.num[prefix:]):
+        facts = recall((odd, slope, num >> shift))
+        if facts is None:
+            return None
+        counts[v], profiles[v], cycle, bits = facts
+        if cycle is not None:
+            cycles.add(cycle)
+            shape |= bits
+    _count_from_children(graph, counts, profiles, range(prefix - 1, -1, -1))
+    return counts, profiles, len(cycles), shape
+
+
+def _remember(
+    graph: StateGraph, comps: list[list[int]], counts: list[int], profiles: list[int]
+) -> None:
+    """Write every core state's facts into the memo, first emptying it if
+    they would not fit; a core larger than the memo is not written."""
+    prefix, size = graph.prefix, len(graph.flags)
+    if size - prefix > _CORE_MEMO_STATES:
+        return
+    if len(_CORE_MEMO) + size - prefix > _CORE_MEMO_STATES:
+        _CORE_MEMO.clear()
+    shift, odd = split_denominator(graph.ordinate)
+    core = zip(graph.slope[prefix:], graph.num[prefix:])
+    keys = [(odd, slope, num >> shift) for slope, num in core]
+    cycle: dict[int, tuple[tuple[int, int, int], int]] = {}
+    for comp in comps:
+        if len(comp) > 1:
+            branches, exit_from, _ = _cluster_shape(graph, comp, counts)
+            bits = (_BRANCHES if branches else 0) | (_EXITS if exit_from >= 0 else 0)
+            facts = (min(keys[v - prefix] for v in comp), bits)
+            for v in comp:
+                cycle[v] = facts
+    for v, key in enumerate(keys, prefix):
+        label, bits = cycle.get(v, (None, 0))
+        _CORE_MEMO[key] = (counts[v], profiles[v], label, bits)
+
+
+def _counted(
+    graph: StateGraph, memo: bool
+) -> tuple[list[list[int]], int, list[int], list[int]]:
+    """The count pass: (the cycle clusters a witness may name, the number of
+    clusters, counts, profiles).  With ``memo`` the counts come off the core
+    memo when every core state is in it (no Tarjan), unless the verdict
+    needs a witness taken in Tarjan's order (module docstring); on a miss
+    Tarjan runs and the core is written to the memo."""
+    known = _recall(graph) if memo else None
+    if known is not None:
+        counts, profiles, cycles, shape = known
+        flags = graph.flags
+        if MAX_RAY in flags or not shape & _BRANCHES and (ZERO_RAY in flags or not shape & _EXITS):
+            return [], cycles, counts, profiles
+    comps, counts, profiles = _live_states(graph)
+    if memo and known is None:
+        _remember(graph, comps, counts, profiles)
+    clusters = [c for c in comps if len(c) > 1]
+    return clusters, len(clusters), counts, profiles
 
 
 def _state_label(graph: StateGraph, v: int) -> str:
@@ -482,6 +615,8 @@ def analyze(graph: StateGraph, *, listing: bool = True) -> LevelSetReport:
     preimage.  Without it those three fields are None, and a Finite verdict
     is not bounded by ``MAX_PREIMAGES``; it checks instead that the root's
     two children count alike, the fold symmetry the listing relies on.
+    On a caller's graph the count pass runs Tarjan and leaves the core memo
+    alone; only the graph :func:`classify` has just closed reads and fills it.
 
     The ordinate 0 is special-cased: its zero ray would read as "dyadic point
     attained", but 0 is attained only at the endpoints, so L(0) = {0, 1}.
@@ -508,28 +643,22 @@ def analyze(graph: StateGraph, *, listing: bool = True) -> LevelSetReport:
     if not graph.closed:
         return report(Verdict.INDETERMINATE, witness=f"budget exceeded ({graph.budget_reason})")
 
-    comps, counts, profiles = _live_states(graph)
-    nontrivial = [c for c in comps if len(c) > 1]
-    diagnostics["cycles"] = len(nontrivial)
+    clusters, cycles, counts, profiles = _counted(graph, graph is _classified)
+    diagnostics["cycles"] = cycles
     diagnostics["live_states"] = sum(map(bool, counts))
 
     if MAX_RAY in graph.flags:
         witness = f"max-envelope state {_state_label(graph, graph.flags.index(MAX_RAY))} reached"
         return report(Verdict.UNCOUNTABLE, witness=witness)
     exit_witness: Optional[str] = None  # names the first edge leaving a cycle
-    for comp in nontrivial:
-        members = set(comp)
-        inner = 0
-        for v in comp:
-            for child in (graph.child0[v], graph.child1[v]):
-                if child in members:
-                    inner += 1
-                elif exit_witness is None and counts[child] > 0:
-                    exit_witness = (
-                        f"cycle through {_state_label(graph, v)} "
-                        f"can be left towards {_state_label(graph, child)}"
-                    )
-        if inner > len(comp):
+    for comp in clusters:
+        branches, source, target = _cluster_shape(graph, comp, counts)
+        if exit_witness is None and source >= 0:
+            exit_witness = (
+                f"cycle through {_state_label(graph, source)} "
+                f"can be left towards {_state_label(graph, target)}"
+            )
+        if branches:
             # cycles lie past the lattice depth, where keys are (D, N): sort
             # on the (D, R) form, so the listing does not depend on S
             scale = y.denominator
@@ -588,6 +717,7 @@ def leftmost_preimage(
     That path either stops on the all-zeros ray (dyadic answer) or first
     revisits one of its states, closing an eventually periodic expansion,
     e.g. leftmost(1/2) = 1/6 = 0.0(01) and leftmost(2/3) = 1/3 = 0.(01).
+    Its counts come through the core memo, as :func:`classify`'s do.
     """
     if not 0 <= y <= TWO_THIRDS:
         raise ValueError(f"level set of {y} is empty")
@@ -598,7 +728,7 @@ def leftmost_preimage(
         raise BudgetExceededError(
             f"state graph for {y} did not close ({graph.budget_reason})"
         )
-    counts = _live_states(graph)[1]
+    counts = _counted(graph, True)[2]
     assert counts[0] > 0
     return next(_paths(graph, counts)).value()
 
@@ -617,6 +747,13 @@ def classify(
     (module docstring); under ``listing`` (the default) also with exact
     sorted preimages and their expansions (see :func:`analyze`).  Ordinates
     outside [0, 2/3] are Finite(0); blown budgets give Indeterminate, never
-    a guess.
+    a guess.  The count pass reads and fills the core memo (module
+    docstring).  The graph goes through :func:`analyze` by name, so a
+    wrapper on that name (perfbench's tracer) sees every classification.
     """
-    return analyze(close_graph(y, max_states=max_states, max_slope=max_slope), listing=listing)
+    global _classified
+    _classified = close_graph(y, max_states=max_states, max_slope=max_slope)
+    try:
+        return analyze(_classified, listing=listing)
+    finally:
+        _classified = None

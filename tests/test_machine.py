@@ -707,3 +707,120 @@ def test_count_only_matches_listing():
         if "live_states" in listed.diagnostics:
             assert listed.diagnostics["live_states"] == _live_by_pruning(graph), y
     assert verdicts[Verdict.FINITE] > 6000 and min(verdicts.values()) > 20
+
+
+def test_core_memo_matches_cold_analysis(monkeypatch):
+    """classify from one warm core memo, ordinates taken in shuffled order,
+    each under both ``listing`` values in turn, against the cold analysis of
+    the same closed graph, which never reads the memo: the same reports.
+    Every depth-6 row, seeded deep draws, every reduced j/m with odd m <= 63
+    (22 of them branching clusters, whose second call finds every core
+    state remembered) and two budget exits.  Most warm calls run no Tarjan,
+    and hundreds of those are on odd m."""
+    rng = random.Random(1724)
+    ordinates = [Fraction(j, 3 * 4**6) for j in range(2 * 4**6 + 1)]
+    ordinates += [
+        Fraction(rng.randrange(2 * 4**n + 1), 3 * 4**n) for n in (32, 64, 128) for _ in range(80)
+    ]
+    ordinates += sorted({Fraction(j, m) for m in range(5, 64, 2) for j in range(1, 2 * m // 3 + 1)})
+    ordinates += [Fraction(1, 49), Fraction(37, 96)]
+    cold = {}
+    for y in ordinates:
+        graph = close_graph(y)
+        for listing in (True, False):
+            cold[y, listing] = analyze(graph, listing=listing)
+    assert sum(str(r.witness).startswith("branching") for r in cold.values()) == 2 * 22
+
+    tarjan = []
+    live_states = machine._live_states
+    monkeypatch.setattr(machine, "_live_states", lambda graph: tarjan.append(graph) or
+                        live_states(graph))
+    rng.shuffle(ordinates)
+    machine._CORE_MEMO.clear()
+    recalled_odd = 0
+    for y in ordinates:
+        for listing in rng.sample((True, False), 2):  # the second call reads what the first wrote
+            ran = len(tarjan)
+            assert classify(y, listing=listing) == cold[y, listing], (y, listing)
+            recalled_odd += len(tarjan) == ran and y.denominator % 2
+    assert len(tarjan) < len(cold) // 4 and recalled_odd > 500
+
+
+def _hand_graphs():
+    """The hand-built graphs of the cycle-exit and branching-cluster tests."""
+    a, b = (0, Fraction(1, 3)), (1, Fraction(2, 3))
+    c, d = (2, Fraction(4, 3)), (1, Fraction(1))
+    return [_hand_graph(Fraction(1, 3), {a: {0: b}, b: {0: c, 1: a}, c: {1: d}, d: {0: c}}),
+            _hand_graph(Fraction(1, 3), {a: {0: b, 1: b}, b: {1: a}})]
+
+
+def test_analyze_leaves_the_core_memo_alone():
+    """analyze on a caller's graph neither writes nor reads the memo.  The
+    hand-built graphs give the same reports with the memo empty and warm; a
+    copy of close_graph(1/5) with one edge removed fails the fold check
+    either way (read from the memo, its counts would pass it); and the memo
+    is left as it was.  classify(1/5) and classify(1/3) then give their
+    cold reports."""
+    graph = close_graph(Fraction(1, 5))
+    edited = dataclasses.replace(graph, child1=list(graph.child1))
+    edited.child1[next(v for v, child in enumerate(graph.child1) if child >= 0)] = -1
+
+    def analyze_all():
+        for listing in (True, False):
+            with pytest.raises(AssertionError, match="differ|disagrees"):
+                analyze(edited, listing=listing)
+        return [analyze(g, listing=listing) for g in _hand_graphs() for listing in (True, False)]
+
+    machine._CORE_MEMO.clear()
+    empty = analyze_all()
+    assert not machine._CORE_MEMO
+    classify(Fraction(1, 5))
+    classify(Fraction(1, 3))
+    warm = dict(machine._CORE_MEMO)
+    assert len(warm) == len(graph.slope) + len(close_graph(Fraction(1, 3)).slope)
+    assert analyze_all() == empty
+    assert machine._CORE_MEMO == warm
+    for y in (Fraction(1, 5), Fraction(1, 3)):
+        for listing in (True, False):
+            assert classify(y, listing=listing) == analyze(close_graph(y), listing=listing), y
+
+
+def test_memo_keeps_tarjan_for_cluster_witnesses(monkeypatch):
+    """A branching cluster and a cycle exit are named in Tarjan's order, so
+    classify runs Tarjan for them even when every core state is remembered.
+    Each hand-built graph, handed to classify as its own closure, gives the
+    report analyze gives on the first call and on the warm calls after it.
+    No sampled ordinate has either graph's shape without the other."""
+    try:
+        for graph in _hand_graphs():
+            monkeypatch.setattr(machine, "close_graph", lambda y, **budgets: graph)
+            machine._CORE_MEMO.clear()
+            for listing in (True, False, True):
+                assert classify(graph.ordinate, listing=listing) == analyze(graph, listing=listing)
+            assert len(machine._CORE_MEMO) == len(graph.slope)
+    finally:
+        machine._CORE_MEMO.clear()  # the hand-built facts are not the closure's
+
+
+def test_core_memo_stays_within_its_bound(monkeypatch):
+    """Every reduced j/m with odd m <= 45 has more distinct core states than
+    the memo holds: it never holds more than its bound, it is emptied on
+    the way, and every report equals the one analyze gives without it.
+    Under a bound of 20 a larger core is not written at all."""
+    bound = machine._CORE_MEMO_STATES
+    ordinates = sorted({Fraction(j, m) for m in range(5, 46, 2) for j in range(1, 2 * m // 3 + 1)})
+    machine._CORE_MEMO.clear()
+    emptied = 0
+    for y in ordinates:
+        size = len(machine._CORE_MEMO)
+        assert classify(y, listing=False) == analyze(close_graph(y), listing=False), y
+        assert len(machine._CORE_MEMO) <= bound
+        emptied += len(machine._CORE_MEMO) < size
+    assert emptied > 0
+    monkeypatch.setattr(machine, "_CORE_MEMO_STATES", 20)
+    machine._CORE_MEMO.clear()
+    large, small = Fraction(1, 5), Fraction(2, 3)
+    assert len(close_graph(large).slope) > 20 >= len(close_graph(small).slope)
+    for y in (small, large):
+        assert classify(y) == analyze(close_graph(y)), y
+    assert len(machine._CORE_MEMO) == len(close_graph(small).slope)
