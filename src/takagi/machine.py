@@ -615,6 +615,8 @@ def analyze(graph: StateGraph, *, listing: bool = True) -> LevelSetReport:
     preimage.  Without it those three fields are None, and a Finite verdict
     is not bounded by ``MAX_PREIMAGES``; it checks instead that the root's
     two children count alike, the fold symmetry the listing relies on.
+    The checks on a caller's graph raise AssertionError explicitly, so they
+    hold under ``python -O`` too.
     On a caller's graph the count pass runs Tarjan and leaves the core memo
     alone; only the graph :func:`classify` has just closed reads and fills it.
 
@@ -685,7 +687,8 @@ def analyze(graph: StateGraph, *, listing: bool = True) -> LevelSetReport:
     # Finite: the root's counts are the root-to-cycle paths and their profiles.
     total = counts[0]
     if not listing:
-        assert counts[graph.child0[0]] == counts[graph.child1[0]], "root's subtrees differ in count"
+        if counts[graph.child0[0]] != counts[graph.child1[0]]:
+            raise AssertionError("root's subtrees differ in count")
         return report(Verdict.FINITE, cardinality=total, n_local=profiles[0])
     if total > MAX_PREIMAGES:
         diagnostics["budget_reason"] = "preimages"
@@ -693,10 +696,12 @@ def analyze(graph: StateGraph, *, listing: bool = True) -> LevelSetReport:
     # the points below 1/2, then their complements (the fold), in reverse
     half = list(_paths(graph, counts))
     path_list = half + [_complement(p) for p in reversed(half)]
-    assert len(path_list) == total, "path enumeration disagrees with path count"
+    if len(path_list) != total:
+        raise AssertionError("path enumeration disagrees with path count")
     preimages = tuple(p.value() for p in half)
     preimages += tuple(1 - x for x in reversed(preimages))
-    assert all(a < b for a, b in zip(preimages, preimages[1:])), "preimages not sorted"
+    if not all(a < b for a, b in zip(preimages, preimages[1:])):
+        raise AssertionError("preimages not sorted")
     return report(
         Verdict.FINITE,
         cardinality=total,

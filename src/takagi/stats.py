@@ -30,7 +30,7 @@ from typing import Optional, Union
 
 from .curve import TWO_THIRDS
 from .humps import catalan, central_binomial
-from .machine import DEFAULT_MAX_SLOPE, DEFAULT_MAX_STATES, Verdict, classify
+from .machine import DEFAULT_MAX_STATES, Verdict, classify
 
 #: Largest order for which the exact (Fraction) series mode is offered.
 EXACT_SERIES_LIMIT = 64
@@ -168,12 +168,7 @@ class GridReport:
         return sum(sizes) / len(sizes)
 
 
-def grid_experiment(
-    depth: int,
-    *,
-    max_states: int = DEFAULT_MAX_STATES,
-    max_slope: int = DEFAULT_MAX_SLOPE,
-) -> GridReport:
+def grid_experiment(depth: int, *, max_states: int = DEFAULT_MAX_STATES) -> GridReport:
     """Classify every ordinate j / (3 * 4^depth), 0 <= j <= 2 * 4^depth.
 
     The mesh of grid ordinates is uniform on [0, 2/3], and each row is an
@@ -192,7 +187,7 @@ def grid_experiment(
     rows = []
     for j in range(2 * mesh + 1):
         y = Fraction(j, 3 * mesh)
-        report = classify(y, max_states=max_states, max_slope=max_slope, listing=False)
+        report = classify(y, max_states=max_states, listing=False)
         if (
             report.verdict is Verdict.FINITE
             and 0 < y < TWO_THIRDS

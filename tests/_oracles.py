@@ -3,6 +3,15 @@
 Everything here goes back to the defining series or to first principles and
 shares as little machinery as possible with the package under test, so an
 agreement between the two is meaningful evidence rather than a tautology.
+From ``takagi`` it takes only the rules: ``machine.step``,
+``machine.is_feasible``, the envelopes, the graph type, its flags and the
+default budgets, and ``rationals.BinaryExpansion`` and ``ordinate_depth``
+(``test_machine`` checks the imports).
+
+``reference_close_graph`` is the one closure of the feasible states here,
+the rules in integer form, and the oracles that need the state graph share
+it: the hump hits are walks over it, and ``test_machine`` replays the
+listed paths of a Finite verdict on it.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from takagi.machine import (
     is_feasible,
     step,
 )
-from takagi.rationals import BinaryExpansion, ordinate_depth
+from takagi.rationals import ordinate_depth
 
 HALF = Fraction(1, 2)
 TWO_THIRDS = Fraction(2, 3)
@@ -167,8 +176,8 @@ def expansion_value(preperiod, period) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# The closure and the walk as first written: one queue, a digit loop per
-# state, every check on both children; the walk takes both root branches
+# reference_close_graph, the rules reference the oracles share: one queue,
+# a digit loop per state, every check on both children
 
 
 def reference_close_graph(
@@ -177,7 +186,9 @@ def reference_close_graph(
     """``machine.close_graph`` one state at a time: the queue is the id range
     from ``v`` on, the depth advances when ``v`` reaches the end of a level,
     and each child is tested on both feasibility bounds and the slope budget
-    whichever way its |D| moves."""
+    whichever way its |D| moves.  These are the ``step`` and ``is_feasible``
+    rules with R = N / S; ``test_integer_closure_matches_fraction_reference``
+    checks the integer closure edge by edge against them."""
     if not 0 <= y <= TWO_THIRDS:
         return StateGraph(y, 0)
     lattice_depth = 2 * ordinate_depth(y)
@@ -242,44 +253,6 @@ def reference_close_graph(
     return graph
 
 
-def full_walk_paths(graph: StateGraph, counts: list[int]):
-    """``machine._paths`` over both branches of the root: every root path
-    through live states, depth-first, 0-digit first, with no fold."""
-    flags, child0, child1, prefix = graph.flags, graph.child0, graph.child1, graph.prefix
-    offset = graph.lattice_depth
-    digits: list[int] = []
-    path: list[int] = []  # the path's core states: digits[offset + i] leaves path[i]
-    position = [0] * len(flags)
-    stack = [(0, 0, ())]  # (state, digits before the edge into it, that edge's digit)
-    while stack:
-        v, depth, edge = stack.pop()
-        digits[depth:] = edge
-        del path[max(len(digits) - offset, 0) :]
-        while True:
-            if flags[v] & ZERO_RAY:
-                yield BinaryExpansion(tuple(digits), ())
-                break
-            if v >= prefix:
-                start = position[v]
-                if start < len(path) and path[start] == v:
-                    start += offset
-                    yield BinaryExpansion(tuple(digits[:start]), tuple(digits[start:]))
-                    break
-                position[v] = len(path)
-                path.append(v)
-            zero, one = child0[v], child1[v]
-            if counts[zero] > 0:
-                if counts[one] > 0:
-                    stack.append((one, len(digits), (1,)))
-                digits.append(0)
-                v = zero
-            elif counts[one] > 0:
-                digits.append(1)
-                v = one
-            else:
-                raise AssertionError("live state with no live successor")
-
-
 # ---------------------------------------------------------------------------
 # The whole state graph: Tarjan from every id, then the children-first count
 
@@ -288,7 +261,11 @@ def whole_graph_live_states(graph):
     """(components, continuations, profiles, live) of a closed
     ``machine.StateGraph``, with Tarjan started at every id from the root on
     and the count pass run over its components alone, prefix states
-    included; the rules are those of the machine module docstring."""
+    included; the rules are those of the machine module docstring.
+
+    This is the only reference for Tarjan's component order, and that order
+    is observable: a branching-cluster or cycle-exit witness names the
+    first such cluster or edge in it."""
     flags = graph.flags
     size = len(flags)
     # children that are not all-ones dead ends, in digit order
@@ -385,27 +362,16 @@ def first_dyadic_preimage(y: Fraction, max_digits: int = 4096) -> Fraction:
 # Integer grids: T(k/2^N) * 2^N is an integer, computed by column sums
 
 
-def int_grid(N: int) -> np.ndarray:
-    """total[k] = T(k/2^N) * 2^N for k = 0..2^N, as int64."""
+def int_grid(N: int, term_signs=None) -> np.ndarray:
+    """total[k] = f(k/2^N) * 2^N for k = 0..2^N, as int64, where f has
+    term_signs[n] on term n (``None`` means all plus, i.e. T itself)."""
     k = np.arange((1 << N) + 1, dtype=np.int64)
     total = np.zeros_like(k)
     for n in range(N):
         P = np.int64(1 << (N - n))
         r = k % P
         np.minimum(r, P - r, out=r)
-        total += r
-    return total
-
-
-def signed_int_grid(term_signs, N: int) -> np.ndarray:
-    """Signed variant: total[k] = f(k/2^N) * 2^N with term_signs[n] on term n."""
-    k = np.arange((1 << N) + 1, dtype=np.int64)
-    total = np.zeros_like(k)
-    for n in range(N):
-        P = np.int64(1 << (N - n))
-        r = k % P
-        np.minimum(r, P - r, out=r)
-        total += int(term_signs[n]) * r
+        total += r if term_signs is None else int(term_signs[n]) * r
     return total
 
 
@@ -435,19 +401,12 @@ def envelope_brute_max(slope: int, total: np.ndarray, N: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Complete truncated-hit counts for ordinates with a finite level set
+# Truncated hits: the humps whose truncated band holds y
 #
 # A hit of order m is a balanced word w (length 2m, slope walk back at zero)
-# whose shaved projection [v(w), v(w) + (1/2) 4^-m] contains y.  Short
-# orders are enumerated directly.  For y with reduced denominator odd * 2^k
-# and n0 = max((k+1)//2, 1), every hit of order >= n0 ends, after 2m digits,
-# in the residual state (D, R) = (0, (y - v) 4^m) with R on a fixed lattice:
-# R = 0 in the dyadic case and R = 1/3 in the denominator-3 case (or no
-# admissible R at all, when the mod-3 phase lands on 2/3).  Those hits are
-# counted as walks from the root to that state in the collapsed feasible
-# graph; if the set of such walks is infinite (a cycle can reach the target)
-# the level set itself is infinite, so for finite level sets the relevant
-# subgraph is acyclic and a path count is exact.
+# whose truncated band [v(w), v(w) + (1/2) 4^-m] holds y.  Short orders are
+# listed word by word; every order at once is a walk count over
+# reference_close_graph.
 
 
 @dataclass(frozen=True)
@@ -456,16 +415,10 @@ class HitCount:
     leading: int
 
 
-def _envelope(slope: int) -> Fraction:
-    return Fraction(max(0, slope)) + TWO_THIRDS / (1 << abs(slope))
-
-
-def _feasible(slope: int, residue: Fraction) -> bool:
-    return min(0, slope) <= residue <= _envelope(slope)
-
-
 def _direct_hits(y: Fraction, max_order: int) -> HitCount:
-    """Enumerate balanced words of order <= max_order hit by y, by pruned DFS."""
+    """Enumerate balanced words of order <= max_order hit by y, by pruned DFS
+    over Fraction values.  It is ``test_humps``' word-by-word reference for
+    ``humps.truncated_hits`` and for :func:`complete_hits`."""
     total = leading = 0
     # stack entries: (digits-so-far as tuple, slope, value, stayed-nonnegative)
     stack = [((), 0, Fraction(0), True)]
@@ -495,115 +448,60 @@ def _direct_hits(y: Fraction, max_order: int) -> HitCount:
     return HitCount(total, leading)
 
 
-def complete_hits(y: Fraction, *, max_states: int = 50_000) -> HitCount:
-    """Exact number of truncated humps (all orders) whose shaved projection
-    contains y, with the leading subcount; raises AssertionError when the
-    family is infinite or the search exceeds its budget."""
-    assert 0 <= y <= TWO_THIRDS
-    den = y.denominator
-    two_part = den & -den
-    odd = den // two_part
-    assert odd in (1, 3), f"unsupported denominator {den}"
-    k = two_part.bit_length() - 1
-    n0 = max((k + 1) // 2, 1)
-    collapse = 2 * n0
+def complete_hits(y: Fraction) -> HitCount:
+    """Exact number of truncated humps, of every order, whose band holds y,
+    with the leading subcount: the root walks of ``reference_close_graph(y)``
+    that end on a hit state, D = 0 and 0 <= R <= 1/2 (0 <= 2N <= S).
 
-    direct = _direct_hits(y, n0 - 1)
+    Why that is the count: the walk of a balanced word w of order m from the
+    root (0, y) ends at D = 0 with R = (y - v(w)) 4^m, so w's truncated band
+    holds y exactly when its walk ends on a hit state.  A hit state is
+    feasible (R <= 1/2 < 2/3), and so is every prefix state of its word: the
+    curve over a word's interval takes every value it takes over the
+    interval of a longer word.  So each such word is one root walk of the
+    closed graph, and each root walk is one word (one child per digit).  The
+    depth tag splits states but not walks, so it does not change the count;
+    the closure leaves rays unexpanded, and no walk past a ray returns to
+    D = 0.  A hump is leading when its walk keeps D >= 0, so the leading
+    count is the same count through the states with D >= 0 alone.
 
-    # Target residual state for orders >= n0.
-    if odd == 1:
-        target_residue = Fraction(0)
-    else:
-        phase = (y.numerator * pow(2, collapse - k, 3)) % 3
-        if phase != 1:
-            return direct  # lattice sits at 2/3: no high-order hit can exist
-        target_residue = Fraction(1, 3)
-    target = (0, target_residue)
+    Walks are counted only through states that can reach a hit state.  A
+    cycle among those gives infinitely many hits, hence an infinite level
+    set, and raises AssertionError, as does a closure stopped by a budget.
+    """
+    graph = reference_close_graph(y)
+    assert graph.closed, f"state budget exhausted at {y}"
+    slopes, scale = graph.slope, y.denominator
+    hit = [d == 0 and 0 <= 2 * n <= scale for d, n in zip(slopes, graph.num)]
+    edges = [[c for c in children if c >= 0] for children in zip(graph.child0, graph.child1)]
+    parents: list[list[int]] = [[] for _ in slopes]
+    for v, children in enumerate(edges):
+        for c in children:
+            parents[c].append(v)
 
-    # Breadth-first closure of the feasible graph, collapsing past the lattice.
-    root = (0, 0, y)
-    nodes: dict = {root: []}  # key -> list of successor keys
-    queue = [(root, 0, (0, y))]
-    while queue:
-        key, depth, (slope, residue) = queue.pop()
-        if residue == 0 and slope >= 0:
-            continue  # terminating-tail ray: never returns to the target
-        if residue == slope and slope <= -1:
-            continue  # all-ones ray, likewise
-        for bit in (0, 1):
-            if bit:
-                child = (slope - 1, 2 * residue - slope - 1)
-            else:
-                child = (slope + 1, 2 * residue)
-            if not _feasible(*child):
-                continue
-            child_key = (depth + 1, *child) if depth + 1 < collapse else child
-            if child_key not in nodes:
-                assert len(nodes) < max_states, f"state budget exhausted at {y}"
-                nodes[child_key] = []
-                queue.append((child_key, depth + 1, child))
-            nodes[key].append(child_key)
+    def walk_count(allowed) -> int:
+        reach = {v for v in range(len(slopes)) if hit[v] and allowed(v)}
+        stack = list(reach)
+        while stack:
+            for u in parents[stack.pop()]:
+                if u not in reach and allowed(u):
+                    reach.add(u)
+                    stack.append(u)
+        # walks by length; one of more than len(reach) states repeats a state
+        level, total = ({0: 1} if 0 in reach else {}), 0
+        for _ in range(len(reach) + 1):
+            if not level:
+                return total
+            total += sum(n for v, n in level.items() if hit[v])
+            following: dict[int, int] = {}
+            for v, n in level.items():
+                for c in edges[v]:
+                    if c in reach:
+                        following[c] = following.get(c, 0) + n
+            level = following
+        raise AssertionError(f"infinite hit family at {y}")
 
-    def walk_count(allow) -> int:
-        if target not in nodes:
-            return 0
-        # Nodes that can reach the target, via reverse adjacency.
-        reverse: dict = {key: [] for key in nodes}
-        for key, succs in nodes.items():
-            for succ in succs:
-                reverse[succ].append(key)
-        reaching = {target}
-        frontier = [target]
-        while frontier:
-            key = frontier.pop()
-            for pred in reverse[key]:
-                if pred not in reaching and allow(pred):
-                    reaching.add(pred)
-                    frontier.append(pred)
-        if root not in reaching:
-            return 0
-        # The induced subgraph must be acyclic, otherwise walks (hence hits,
-        # hence the level set) are infinite.  Kahn's algorithm detects both.
-        indegree = {key: 0 for key in reaching}
-        for key in reaching:
-            for succ in nodes[key]:
-                if succ in reaching:
-                    indegree[succ] += 1
-        order = [key for key, deg in indegree.items() if deg == 0]
-        seen = 0
-        topo = []
-        while order:
-            key = order.pop()
-            topo.append(key)
-            seen += 1
-            for succ in nodes[key]:
-                if succ in reaching:
-                    indegree[succ] -= 1
-                    if indegree[succ] == 0:
-                        order.append(succ)
-        assert seen == len(reaching), f"infinite hit family at {y}"
-        # Kahn's emission order is a valid topological order, so a single
-        # forward pass settles every node after all of its predecessors.
-        ways = {key: 0 for key in reaching}
-        ways[root] = 1
-        for key in topo:
-            if key == target:
-                continue
-            w = ways[key]
-            if w:
-                for succ in nodes[key]:
-                    if succ in reaching:
-                        ways[succ] += w
-        return ways[target]
-
-    def is_leading(key) -> bool:
-        slope = key[1] if len(key) == 3 else key[0]
-        return slope >= 0
-
-    high_total = walk_count(lambda key: True)
-    high_leading = walk_count(is_leading) if high_total else 0
-    return HitCount(direct.total + high_total, direct.leading + high_leading)
-
+    return HitCount(walk_count(lambda v: True), walk_count(lambda v: slopes[v] >= 0))
 
 # ---------------------------------------------------------------------------
 # Local level sets: preimages grouped by their |D_j| profile

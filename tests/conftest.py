@@ -11,6 +11,6 @@ settings.load_profile("derandomized")
 
 @pytest.fixture(scope="session")
 def grid_depth6():
-    """Depth-6 classification sweep (8193 ordinates, ~20 s), read by the
+    """Depth-6 classification sweep (8193 ordinates, about 1 s), read by the
     two-method agreement check of criterion 5."""
     return grid_experiment(6)

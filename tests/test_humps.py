@@ -17,6 +17,7 @@ from takagi.humps import (
     count_balanced,
     truncated_hits,
 )
+from takagi.machine import Verdict, classify
 from takagi.signed import ALL_PLUS, truncated_local_count
 
 
@@ -128,6 +129,24 @@ def test_truncated_hits_against_enumeration(y, max_order):
     direct = oracles._direct_hits(y, max_order)
     assert direct.total == len(hits)
     assert direct.leading == len(leading)
+
+
+def test_walk_hits_match_word_search():
+    """The walk count over the rules reference (complete_hits, all orders)
+    against the word-by-word search (_direct_hits), total and leading, on
+    every Finite row of the depth-3 and depth-4 lattices.  Orders up to half
+    the reference graph's state count cover every hit: a hit walk of a
+    finite family repeats no state, so it is shorter than the graph."""
+    rows = 0
+    for depth in (3, 4):
+        for j in range(2 * 4**depth + 1):
+            y = Fraction(j, 3 * 4**depth)
+            if classify(y, listing=False).verdict is not Verdict.FINITE:
+                continue
+            max_order = len(oracles.reference_close_graph(y).slope) // 2
+            assert oracles.complete_hits(y) == oracles._direct_hits(y, max_order), y
+            rows += 1
+    assert rows == 464
 
 
 def test_truncated_hits_band_ends():

@@ -1,10 +1,15 @@
 """State machine: feasibility envelope, graph closure, verdicts, preimages."""
 
+import ast
 import dataclasses
 import hashlib
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -637,12 +642,31 @@ def test_closure_kernel_matches_reference():
     assert exits > 5000 and last_level_exits > 20
 
 
+def _replayed_revisit(graph, path):
+    """Walk a listed path from the root along the graph's edges, once round
+    its period, asserting that every edge exists.  Returns the end state and
+    the first revisit, (digits read, digits read at that state's first
+    visit), or None when no state repeats."""
+    v, seen = 0, {0: 0}  # each state visited -> the digits read on reaching it
+    for read, bit in enumerate(path.preperiod + path.period, 1):
+        v = (graph.child1 if bit else graph.child0)[v]
+        assert v >= 0, "no such edge"
+        if v in seen:
+            return v, (read, seen[v])
+        seen[v] = read
+    return v, None
+
+
 def test_mirrored_listing_matches_full_walk():
     """A Finite listing is the walk of the root's 0-subtree followed by the
-    complements of its paths in reverse order.  Against the walk over both
-    root branches (_oracles): the same paths and preimages in the same order,
-    on every Finite depth-6 row, on seeded deep draws and on odd
-    denominators, whose lattice depth is 0, so the root is a core state."""
+    complements of its paths in reverse order.  Each listed path is replayed
+    on the rules reference (_oracles) from the root: every edge exists, a
+    terminating path ends on a zero ray, and a periodic path first revisits
+    a state exactly where its period closes, at the state where the period
+    starts.  The preimages are the paths' values, strictly increasing, and
+    there are ``cardinality`` of them.  Every Finite depth-6 row, seeded deep
+    draws and odd denominators, whose lattice depth is 0, so the root is a
+    core state."""
     ordinates = [Fraction(j, 3 * 4**6) for j in range(1, 2 * 4**6 + 1)]
     ordinates += _seeded_ordinates(1722, (32, 64, 128), 40, 80)
     ordinates += sorted({Fraction(j, m) for m in range(5, 64, 2) for j in range(1, 2 * m // 3 + 1)})
@@ -652,13 +676,45 @@ def test_mirrored_listing_matches_full_walk():
         report = analyze(graph)
         if report.verdict is not Verdict.FINITE:
             continue
-        counts = machine._live_states(graph)[1]
-        paths = tuple(oracles.full_walk_paths(graph, counts))
-        assert report.paths == paths, y
-        assert report.preimages == tuple(p.value() for p in paths), y
+        reference = oracles.reference_close_graph(y)
+        for path in report.paths:
+            end, revisit = _replayed_revisit(reference, path)
+            split = len(path.preperiod)
+            if path.period:
+                assert revisit == (split + len(path.period), split), (y, path)
+            else:
+                assert revisit is None and reference.flags[end] & ZERO_RAY, (y, path)
+        values = tuple(p.value() for p in report.paths)
+        assert report.preimages == values and len(values) == report.cardinality, y
+        assert all(a < b for a, b in zip(values, values[1:])), y
         finite += 1
         core_root += graph.lattice_depth == 0
     assert finite > 4000 and core_root > 300
+
+
+def test_oracles_import_only_the_rules():
+    """The oracles take from takagi only the rules, so that no reference
+    leans on a kernel it checks: from machine, step, is_feasible, the
+    envelopes, the graph type, its flags and the default budgets; from
+    rationals, BinaryExpansion and ordinate_depth."""
+    allowed = {
+        "takagi.machine": {"step", "is_feasible", "StateGraph", "ZERO_RAY", "ONES_RAY", "MAX_RAY"},
+        "takagi.rationals": {"BinaryExpansion", "ordinate_depth"},
+    }
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    imported = 0
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+            assert all(name.split(".")[0] != "takagi" for name in names), names
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "takagi":
+            for alias in node.names:
+                name = alias.name
+                assert name in allowed.get(node.module, ()) or (
+                    node.module == "takagi.machine" and name.startswith(("envelope_", "DEFAULT_"))
+                ), (node.module, name)
+                imported += 1
+    assert imported > 0
 
 
 def _live_by_pruning(graph):
@@ -783,6 +839,36 @@ def test_analyze_leaves_the_core_memo_alone():
     for y in (Fraction(1, 5), Fraction(1, 3)):
         for listing in (True, False):
             assert classify(y, listing=listing) == analyze(close_graph(y), listing=listing), y
+
+
+def test_graph_checks_survive_optimize():
+    """The checks analyze makes of a caller's graph are raised, not
+    asserted, so ``python -O`` keeps them: the edited copy of
+    close_graph(1/5) above still fails under both ``listing`` values."""
+    script = """
+import dataclasses
+from fractions import Fraction
+from takagi.machine import analyze, close_graph
+
+graph = close_graph(Fraction(1, 5))
+edited = dataclasses.replace(graph, child1=list(graph.child1))
+edited.child1[next(v for v, child in enumerate(graph.child1) if child >= 0)] = -1
+for listing in (True, False):
+    try:
+        analyze(edited, listing=listing)
+    except AssertionError as error:
+        print(listing, error)
+    else:
+        print(listing, "passed")
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, env=env, check=True, timeout=60
+    )
+    assert result.stdout.decode().splitlines() == [
+        "True path enumeration disagrees with path count",
+        "False root's subtrees differ in count",
+    ]
 
 
 def test_memo_keeps_tarjan_for_cluster_witnesses(monkeypatch):

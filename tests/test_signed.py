@@ -158,7 +158,7 @@ def test_extrema_certified_by_integer_grid():
     N = 16
     for signs in [ALL_PLUS, ALTERNATING, P("++-"), P("+--"), P("+-", preperiod="-")]:
         term_signs = [signs.term(n) for n in range(N)]
-        grid = oracles.signed_int_grid(term_signs, N)
+        grid = oracles.int_grid(N, term_signs)
         e = signed_extrema(signs)
         margin = Fraction(1, 1 << N)
         assert abs(e.maximum - Fraction(int(grid.max()), 1 << N)) <= margin
