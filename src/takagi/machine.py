@@ -91,24 +91,24 @@ the prefix ids.  :func:`step`, :func:`is_feasible` and the
 ``envelope_*`` functions state the same rules on (D, R) with Fractions and
 are the exact reference the closure is tested against.
 
-A core state's facts do not depend on y beyond the odd part m of
-S = 2^k m.  Past depth k every untagged N is a multiple of 2^k: both terms
-of N = num(y) 2^j - (v_j 2^j) S are, once j >= k, and the untagged states
-lie at depth 2n >= k.  Each step and each feasibility and ray test above is
-homogeneous in (N, S), so in N / 2^k the integer steps are the same with m
-in place of S.  So the part of the graph below an untagged state (D, N),
-and with it the state's continuations, its profiles and the cycle cluster
-it lies on, is fixed by (m, D, N >> k).  :func:`classify` and
-:func:`leftmost_preimage` keep those facts in a bounded memo across
-ordinates (the grid's j / (3 * 4^n) all have m = 1 or 3).  When every core
-state of a closed graph is in it, the count pass takes the core's counts
-from the memo, sweeps the prefix as before, counts the distinct clusters
-and runs no Tarjan; on a miss Tarjan runs and the core is written.  Two
-witnesses keep Tarjan: a branching cluster and a cycle exit are named as
-the first such cluster or edge in Tarjan's order, which the memo does not
-keep.  A max ray, a dyadic point and a Finite verdict need neither, so they
-read the memo.  :func:`analyze` on a caller's graph neither reads nor
-writes the memo, as a graph edited after its closure would poison it.
+A core is fixed by the odd part m of S = 2^k m and by its states' keys
+(D, N >> k) in id order.  Past depth k every untagged N is a multiple of
+2^k: both terms of N = num(y) 2^j - (v_j 2^j) S are, once j >= k, and the
+untagged states lie at depth 2n >= k.  Each step and each feasibility and
+ray test above is homogeneous in (N, S), so in N / 2^k the integer steps
+are the same with m in place of S: a core state's children and ray flag
+follow from (m, D, N >> k).  No core edge leads back into the prefix, so
+two graphs with equal core keys have the same core up to the id offset
+``prefix``, and Tarjan, started at ``prefix``, ``prefix + 1``, ..., emits
+the same components in the same order.  :func:`classify` and
+:func:`leftmost_preimage` keep one entry per core in a bounded memo across
+ordinates (the grid's j / (3 * 4^n) all have m = 1 or 3): the core's
+continuations and profiles, its number of cycle clusters, and its first
+branching cluster and first cycle exit in Tarjan's order, as offsets from
+``prefix``.  On a hit the count pass sweeps the prefix as before and runs
+no Tarjan; on a miss Tarjan runs and the entry is written.
+:func:`analyze` on a caller's graph neither reads nor writes the memo, as
+a graph edited after its closure would poison it.
 """
 
 from __future__ import annotations
@@ -431,94 +431,68 @@ def _cluster_shape(graph: StateGraph, comp: list[int], counts: list[int]) -> tup
     return inner > len(comp), *exit_edge
 
 
-# The core memo: each untagged state that :func:`classify` or
-# :func:`leftmost_preimage` has analysed, keyed (m, D, N >> k) for S = 2^k m,
-# maps to its (continuations, profiles, cycle cluster, shape bits).  The
-# cluster is the least key among its states (None off a cycle); the bits say
-# whether it branches and whether it can be left towards a live state.  A
-# write that would take the memo past _CORE_MEMO_STATES entries empties it
-# first.  An entry takes about 220 bytes for the grid's and the deep
-# sample's ordinates and at most 330 while its numbers fit in 60 bits: at
-# most 2.7 MB at the bound.  Wider numbers add their own bytes: m and N grow
-# with den(y), and a count, in principle, with the longest path through a
-# core small enough to be written (below 2^8192).
-_CORE_MEMO: dict[tuple[int, int, int], tuple[int, int, Optional[tuple[int, int, int]], int]] = {}
-_CORE_MEMO_STATES = 8192
-_BRANCHES, _EXITS = 1, 2
+# The core memo: each core :func:`classify` or :func:`leftmost_preimage` has
+# analysed, keyed (m, its slopes, its N >> k) for S = 2^k m, maps to what
+# _counted gives for the core alone, state ids as offsets from ``prefix``.
+# A write that would take it past _CORE_MEMO_STATES core states held empties
+# it first; a larger core is not written.  A held state takes about 62 bytes
+# for the deep sample's ordinates (cores of about 50 states), 4 MB at the
+# bound, and at most about 520 in one-state cores while numbers fit in 30
+# bits, 33 MB.  Wider numbers add their own bytes: m and N grow with den(y),
+# and a count, in principle, with the paths through a core small enough to
+# be written.
+_CORE_MEMO: dict[tuple, tuple[list[int], list[int], int, tuple[int, ...], tuple[int, ...]]] = {}
+_CORE_MEMO_STATES = 65_536
+_core_memo_held = 0  # the core states held, read as 0 once the memo is empty
 # The graph classify has closed, while analyze runs on it: the one graph
 # whose core analyze reads from and writes to the memo, as a caller's graph
 # may not be what close_graph made.
 _classified: Optional[StateGraph] = None
 
 
-def _recall(graph: StateGraph) -> Optional[tuple[list[int], list[int], int, int]]:
-    """The count pass off the core memo: the core's counts and profiles as
-    remembered and the prefix swept as :func:`_live_states` sweeps it, the
-    number of distinct cycle clusters among the core states and the union
-    of their shape bits; None if some core state is not remembered."""
-    shift, odd = split_denominator(graph.ordinate)
-    prefix, size = graph.prefix, len(graph.flags)
-    counts, profiles = [0] * (size + 1), [0] * (size + 1)
-    cycles: set[tuple[int, int, int]] = set()
-    shape = 0
-    recall = _CORE_MEMO.get
-    for v, slope, num in zip(range(prefix, size), graph.slope[prefix:], graph.num[prefix:]):
-        facts = recall((odd, slope, num >> shift))
-        if facts is None:
-            return None
-        counts[v], profiles[v], cycle, bits = facts
-        if cycle is not None:
-            cycles.add(cycle)
-            shape |= bits
-    _count_from_children(graph, counts, profiles, range(prefix - 1, -1, -1))
-    return counts, profiles, len(cycles), shape
-
-
-def _remember(
-    graph: StateGraph, comps: list[list[int]], counts: list[int], profiles: list[int]
-) -> None:
-    """Write every core state's facts into the memo, first emptying it if
-    they would not fit; a core larger than the memo is not written."""
-    prefix, size = graph.prefix, len(graph.flags)
-    if size - prefix > _CORE_MEMO_STATES:
-        return
-    if len(_CORE_MEMO) + size - prefix > _CORE_MEMO_STATES:
-        _CORE_MEMO.clear()
-    shift, odd = split_denominator(graph.ordinate)
-    core = zip(graph.slope[prefix:], graph.num[prefix:])
-    keys = [(odd, slope, num >> shift) for slope, num in core]
-    cycle: dict[int, tuple[tuple[int, int, int], int]] = {}
-    for comp in comps:
-        if len(comp) > 1:
-            branches, exit_from, _ = _cluster_shape(graph, comp, counts)
-            bits = (_BRANCHES if branches else 0) | (_EXITS if exit_from >= 0 else 0)
-            facts = (min(keys[v - prefix] for v in comp), bits)
-            for v in comp:
-                cycle[v] = facts
-    for v, key in enumerate(keys, prefix):
-        label, bits = cycle.get(v, (None, 0))
-        _CORE_MEMO[key] = (counts[v], profiles[v], label, bits)
-
-
 def _counted(
     graph: StateGraph, memo: bool
-) -> tuple[list[list[int]], int, list[int], list[int]]:
-    """The count pass: (the cycle clusters a witness may name, the number of
-    clusters, counts, profiles).  With ``memo`` the counts come off the core
-    memo when every core state is in it (no Tarjan), unless the verdict
-    needs a witness taken in Tarjan's order (module docstring); on a miss
-    Tarjan runs and the core is written to the memo."""
-    known = _recall(graph) if memo else None
-    if known is not None:
-        counts, profiles, cycles, shape = known
-        flags = graph.flags
-        if MAX_RAY in flags or not shape & _BRANCHES and (ZERO_RAY in flags or not shape & _EXITS):
-            return [], cycles, counts, profiles
+) -> tuple[list[int], list[int], int, tuple[int, ...], tuple[int, ...]]:
+    """The count pass: (counts, profiles, the number of cycle clusters, the
+    first branching cluster, the first exit edge as (state, child)), the
+    last two in Tarjan's order and empty when there is none.  With ``memo``
+    a remembered core gives all of it back but the prefix's counts, which
+    are swept as :func:`_live_states` sweeps them, and no Tarjan runs; on a
+    miss Tarjan runs and the core's entry is written (module docstring)."""
+    global _core_memo_held
+    prefix = graph.prefix
+    core = len(graph.flags) - prefix  # the core states, ids prefix on
+    if memo:
+        shift, odd = split_denominator(graph.ordinate)
+        key = (odd, tuple(graph.slope[prefix:]), tuple(n >> shift for n in graph.num[prefix:]))
+        known = _CORE_MEMO.get(key)
+        if known is not None:
+            core_counts, core_profiles, clusters, branching, exit_edge = known
+            counts = [0] * prefix + core_counts + [0]
+            profiles = [0] * prefix + core_profiles + [0]
+            _count_from_children(graph, counts, profiles, range(prefix - 1, -1, -1))
+            branching = tuple(v + prefix for v in branching)
+            exit_edge = tuple(v + prefix for v in exit_edge)
+            return counts, profiles, clusters, branching, exit_edge
     comps, counts, profiles = _live_states(graph)
-    if memo and known is None:
-        _remember(graph, comps, counts, profiles)
-    clusters = [c for c in comps if len(c) > 1]
-    return clusters, len(clusters), counts, profiles
+    clusters, branching, exit_edge = 0, (), ()
+    for comp in comps:
+        if len(comp) > 1:
+            clusters += 1
+            branches, source, target = _cluster_shape(graph, comp, counts)
+            if branches and not branching:
+                branching = tuple(comp)
+            if source >= 0 and not exit_edge:
+                exit_edge = (source, target)
+    if memo and core <= _CORE_MEMO_STATES:
+        held = _core_memo_held if _CORE_MEMO else 0
+        if held + core > _CORE_MEMO_STATES:
+            _CORE_MEMO.clear()
+            held = 0
+        offsets = (tuple(v - prefix for v in ids) for ids in (branching, exit_edge))
+        _CORE_MEMO[key] = (counts[prefix:-1], profiles[prefix:-1], clusters, *offsets)
+        _core_memo_held = held + core
+    return counts, profiles, clusters, branching, exit_edge
 
 
 def _state_label(graph: StateGraph, v: int) -> str:
@@ -645,42 +619,36 @@ def analyze(graph: StateGraph, *, listing: bool = True) -> LevelSetReport:
     if not graph.closed:
         return report(Verdict.INDETERMINATE, witness=f"budget exceeded ({graph.budget_reason})")
 
-    clusters, cycles, counts, profiles = _counted(graph, graph is _classified)
+    counts, profiles, cycles, branching, exit_edge = _counted(graph, graph is _classified)
     diagnostics["cycles"] = cycles
     diagnostics["live_states"] = sum(map(bool, counts))
 
     if MAX_RAY in graph.flags:
         witness = f"max-envelope state {_state_label(graph, graph.flags.index(MAX_RAY))} reached"
         return report(Verdict.UNCOUNTABLE, witness=witness)
-    exit_witness: Optional[str] = None  # names the first edge leaving a cycle
-    for comp in clusters:
-        branches, source, target = _cluster_shape(graph, comp, counts)
-        if exit_witness is None and source >= 0:
-            exit_witness = (
-                f"cycle through {_state_label(graph, source)} "
-                f"can be left towards {_state_label(graph, target)}"
-            )
-        if branches:
-            # cycles lie past the lattice depth, where keys are (D, N): sort
-            # on the (D, R) form, so the listing does not depend on S
-            scale = y.denominator
-            ordered = sorted(
-                comp, key=lambda v: str((graph.slope[v], Fraction(graph.num[v], scale)))
-            )
-            labels = ", ".join(_state_label(graph, v) for v in ordered)
-            return report(Verdict.UNCOUNTABLE, witness=f"branching cycle cluster {{{labels}}}")
-
+    if branching:
+        # cycles lie past the lattice depth, where keys are (D, N): sort on
+        # the (D, R) form, so the listing does not depend on S
+        scale = y.denominator
+        ordered = sorted(
+            branching, key=lambda v: str((graph.slope[v], Fraction(graph.num[v], scale)))
+        )
+        labels = ", ".join(_state_label(graph, v) for v in ordered)
+        return report(Verdict.UNCOUNTABLE, witness=f"branching cycle cluster {{{labels}}}")
     if ZERO_RAY in graph.flags:
         return report(
             Verdict.COUNTABLY_INFINITE,
             witness="attained at a dyadic point",
             witness_preimage=_dyadic_witness(graph) if listing else None,
         )
-    if exit_witness is not None:
-        assert counts[0] > 0
+    if exit_edge:
+        if counts[0] <= 0:
+            raise AssertionError("a cycle can be left but the root is dead")
+        source, target = exit_edge
         return report(
             Verdict.COUNTABLY_INFINITE,
-            witness=exit_witness,
+            witness=f"cycle through {_state_label(graph, source)} "
+            f"can be left towards {_state_label(graph, target)}",
             witness_preimage=next(_paths(graph, counts)).value() if listing else None,
         )
 
@@ -711,12 +679,7 @@ def analyze(graph: StateGraph, *, listing: bool = True) -> LevelSetReport:
     )
 
 
-def leftmost_preimage(
-    y: Fraction,
-    *,
-    max_states: int = DEFAULT_MAX_STATES,
-    max_slope: int = DEFAULT_MAX_SLOPE,
-) -> Fraction:
+def leftmost_preimage(y: Fraction) -> Fraction:
     """min L(y), exactly: the first path of the 0-digit-first walk.
 
     That path either stops on the all-zeros ray (dyadic answer) or first
@@ -728,12 +691,12 @@ def leftmost_preimage(
         raise ValueError(f"level set of {y} is empty")
     if y == 0:
         return ZERO
-    graph = close_graph(y, max_states=max_states, max_slope=max_slope)
+    graph = close_graph(y)
     if not graph.closed:
         raise BudgetExceededError(
             f"state graph for {y} did not close ({graph.budget_reason})"
         )
-    counts = _counted(graph, True)[2]
+    counts = _counted(graph, True)[0]
     assert counts[0] > 0
     return next(_paths(graph, counts)).value()
 

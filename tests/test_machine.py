@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import hashlib
+import inspect
 import os
 import random
 import subprocess
@@ -802,6 +803,20 @@ def test_core_memo_matches_cold_analysis(monkeypatch):
     assert len(tarjan) < len(cold) // 4 and recalled_odd > 500
 
 
+def _memo_held():
+    """The core states the memo holds, over all its entries."""
+    return sum(len(entry[0]) for entry in machine._CORE_MEMO.values())
+
+
+def _tarjan_runs(monkeypatch):
+    """The graphs _live_states runs Tarjan on from here on, in order."""
+    runs = []
+    live_states = machine._live_states
+    monkeypatch.setattr(machine, "_live_states", lambda graph: runs.append(graph) or
+                        live_states(graph))
+    return runs
+
+
 def _hand_graphs():
     """The hand-built graphs of the cycle-exit and branching-cluster tests."""
     a, b = (0, Fraction(1, 3)), (1, Fraction(2, 3))
@@ -833,12 +848,21 @@ def test_analyze_leaves_the_core_memo_alone():
     classify(Fraction(1, 5))
     classify(Fraction(1, 3))
     warm = dict(machine._CORE_MEMO)
-    assert len(warm) == len(graph.slope) + len(close_graph(Fraction(1, 3)).slope)
+    assert _memo_held() == len(graph.slope) + len(close_graph(Fraction(1, 3)).slope)
     assert analyze_all() == empty
     assert machine._CORE_MEMO == warm
     for y in (Fraction(1, 5), Fraction(1, 3)):
         for listing in (True, False):
             assert classify(y, listing=listing) == analyze(close_graph(y), listing=listing), y
+
+
+def _run_optimized(script):
+    """The lines ``script`` prints under ``python -O``."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, env=env, check=True, timeout=60
+    )
+    return result.stdout.decode().splitlines()
 
 
 def test_graph_checks_survive_optimize():
@@ -861,47 +885,197 @@ for listing in (True, False):
     else:
         print(listing, "passed")
 """
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, env=env, check=True, timeout=60
-    )
-    assert result.stdout.decode().splitlines() == [
+    assert _run_optimized(script) == [
         "True path enumeration disagrees with path count",
         "False root's subtrees differ in count",
     ]
 
 
+def test_cycle_exit_check_survives_optimize():
+    """A hand-built graph whose root is a dead end, with an unreachable
+    cluster that can be left towards an exit-free cycle: the cycle-exit
+    branch has no root path to list, and says so under ``python -O`` too,
+    under both ``listing`` values, rather than walking from a missing
+    child."""
+    p, q = (1, Fraction(2, 3)), (2, Fraction(4, 3))
+    u, w = (3, Fraction(1, 5)), (2, Fraction(1, 7))
+    root = (0, Fraction(1, 105))
+    graph = _hand_graph(root[1], {root: {}, p: {0: q}, q: {0: u, 1: p}, u: {1: w}, w: {0: u}})
+    script = f"""
+from fractions import Fraction
+from takagi.machine import StateGraph, analyze
+
+graph = StateGraph(**{dataclasses.asdict(graph)!r})
+for listing in (True, False):
+    try:
+        analyze(graph, listing=listing)
+    except AssertionError as error:
+        print(listing, error)
+    else:
+        print(listing, "passed")
+"""
+    assert _run_optimized(script) == [
+        "True a cycle can be left but the root is dead",
+        "False a cycle can be left but the root is dead",
+    ]
+
+
+def test_analyze_has_no_bare_assert():
+    """analyze checks a caller's graph, so no check in it may be an
+    ``assert`` statement, which ``python -O`` strips."""
+    tree = ast.parse(inspect.getsource(machine.analyze))
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
+
+
 def test_memo_keeps_tarjan_for_cluster_witnesses(monkeypatch):
-    """A branching cluster and a cycle exit are named in Tarjan's order, so
-    classify runs Tarjan for them even when every core state is remembered.
-    Each hand-built graph, handed to classify as its own closure, gives the
-    report analyze gives on the first call and on the warm calls after it.
-    No sampled ordinate has either graph's shape without the other."""
+    """A branching cluster and a cycle exit are named in Tarjan's order,
+    which a remembered core gives back.  Each hand-built graph, handed to
+    classify as its own closure, gives the report analyze gives on the first
+    call, which runs Tarjan, and on the warm calls after it, which do not."""
+    tarjan = _tarjan_runs(monkeypatch)
     try:
         for graph in _hand_graphs():
             monkeypatch.setattr(machine, "close_graph", lambda y, **budgets: graph)
             machine._CORE_MEMO.clear()
+            tarjan.clear()
             for listing in (True, False, True):
                 assert classify(graph.ordinate, listing=listing) == analyze(graph, listing=listing)
-            assert len(machine._CORE_MEMO) == len(graph.slope)
+            assert _memo_held() == len(graph.slope)
+            assert len(tarjan) == 4  # the first classify and the three cold analyses
     finally:
         machine._CORE_MEMO.clear()  # the hand-built facts are not the closure's
 
 
+def test_memo_shifts_witnesses_behind_a_prefix(monkeypatch):
+    """The cycle-exit graph behind two tagged states, with den(y) = 4 * 3:
+    its core key is the bare graph's, so after classify(1/3) on the bare
+    graph, classify on this one reads the entry written at prefix 0 and
+    must name the same cycle and exit at ids two higher.  Both orders give
+    the reports analyze gives, and the warm calls run no Tarjan."""
+    y = Fraction(1, 12)
+    a, b = (0, Fraction(1, 3)), (1, Fraction(2, 3))
+    c, d = (2, Fraction(4, 3)), (1, Fraction(1))
+    root, tagged = (0, y), (1, Fraction(1, 6))
+    edges = {root: {0: tagged}, tagged: {0: a, 1: c}}
+    edges.update({a: {0: b}, b: {0: c, 1: a}, c: {1: d}, d: {0: c}})
+    graphs = {"bare": _hand_graphs()[0]}
+    graphs["behind"] = dataclasses.replace(_hand_graph(y, edges), prefix=2, lattice_depth=2)
+    cold = {
+        (name, listing): analyze(graph, listing=listing)
+        for name, graph in graphs.items()
+        for listing in (True, False)
+    }
+    assert cold["behind", False].witness == cold["bare", False].witness == (
+        "cycle through (D=1, R=2/3) can be left towards (D=2, R=4/3)"
+    )
+    tarjan = _tarjan_runs(monkeypatch)
+    try:
+        for order in (("bare", "behind"), ("behind", "bare")):
+            machine._CORE_MEMO.clear()
+            tarjan.clear()
+            for name in order:
+                graph = graphs[name]
+                monkeypatch.setattr(machine, "close_graph", lambda y, **budgets: graph)
+                for listing in (True, False):
+                    assert classify(graph.ordinate, listing=listing) == cold[name, listing], name
+            assert tarjan == [graphs[order[0]]] and len(machine._CORE_MEMO) == 1
+    finally:
+        machine._CORE_MEMO.clear()  # the hand-built facts are not the closure's
+
+
+def test_core_key_keeps_m_and_n_apart(monkeypatch):
+    """Cores whose keys differ only in N, or only in m, are separate
+    entries.  The cycle-exit graph over den(y) = 3, then two branching
+    graphs with its slopes, one with other N over den(y) = 3 and one with
+    its N over den(y) = 5, handed to classify in turn as their own
+    closures: each gives analyze's reports, though it follows a core with
+    the rest of its key.  No two closures of the reduced j / (m * 2^k) with
+    odd m < 130 and k <= 4, nor of the depth-6 rows, have cores that differ
+    so, so the graphs are built by hand."""
+    exits = _hand_graphs()[0]
+    branching = []
+    for y, residues in ((Fraction(1, 3), (1, 1, 1, 2)), (Fraction(1, 5), (1, 2, 4, 3))):
+        states = zip(exits.slope, residues)
+        a, b, c, d = ((slope, Fraction(n, y.denominator)) for slope, n in states)
+        branching.append(_hand_graph(y, {a: {0: b, 1: b}, b: {0: c, 1: a}, c: {1: d}, d: {0: c}}))
+    assert [g.slope for g in branching] == [exits.slope] * 2
+    assert branching[1].num == exits.num != branching[0].num
+    try:
+        machine._CORE_MEMO.clear()
+        for graph in (exits, *branching):
+            cold = analyze(graph, listing=False)
+            monkeypatch.setattr(machine, "close_graph", lambda y, **budgets: graph)
+            assert classify(graph.ordinate, listing=False) == cold, graph.ordinate
+        assert cold.verdict is Verdict.UNCOUNTABLE and len(machine._CORE_MEMO) == 3
+    finally:
+        machine._CORE_MEMO.clear()  # the hand-built facts are not the closure's
+
+
+def test_equal_core_keys_give_equal_cores():
+    """The memo's premise, checked without the memo: over the closed graphs
+    of every depth-6 row and seeded j / (3 * 4^n) and j / (m * 2^k), every
+    core N is a multiple of 2^k for den(y) = 2^k m, and graphs whose cores
+    have the same key (m, slopes, N >> k) have the same core edges, less
+    ``prefix``, and the same ray flags."""
+    ordinates = [Fraction(j, 3 * 4**6) for j in range(1, 2 * 4**6 + 1)]
+    ordinates += _seeded_ordinates(1725, (16, 32, 64), 60, 600)
+    cores = {}
+    shared = 0
+    for y in ordinates:
+        graph = close_graph(y)
+        if not graph.closed:
+            continue
+        prefix, den = graph.prefix, y.denominator
+        shift = (den & -den).bit_length() - 1
+        assert all(n % (1 << shift) == 0 for n in graph.num[prefix:]), y
+        core_nums = tuple(n >> shift for n in graph.num[prefix:])
+        key = (den >> shift, tuple(graph.slope[prefix:]), core_nums)
+        core = tuple(
+            tuple(-1 if child < 0 else child - prefix for child in children[prefix:])
+            for children in (graph.child0, graph.child1)
+        ) + (tuple(graph.flags[prefix:]),)
+        shared += key in cores
+        assert cores.setdefault(key, core) == core, y
+    assert shared > 5000 and len(cores) > 500
+
+
+def test_warm_witnesses_behind_a_prefix_match_cold(monkeypatch):
+    """classify, warm, against analyze, cold, on every reduced j / (m * 2^k)
+    with odd m <= 63 and k = 1..3, each under both ``listing`` values in
+    turn: the same reports.  All 104 branching rows have a tagged prefix,
+    and each one's second call reads its cluster off the memo.  classify is
+    handed the graph analyze read, so each ordinate is closed once."""
+    ordinates = sorted({
+        y for m in range(1, 64, 2) for k in (1, 2, 3) for j in range(1, 2 * (m << k) // 3 + 1)
+        if (y := Fraction(j, m << k)).denominator == m << k
+    })
+    machine._CORE_MEMO.clear()
+    branching = 0
+    for y in ordinates:
+        graph = close_graph(y)
+        monkeypatch.setattr(machine, "close_graph", lambda y, **budgets: graph)
+        for listing in (True, False):
+            cold = analyze(graph, listing=listing)
+            assert classify(y, listing=listing) == cold, (y, listing)
+        branching += str(cold.witness).startswith("branching") and graph.prefix > 0
+    assert branching == 104
+
+
 def test_core_memo_stays_within_its_bound(monkeypatch):
-    """Every reduced j/m with odd m <= 45 has more distinct core states than
-    the memo holds: it never holds more than its bound, it is emptied on
-    the way, and every report equals the one analyze gives without it.
-    Under a bound of 20 a larger core is not written at all."""
+    """Every reduced j/m with odd m <= 53 has more core states, summed over
+    its distinct cores, than the memo holds: it never holds more than its
+    bound, it is emptied on the way, and every report equals the one
+    analyze gives without it.  Under a bound of 20 a larger core is not
+    written at all."""
     bound = machine._CORE_MEMO_STATES
-    ordinates = sorted({Fraction(j, m) for m in range(5, 46, 2) for j in range(1, 2 * m // 3 + 1)})
+    ordinates = sorted({Fraction(j, m) for m in range(5, 54, 2) for j in range(1, 2 * m // 3 + 1)})
     machine._CORE_MEMO.clear()
     emptied = 0
     for y in ordinates:
-        size = len(machine._CORE_MEMO)
+        size = _memo_held()
         assert classify(y, listing=False) == analyze(close_graph(y), listing=False), y
-        assert len(machine._CORE_MEMO) <= bound
-        emptied += len(machine._CORE_MEMO) < size
+        assert _memo_held() <= bound
+        emptied += _memo_held() < size
     assert emptied > 0
     monkeypatch.setattr(machine, "_CORE_MEMO_STATES", 20)
     machine._CORE_MEMO.clear()
@@ -909,4 +1083,4 @@ def test_core_memo_stays_within_its_bound(monkeypatch):
     assert len(close_graph(large).slope) > 20 >= len(close_graph(small).slope)
     for y in (small, large):
         assert classify(y) == analyze(close_graph(y)), y
-    assert len(machine._CORE_MEMO) == len(close_graph(small).slope)
+    assert _memo_held() == len(close_graph(small).slope)
