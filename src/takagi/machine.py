@@ -91,22 +91,35 @@ the prefix ids.  :func:`step`, :func:`is_feasible` and the
 ``envelope_*`` functions state the same rules on (D, R) with Fractions and
 are the exact reference the closure is tested against.
 
-A core is fixed by the odd part m of S = 2^k m and by its states' keys
-(D, N >> k) in id order.  Past depth k every untagged N is a multiple of
-2^k: both terms of N = num(y) 2^j - (v_j 2^j) S are, once j >= k, and the
-untagged states lie at depth 2n >= k.  Each step and each feasibility and
-ray test above is homogeneous in (N, S), so in N / 2^k the integer steps
-are the same with m in place of S: a core state's children and ray flag
-follow from (m, D, N >> k).  No core edge leads back into the prefix, so
-two graphs with equal core keys have the same core up to the id offset
+A core is fixed by the odd part m of S = 2^k m and by its entry level: the
+states at the lattice depth, the first ids from ``prefix`` on, as their
+keys (D, N >> k) in id order.  Past depth k every untagged N is a multiple
+of 2^k: both terms of N = num(y) 2^j - (v_j 2^j) S are, once j >= k, and
+the untagged states lie at depth 2n >= k.  Each step and each feasibility
+and ray test above is homogeneous in (N, S), so in N / 2^k the integer
+steps are the same with m in place of S: a core state's children and ray
+flag follow from (m, D, N >> k).  The core is the breadth-first closure of
+its entry level, and no core edge leads back into the prefix, so two
+graphs with equal entry keys have the same core up to the id offset
 ``prefix``, and Tarjan, started at ``prefix``, ``prefix + 1``, ..., emits
-the same components in the same order.  :func:`classify` and
-:func:`leftmost_preimage` keep one entry per core in a bounded memo across
-ordinates (the grid's j / (3 * 4^n) all have m = 1 or 3): the core's
-continuations and profiles, its number of cycle clusters, and its first
-branching cluster and first cycle exit in Tarjan's order, as offsets from
-``prefix``.  On a hit the count pass sweeps the prefix as before and runs
-no Tarjan; on a miss Tarjan runs and the entry is written.
+the same components in the same order.  The key is known before any core
+state is expanded.  :func:`classify` and :func:`leftmost_preimage` keep
+one entry per core in a bounded memo across ordinates (the grid's
+j / (3 * 4^n) all have m = 1 or 3): the core's size and largest |D|, its
+continuations, profiles and live states, its number of cycle clusters,
+whether it holds a zero ray, and the witness texts of its first max ray,
+first branching cluster and first cycle exit.
+``classify(y, listing=False)`` closes the tagged levels and the entry
+level, then looks the entry up.  A hit whose core fits the budgets, ``prefix`` plus the
+core's size at most ``max_states`` and every core |D| at most
+``max_slope``, gives the report from the prefix sweep and the entry, and
+no core state is expanded.  Neither budget could stop that core's closure:
+a slope exit needs a feasible child past the budget, and a closed core
+whose largest |D| is T has no feasible child past T.  On a miss, or when a
+budget could stop the core, the closure resumes where it stopped, so a
+budget exit keeps its reason, and the entry is written.  Listing callers
+close the whole graph and read its core's counts from the same entry.  On
+a hit no Tarjan runs; on a miss Tarjan runs once.
 :func:`analyze` on a caller's graph neither reads nor writes the memo, as
 a graph edited after its closure would poison it.
 """
@@ -117,7 +130,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .curve import TWO_THIRDS
 from .rationals import ZERO, BinaryExpansion, ordinate_depth, split_denominator
@@ -212,8 +225,19 @@ def close_graph(
     never expanded.  The walk runs on integer states (D, N), N = R * S, one
     breadth-first level at a time.
     """
+    *_, graph = _closure(y, max_states, max_slope)
+    return graph
+
+
+def _closure(y: Fraction, max_states: int, max_slope: int) -> Iterator[StateGraph]:
+    """:func:`close_graph`'s closure in two stages.  The graph is yielded
+    once its entry level, the states at the lattice depth, is made and none
+    of them is expanded (``prefix`` is then set, and ``closed`` reads True),
+    and again when the closure ends; a closure that ends above the lattice
+    depth yields only the second time."""
     if not 0 <= y <= TWO_THIRDS:
-        return StateGraph(y, 0)
+        yield StateGraph(y, 0)
+        return
     lattice_depth = 2 * ordinate_depth(y)
     scale, root_num = y.denominator, y.numerator
     root_key = (0, 0, root_num) if lattice_depth > 0 else (0, root_num)
@@ -224,7 +248,12 @@ def close_graph(
     twice = 2 * scale
     reason: Optional[str] = None
     depth, start, end = 0, 0, 1  # the level: ids start..end - 1, all this deep
-    while start < end:
+    while True:
+        if depth == lattice_depth:
+            graph.prefix = start
+            yield graph
+        if start == end:
+            break
         tag = depth + 1 if depth + 1 < lattice_depth else 0  # the children's key tag, if any
         for v in range(start, end):
             flag = flags[v]
@@ -294,15 +323,13 @@ def close_graph(
                 child1[v] = child
         else:  # the level is expanded: on to the next, if it has states
             depth += 1
-            if depth == lattice_depth:
-                graph.prefix = end
             start, end = end, len(slopes)
             continue
         break
     if depth < lattice_depth:  # a budget exit or an empty level above the lattice
         graph.prefix = len(slopes)
     graph.budget_reason = reason
-    return graph
+    yield graph
 
 
 class Verdict(Enum):
@@ -431,72 +458,130 @@ def _cluster_shape(graph: StateGraph, comp: list[int], counts: list[int]) -> tup
     return inner > len(comp), *exit_edge
 
 
+def _state_label(graph: StateGraph, v: int) -> str:
+    return f"(D={graph.slope[v]}, R={Fraction(graph.num[v], graph.ordinate.denominator)})"
+
+
+class _Core(NamedTuple):
+    """What the count pass gives for one core, as the memo keeps it: each
+    core state's continuations and profiles, in id order from ``prefix``;
+    how many core states are live; the number of cycle clusters; the
+    largest |D|; the counts of the first core state's two children (the
+    root's, when there is no prefix); whether a zero ray is in the core; and
+    the witness texts of the first max ray, in id order, and of the first
+    branching cluster and the first cycle exit, in Tarjan's order, each
+    empty when there is none."""
+
+    counts: list[int]
+    profiles: list[int]
+    live: int
+    clusters: int
+    top: int
+    halves: tuple[int, int]
+    zero_ray: bool
+    max_ray: str
+    branching: str
+    exit: str
+
+
 # The core memo: each core :func:`classify` or :func:`leftmost_preimage` has
-# analysed, keyed (m, its slopes, its N >> k) for S = 2^k m, maps to what
-# _counted gives for the core alone, state ids as offsets from ``prefix``.
-# A write that would take it past _CORE_MEMO_STATES core states held empties
-# it first; a larger core is not written.  A held state takes about 62 bytes
-# for the deep sample's ordinates (cores of about 50 states), 4 MB at the
-# bound, and at most about 520 in one-state cores while numbers fit in 30
-# bits, 33 MB.  Wider numbers add their own bytes: m and N grow with den(y),
-# and a count, in principle, with the paths through a core small enough to
-# be written.
-_CORE_MEMO: dict[tuple, tuple[list[int], list[int], int, tuple[int, ...], tuple[int, ...]]] = {}
+# analysed, keyed by its entry level (:func:`_entry_key`).  A write that
+# would take it past _CORE_MEMO_STATES core states held evicts the oldest
+# entries, in insertion order, until it fits; a larger core is not written.
+# A held state takes about 28 bytes for the deep sample's ordinates (cores
+# of about 50 states), 1.8 MB at the bound, and at most about 660 in
+# one-state cores while numbers fit in 30 bits, 43 MB; a branching
+# cluster's witness text adds a label per member.  Wider numbers add their
+# own bytes: m and N grow with den(y), and a count, in principle, with the
+# paths through a core small enough to be written.
+_CORE_MEMO: dict[tuple, _Core] = {}
 _CORE_MEMO_STATES = 65_536
 _core_memo_held = 0  # the core states held, read as 0 once the memo is empty
-# The graph classify has closed, while analyze runs on it: the one graph
-# whose core analyze reads from and writes to the memo, as a caller's graph
-# may not be what close_graph made.
-_classified: Optional[StateGraph] = None
+# The graph classify has closed, its core's memo key and the entry found
+# under it (None on a miss), while analyze runs on it: the one graph whose
+# core analyze reads from and writes to the memo, as a caller's graph may
+# not be what close_graph made.
+_classified: tuple = (None, None, None)
+
+
+def _entry_key(graph: StateGraph) -> tuple:
+    """The memo key of the graph's core: m and the (D, N >> k) of its entry
+    level, in id order, for den(y) = 2^k m.  The entry level is the root
+    when there is no prefix, else the children of the last tagged level:
+    the ids from ``prefix`` to the largest child of a prefix state."""
+    prefix = graph.prefix
+    end = 1 + max(chain(graph.child0[:prefix], graph.child1[:prefix]), default=0)
+    shift, odd = split_denominator(graph.ordinate)
+    return odd, tuple(graph.slope[prefix:end]), tuple(n >> shift for n in graph.num[prefix:end])
 
 
 def _counted(
-    graph: StateGraph, memo: bool
-) -> tuple[list[int], list[int], int, tuple[int, ...], tuple[int, ...]]:
-    """The count pass: (counts, profiles, the number of cycle clusters, the
-    first branching cluster, the first exit edge as (state, child)), the
-    last two in Tarjan's order and empty when there is none.  With ``memo``
-    a remembered core gives all of it back but the prefix's counts, which
-    are swept as :func:`_live_states` sweeps them, and no Tarjan runs; on a
-    miss Tarjan runs and the core's entry is written (module docstring)."""
-    global _core_memo_held
+    graph: StateGraph, key: Optional[tuple], core: Optional[_Core]
+) -> tuple[list[int], list[int], _Core]:
+    """The count pass: every state's continuations and profiles, and the
+    core's facts.  A remembered ``core`` gives the core's share, and the
+    prefix is swept as :func:`_live_states` sweeps it, so past the prefix
+    the graph need hold no more than its entry level.  Otherwise Tarjan
+    runs on the whole graph and, given a ``key``, the core's facts are
+    written to the memo under it."""
     prefix = graph.prefix
-    core = len(graph.flags) - prefix  # the core states, ids prefix on
-    if memo:
-        shift, odd = split_denominator(graph.ordinate)
-        key = (odd, tuple(graph.slope[prefix:]), tuple(n >> shift for n in graph.num[prefix:]))
-        known = _CORE_MEMO.get(key)
-        if known is not None:
-            core_counts, core_profiles, clusters, branching, exit_edge = known
-            counts = [0] * prefix + core_counts + [0]
-            profiles = [0] * prefix + core_profiles + [0]
-            _count_from_children(graph, counts, profiles, range(prefix - 1, -1, -1))
-            branching = tuple(v + prefix for v in branching)
-            exit_edge = tuple(v + prefix for v in exit_edge)
-            return counts, profiles, clusters, branching, exit_edge
+    if core is not None:
+        counts = [0] * prefix + core.counts + [0]
+        profiles = [0] * prefix + core.profiles + [0]
+        _count_from_children(graph, counts, profiles, range(prefix - 1, -1, -1))
+        return counts, profiles, core
     comps, counts, profiles = _live_states(graph)
-    clusters, branching, exit_edge = 0, (), ()
+    clusters, branching, exit_text = 0, "", ""
     for comp in comps:
         if len(comp) > 1:
             clusters += 1
             branches, source, target = _cluster_shape(graph, comp, counts)
             if branches and not branching:
-                branching = tuple(comp)
-            if source >= 0 and not exit_edge:
-                exit_edge = (source, target)
-    if memo and core <= _CORE_MEMO_STATES:
-        held = _core_memo_held if _CORE_MEMO else 0
-        if held + core > _CORE_MEMO_STATES:
-            _CORE_MEMO.clear()
-            held = 0
-        offsets = (tuple(v - prefix for v in ids) for ids in (branching, exit_edge))
-        _CORE_MEMO[key] = (counts[prefix:-1], profiles[prefix:-1], clusters, *offsets)
-        _core_memo_held = held + core
-    return counts, profiles, clusters, branching, exit_edge
+                # cycles lie past the lattice depth, where keys are (D, N):
+                # sort on the (D, R) form, so the listing does not depend on S
+                scale = graph.ordinate.denominator
+                ordered = sorted(
+                    comp, key=lambda v: str((graph.slope[v], Fraction(graph.num[v], scale)))
+                )
+                labels = ", ".join(_state_label(graph, v) for v in ordered)
+                branching = f"branching cycle cluster {{{labels}}}"
+            if source >= 0 and not exit_text:
+                exit_text = (
+                    f"cycle through {_state_label(graph, source)} "
+                    f"can be left towards {_state_label(graph, target)}"
+                )
+    flags, core_counts = graph.flags[prefix:], counts[prefix:-1]
+    max_ray = ""
+    if MAX_RAY in flags:
+        max_ray = f"max-envelope state {_state_label(graph, prefix + flags.index(MAX_RAY))} reached"
+    core = _Core(
+        core_counts,
+        profiles[prefix:-1],
+        live=sum(map(bool, core_counts)),
+        clusters=clusters,
+        top=max(map(abs, graph.slope[prefix:]), default=0),
+        halves=(counts[graph.child0[prefix]], counts[graph.child1[prefix]]) if flags else (0, 0),
+        zero_ray=ZERO_RAY in flags,
+        max_ray=max_ray,
+        branching=branching,
+        exit=exit_text,
+    )
+    if key is not None:
+        _remember(key, core)
+    return counts, profiles, core
 
 
-def _state_label(graph: StateGraph, v: int) -> str:
-    return f"(D={graph.slope[v]}, R={Fraction(graph.num[v], graph.ordinate.denominator)})"
+def _remember(key: tuple, core: _Core) -> None:
+    """Write a core's entry, evicting the oldest entries until it fits."""
+    global _core_memo_held
+    size = len(core.counts)
+    if size > _CORE_MEMO_STATES:
+        return
+    held = _core_memo_held if _CORE_MEMO else 0
+    while held + size > _CORE_MEMO_STATES:
+        held -= len(_CORE_MEMO.pop(next(iter(_CORE_MEMO))).counts)
+    _CORE_MEMO[key] = core
+    _core_memo_held = held + size
 
 
 def _dyadic_witness(graph: StateGraph) -> Fraction:
@@ -592,7 +677,9 @@ def analyze(graph: StateGraph, *, listing: bool = True) -> LevelSetReport:
     The checks on a caller's graph raise AssertionError explicitly, so they
     hold under ``python -O`` too.
     On a caller's graph the count pass runs Tarjan and leaves the core memo
-    alone; only the graph :func:`classify` has just closed reads and fills it.
+    alone; only the graph :func:`classify` has just closed reads and fills
+    it, and when its core is remembered that graph may end at the core's
+    entry level (module docstring).
 
     The ordinate 0 is special-cased: its zero ray would read as "dyadic point
     attained", but 0 is attained only at the endpoints, so L(0) = {0, 1}.
@@ -619,43 +706,43 @@ def analyze(graph: StateGraph, *, listing: bool = True) -> LevelSetReport:
     if not graph.closed:
         return report(Verdict.INDETERMINATE, witness=f"budget exceeded ({graph.budget_reason})")
 
-    counts, profiles, cycles, branching, exit_edge = _counted(graph, graph is _classified)
-    diagnostics["cycles"] = cycles
-    diagnostics["live_states"] = sum(map(bool, counts))
+    classified, key, core = _classified
+    if graph is not classified:
+        key = core = None
+    counts, profiles, core = _counted(graph, key, core)
+    prefix = graph.prefix
+    # classify's graph may hold no more of a remembered core than its entry level
+    diagnostics["states"] = prefix + len(core.counts)
+    diagnostics["cycles"] = core.clusters
+    diagnostics["live_states"] = sum(map(bool, counts[:prefix])) + core.live
 
-    if MAX_RAY in graph.flags:
-        witness = f"max-envelope state {_state_label(graph, graph.flags.index(MAX_RAY))} reached"
+    tagged = graph.flags[:prefix]
+    if MAX_RAY in tagged:
+        witness = f"max-envelope state {_state_label(graph, tagged.index(MAX_RAY))} reached"
+    else:
+        witness = core.max_ray or core.branching
+    if witness:
         return report(Verdict.UNCOUNTABLE, witness=witness)
-    if branching:
-        # cycles lie past the lattice depth, where keys are (D, N): sort on
-        # the (D, R) form, so the listing does not depend on S
-        scale = y.denominator
-        ordered = sorted(
-            branching, key=lambda v: str((graph.slope[v], Fraction(graph.num[v], scale)))
-        )
-        labels = ", ".join(_state_label(graph, v) for v in ordered)
-        return report(Verdict.UNCOUNTABLE, witness=f"branching cycle cluster {{{labels}}}")
-    if ZERO_RAY in graph.flags:
+    if core.zero_ray or ZERO_RAY in tagged:
         return report(
             Verdict.COUNTABLY_INFINITE,
             witness="attained at a dyadic point",
             witness_preimage=_dyadic_witness(graph) if listing else None,
         )
-    if exit_edge:
+    if core.exit:
         if counts[0] <= 0:
             raise AssertionError("a cycle can be left but the root is dead")
-        source, target = exit_edge
         return report(
             Verdict.COUNTABLY_INFINITE,
-            witness=f"cycle through {_state_label(graph, source)} "
-            f"can be left towards {_state_label(graph, target)}",
+            witness=core.exit,
             witness_preimage=next(_paths(graph, counts)).value() if listing else None,
         )
 
     # Finite: the root's counts are the root-to-cycle paths and their profiles.
     total = counts[0]
     if not listing:
-        if counts[graph.child0[0]] != counts[graph.child1[0]]:
+        halves = (counts[graph.child0[0]], counts[graph.child1[0]]) if prefix else core.halves
+        if halves[0] != halves[1]:
             raise AssertionError("root's subtrees differ in count")
         return report(Verdict.FINITE, cardinality=total, n_local=profiles[0])
     if total > MAX_PREIMAGES:
@@ -696,8 +783,10 @@ def leftmost_preimage(y: Fraction) -> Fraction:
         raise BudgetExceededError(
             f"state graph for {y} did not close ({graph.budget_reason})"
         )
-    counts = _counted(graph, True)[0]
-    assert counts[0] > 0
+    key = _entry_key(graph)
+    counts = _counted(graph, key, _CORE_MEMO.get(key))[0]
+    if counts[0] <= 0:
+        raise AssertionError("the root is dead, though L(y) is not empty")
     return next(_paths(graph, counts)).value()
 
 
@@ -715,13 +804,25 @@ def classify(
     (module docstring); under ``listing`` (the default) also with exact
     sorted preimages and their expansions (see :func:`analyze`).  Ordinates
     outside [0, 2/3] are Finite(0); blown budgets give Indeterminate, never
-    a guess.  The count pass reads and fills the core memo (module
-    docstring).  The graph goes through :func:`analyze` by name, so a
-    wrapper on that name (perfbench's tracer) sees every classification.
+    a guess.  The count pass reads and fills the core memo, and a count-only
+    call whose core is remembered closes no core state (module docstring).
+    The graph goes through :func:`analyze` by name, so a wrapper on that
+    name (perfbench's tracer) sees every classification.
     """
     global _classified
-    _classified = close_graph(y, max_states=max_states, max_slope=max_slope)
+    if listing:
+        graph = close_graph(y, max_states=max_states, max_slope=max_slope)
+    else:
+        stages = _closure(y, max_states, max_slope)
+        graph = next(stages)  # closed through its entry level, or wholly
+    key = _entry_key(graph)
+    core = _CORE_MEMO.get(key)
+    if not listing and (
+        core is None or graph.prefix + len(core.counts) > max_states or core.top > max_slope
+    ):
+        graph = next(stages, graph)  # the rest of the closure, under the same budgets
+    _classified = graph, key, core
     try:
-        return analyze(_classified, listing=listing)
+        return analyze(graph, listing=listing)
     finally:
-        _classified = None
+        _classified = (None, None, None)

@@ -3,7 +3,6 @@
 import ast
 import dataclasses
 import hashlib
-import inspect
 import os
 import random
 import subprocess
@@ -805,7 +804,7 @@ def test_core_memo_matches_cold_analysis(monkeypatch):
 
 def _memo_held():
     """The core states the memo holds, over all its entries."""
-    return sum(len(entry[0]) for entry in machine._CORE_MEMO.values())
+    return sum(len(entry.counts) for entry in machine._CORE_MEMO.values())
 
 
 def _tarjan_runs(monkeypatch):
@@ -815,6 +814,12 @@ def _tarjan_runs(monkeypatch):
     monkeypatch.setattr(machine, "_live_states", lambda graph: runs.append(graph) or
                         live_states(graph))
     return runs
+
+
+def _close_to(monkeypatch, graph):
+    """Make classify's closure, under either ``listing`` value, give back
+    ``graph`` as its only stage, whole, whatever the ordinate."""
+    monkeypatch.setattr(machine, "_closure", lambda y, max_states, max_slope: iter([graph]))
 
 
 def _hand_graphs():
@@ -921,10 +926,18 @@ for listing in (True, False):
 
 
 def test_analyze_has_no_bare_assert():
-    """analyze checks a caller's graph, so no check in it may be an
-    ``assert`` statement, which ``python -O`` strips."""
-    tree = ast.parse(inspect.getsource(machine.analyze))
-    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
+    """No function in the package checks anything with an ``assert``
+    statement, which ``python -O`` strips: analyze checks a caller's graph,
+    and leftmost_preimage its root's count.  Every function of every
+    module under src/takagi is parsed."""
+    found, functions = [], 0
+    for path in sorted(Path(machine.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                functions += 1
+                found += [(path.name, node.name, inner.lineno)
+                          for inner in ast.walk(node) if isinstance(inner, ast.Assert)]
+    assert found == [] and functions > 50
 
 
 def test_memo_keeps_tarjan_for_cluster_witnesses(monkeypatch):
@@ -935,7 +948,7 @@ def test_memo_keeps_tarjan_for_cluster_witnesses(monkeypatch):
     tarjan = _tarjan_runs(monkeypatch)
     try:
         for graph in _hand_graphs():
-            monkeypatch.setattr(machine, "close_graph", lambda y, **budgets: graph)
+            _close_to(monkeypatch, graph)
             machine._CORE_MEMO.clear()
             tarjan.clear()
             for listing in (True, False, True):
@@ -948,15 +961,16 @@ def test_memo_keeps_tarjan_for_cluster_witnesses(monkeypatch):
 
 def test_memo_shifts_witnesses_behind_a_prefix(monkeypatch):
     """The cycle-exit graph behind two tagged states, with den(y) = 4 * 3:
-    its core key is the bare graph's, so after classify(1/3) on the bare
-    graph, classify on this one reads the entry written at prefix 0 and
-    must name the same cycle and exit at ids two higher.  Both orders give
-    the reports analyze gives, and the warm calls run no Tarjan."""
+    its entry level is the bare graph's root a alone, so its key is the
+    bare graph's, and after classify(1/3) on the bare graph, classify on
+    this one reads the entry written at prefix 0 and must name the same
+    cycle and exit at ids two higher.  Both orders give the reports analyze
+    gives, and the warm calls run no Tarjan."""
     y = Fraction(1, 12)
     a, b = (0, Fraction(1, 3)), (1, Fraction(2, 3))
     c, d = (2, Fraction(4, 3)), (1, Fraction(1))
     root, tagged = (0, y), (1, Fraction(1, 6))
-    edges = {root: {0: tagged}, tagged: {0: a, 1: c}}
+    edges = {root: {0: tagged}, tagged: {0: a}}
     edges.update({a: {0: b}, b: {0: c, 1: a}, c: {1: d}, d: {0: c}})
     graphs = {"bare": _hand_graphs()[0]}
     graphs["behind"] = dataclasses.replace(_hand_graph(y, edges), prefix=2, lattice_depth=2)
@@ -975,7 +989,7 @@ def test_memo_shifts_witnesses_behind_a_prefix(monkeypatch):
             tarjan.clear()
             for name in order:
                 graph = graphs[name]
-                monkeypatch.setattr(machine, "close_graph", lambda y, **budgets: graph)
+                _close_to(monkeypatch, graph)
                 for listing in (True, False):
                     assert classify(graph.ordinate, listing=listing) == cold[name, listing], name
             assert tarjan == [graphs[order[0]]] and len(machine._CORE_MEMO) == 1
@@ -986,25 +1000,24 @@ def test_memo_shifts_witnesses_behind_a_prefix(monkeypatch):
 def test_core_key_keeps_m_and_n_apart(monkeypatch):
     """Cores whose keys differ only in N, or only in m, are separate
     entries.  The cycle-exit graph over den(y) = 3, then two branching
-    graphs with its slopes, one with other N over den(y) = 3 and one with
-    its N over den(y) = 5, handed to classify in turn as their own
+    graphs with its slopes, one with its N over den(y) = 5 and one with
+    other N over den(y) = 5, handed to classify in turn as their own
     closures: each gives analyze's reports, though it follows a core with
-    the rest of its key.  No two closures of the reduced j / (m * 2^k) with
-    odd m < 130 and k <= 4, nor of the depth-6 rows, have cores that differ
-    so, so the graphs are built by hand."""
+    the rest of its key.  Each graph's entry level is its root (0, y), so
+    the keys differ in m, then in N."""
     exits = _hand_graphs()[0]
     branching = []
-    for y, residues in ((Fraction(1, 3), (1, 1, 1, 2)), (Fraction(1, 5), (1, 2, 4, 3))):
+    for y, residues in ((Fraction(1, 5), (1, 2, 4, 3)), (Fraction(2, 5), (2, 4, 3, 1))):
         states = zip(exits.slope, residues)
         a, b, c, d = ((slope, Fraction(n, y.denominator)) for slope, n in states)
         branching.append(_hand_graph(y, {a: {0: b, 1: b}, b: {0: c, 1: a}, c: {1: d}, d: {0: c}}))
     assert [g.slope for g in branching] == [exits.slope] * 2
-    assert branching[1].num == exits.num != branching[0].num
+    assert branching[0].num == exits.num != branching[1].num
     try:
         machine._CORE_MEMO.clear()
         for graph in (exits, *branching):
             cold = analyze(graph, listing=False)
-            monkeypatch.setattr(machine, "close_graph", lambda y, **budgets: graph)
+            _close_to(monkeypatch, graph)
             assert classify(graph.ordinate, listing=False) == cold, graph.ordinate
         assert cold.verdict is Verdict.UNCOUNTABLE and len(machine._CORE_MEMO) == 3
     finally:
@@ -1049,11 +1062,11 @@ def test_warm_witnesses_behind_a_prefix_match_cold(monkeypatch):
         y for m in range(1, 64, 2) for k in (1, 2, 3) for j in range(1, 2 * (m << k) // 3 + 1)
         if (y := Fraction(j, m << k)).denominator == m << k
     })
+    graphs = [close_graph(y) for y in ordinates]  # before close_graph's closure is patched
     machine._CORE_MEMO.clear()
     branching = 0
-    for y in ordinates:
-        graph = close_graph(y)
-        monkeypatch.setattr(machine, "close_graph", lambda y, **budgets: graph)
+    for y, graph in zip(ordinates, graphs):
+        _close_to(monkeypatch, graph)
         for listing in (True, False):
             cold = analyze(graph, listing=listing)
             assert classify(y, listing=listing) == cold, (y, listing)
@@ -1064,19 +1077,27 @@ def test_warm_witnesses_behind_a_prefix_match_cold(monkeypatch):
 def test_core_memo_stays_within_its_bound(monkeypatch):
     """Every reduced j/m with odd m <= 53 has more core states, summed over
     its distinct cores, than the memo holds: it never holds more than its
-    bound, it is emptied on the way, and every report equals the one
-    analyze gives without it.  Under a bound of 20 a larger core is not
+    bound, and entries are evicted on the way, oldest first and no more
+    than the new core needs, while the core just written survives each
+    overflow; every report equals the one analyze gives without the memo.  Under a bound of 20 a larger core is not
     written at all."""
     bound = machine._CORE_MEMO_STATES
     ordinates = sorted({Fraction(j, m) for m in range(5, 54, 2) for j in range(1, 2 * m // 3 + 1)})
     machine._CORE_MEMO.clear()
-    emptied = 0
+    overflows = 0
     for y in ordinates:
-        size = _memo_held()
+        sizes = {key: len(entry.counts) for key, entry in machine._CORE_MEMO.items()}
+        before = list(sizes)
         assert classify(y, listing=False) == analyze(close_graph(y), listing=False), y
         assert _memo_held() <= bound
-        emptied += _memo_held() < size
-    assert emptied > 0
+        after = list(machine._CORE_MEMO)
+        if before and before[0] not in after:  # an overflow: the oldest went first
+            overflows += 1
+            evicted = len(before) - len(after) + 1
+            assert after[-1] not in before and after[:-1] == before[evicted:]
+            # and no more went than had to: with the last of them back it would not fit
+            assert _memo_held() + sizes[before[evicted - 1]] > bound
+    assert overflows > 0
     monkeypatch.setattr(machine, "_CORE_MEMO_STATES", 20)
     machine._CORE_MEMO.clear()
     large, small = Fraction(1, 5), Fraction(2, 3)
@@ -1084,3 +1105,85 @@ def test_core_memo_stays_within_its_bound(monkeypatch):
     for y in (small, large):
         assert classify(y) == analyze(close_graph(y)), y
     assert _memo_held() == len(close_graph(small).slope)
+
+
+def _handed_to_analyze(monkeypatch):
+    """The graphs classify hands to analyze from here on, in order."""
+    graphs = []
+    real = machine.analyze
+    monkeypatch.setattr(machine, "analyze", lambda graph, **kw: graphs.append(graph) or
+                        real(graph, **kw))
+    return graphs
+
+
+def _skipped(graph, states):
+    """Whether analyze was handed a graph, closed through its entry level,
+    of fewer than the whole graph's ``states``, in which no state past the
+    prefix has a child: no core state was expanded."""
+    unexpanded = all(c < 0 for c in graph.child0[graph.prefix :] + graph.child1[graph.prefix :])
+    return graph.closed and unexpanded and len(graph.slope) < states
+
+
+def _assert_same_report(warm, cold, case):
+    assert warm == cold, case
+    assert list(warm.diagnostics) == list(cold.diagnostics), case
+
+
+def test_remembered_core_closes_no_core_state(monkeypatch):
+    """Count-only classify, called twice in a row on each ordinate, against
+    the cold analyze(close_graph(y), listing=False), which never reads the
+    memo: the same reports, diagnostics key order included.  Every depth-5
+    and depth-6 row, seeded j / (3 * 4^n) and every reduced j / (m * 2^k)
+    with odd m <= 63 and k <= 1, shuffled, so most first calls already find
+    their core.  The second call finds it every time the graph closes
+    (y = 0 writes no entry), and then the graph analyze is handed ends at
+    the core's entry level: no core state is expanded."""
+    rng = random.Random(1726)
+    ordinates = sorted({Fraction(j, 3 * 4**n) for n in (5, 6) for j in range(2 * 4**n + 1)})
+    ordinates += _seeded_ordinates(1726, (16, 32, 64, 128), 40, 0)
+    ordinates += sorted({
+        y for m in range(1, 64, 2) for k in (0, 1) for j in range(1, 2 * (m << k) // 3 + 1)
+        if (y := Fraction(j, m << k)).denominator == m << k
+    })
+    cold = {y: analyze(close_graph(y), listing=False) for y in ordinates}
+    rng.shuffle(ordinates)
+    handed = _handed_to_analyze(monkeypatch)
+    skipped_first = 0
+    for y in ordinates:
+        for call in range(2):
+            _assert_same_report(classify(y, listing=False), cold[y], (y, call))
+            skipped = _skipped(handed[-1], cold[y].diagnostics["states"])
+            if call == 0:
+                skipped_first += skipped
+            elif cold[y].diagnostics["closed"] and y:
+                assert skipped, y
+    assert skipped_first > len(ordinates) // 2
+
+
+def test_remembered_core_keeps_every_budget(monkeypatch):
+    """With the memo warm from the default budgets, count-only classify
+    under every state budget from 1 to the closed size + 1 and every slope
+    budget from 0 to 11 gives the cold report of close_graph under the same
+    budgets, diagnostics key order included, budget exits and their reasons
+    with it.  The core's closure is skipped exactly when the core fits both
+    budgets: the whole graph's size at most ``max_states`` and its core's
+    largest |D| at most ``max_slope`` (a closed core has no feasible child
+    past its largest |D|, so that slope budget cannot stop it)."""
+    handed = _handed_to_analyze(monkeypatch)
+    fitted = resumed = 0
+    for y in (Fraction(2, 3), Fraction(1, 5), Fraction(37, 96), Fraction(1, 49),
+              Fraction(2, 13), Fraction(1, 2**20)):
+        classify(y, listing=False)
+        whole = close_graph(y)
+        top = max(map(abs, whole.slope[whole.prefix :]))
+        for max_states in range(1, len(whole.slope) + 2):
+            for max_slope in range(12):
+                budgets = {"max_states": max_states, "max_slope": max_slope}
+                cold = analyze(close_graph(y, **budgets), listing=False)
+                warm = classify(y, listing=False, **budgets)
+                _assert_same_report(warm, cold, (y, budgets))
+                fits = whole.closed and max_states >= len(whole.slope) and max_slope >= top
+                assert _skipped(handed[-1], len(whole.slope)) == fits, (y, budgets)
+                fitted += fits
+                resumed += not fits and handed[-1].prefix == whole.prefix
+    assert fitted > 40 and resumed > 1000
