@@ -102,24 +102,51 @@ flag follow from (m, D, N >> k).  The core is the breadth-first closure of
 its entry level, and no core edge leads back into the prefix, so two
 graphs with equal entry keys have the same core up to the id offset
 ``prefix``, and Tarjan, started at ``prefix``, ``prefix + 1``, ..., emits
-the same components in the same order.  The key is known before any core
-state is expanded.  :func:`classify` and :func:`leftmost_preimage` keep
-one entry per core in a bounded memo across ordinates (the grid's
-j / (3 * 4^n) all have m = 1 or 3): the core's size and largest |D|, its
-continuations, profiles and live states, its number of cycle clusters,
-whether it holds a zero ray, and the witness texts of its first max ray,
-first branching cluster and first cycle exit.
-``classify(y, listing=False)`` closes the tagged levels and the entry
-level, then looks the entry up.  A hit whose core fits the budgets, ``prefix`` plus the
-core's size at most ``max_states`` and every core |D| at most
-``max_slope``, gives the report from the prefix sweep and the entry, and
-no core state is expanded.  Neither budget could stop that core's closure:
-a slope exit needs a feasible child past the budget, and a closed core
-whose largest |D| is T has no feasible child past T.  On a miss, or when a
-budget could stop the core, the closure resumes where it stopped, so a
-budget exit keeps its reason, and the entry is written.  Listing callers
-close the whole graph and read its core's counts from the same entry.  On
-a hit no Tarjan runs; on a miss Tarjan runs once.
+the same components in the same order.
+
+The same argument holds higher up.  Let L = 2n be the lattice depth; it is
+k or k + 1.  At a tagged depth d <= k every N is a multiple of 2^d, as
+both terms of N = num(y) 2^d - (v_d 2^d) S are.  So everything from depth
+d on is the closure of that level's states (D, N >> d) under S >> d =
+2^(k - d) m, with L - d tagged levels left: a tagged key merges states of
+one depth only, and an untagged one by (D, N).  A keyed level at depth d
+has the key (L - d, k - s, m, and its states' (D, N >> s) in id order),
+s = min(d, k); at the entry level (d = L, s = k) that is the core's key
+above.  Equal keys fix the graph from the level's first id on, up to that
+id: its edges, ray flags and largest |D|, and Tarjan's order on its core.
+The key is known before any state of the level is expanded.
+
+:func:`classify` and :func:`leftmost_preimage` keep one entry per keyed
+level in a bounded memo across ordinates (the grid's j / (3 * 4^n) all
+have m = 1 or 3), with the facts of the graph from that level on: its size
+and largest |D|, its continuations, profiles and live states, its number
+of cycle clusters, whether it holds a zero ray, and the witness texts of
+its first max ray, first branching cluster and first cycle exit.  Listing
+callers close the whole graph and key by its entry level.
+``classify(y, listing=False)`` keys ``BAND`` = 3 levels above the lattice
+depth when L > 3, at d = L - 3 <= k, and at the entry level otherwise.  It
+closes the tagged levels down to its keyed level, then looks the entry up.
+A hit that fits the budgets, the level's first id plus the entry's size at
+most ``max_states`` and the entry's largest |D| at most ``max_slope``,
+gives the report from one sweep of the ids above the level and the entry,
+and no state from the level on is expanded.  Neither budget could stop
+that closure: a slope exit needs a feasible child past the budget, and a
+closed graph whose largest |D| is T has no feasible child past T.  On a
+miss, or when a budget could stop the closure, it resumes to the entry
+level and reads the core's entry as listing callers do; past a miss there,
+or when a budget could stop the core, it closes the rest, so a budget exit
+keeps its reason, and Tarjan runs once per core.  A missing keyed-level
+entry is then written from the core's entry and one sweep over the band,
+the ``BAND`` levels between.  Why three: a grid row's tagged levels widen
+with depth, so the three nearest the lattice hold about a third of a
+depth-5 row's tagged states (7.0 of 19.1), and the closure is most of a
+remembered row's time.  Keying higher leaves fewer states to close but
+gives more distinct keys.  On a cold depth-6 grid, what one ``takagi grid
+--depth 6`` runs, offset 3 hits on 7,131 of 8,193 rows and ends with
+57,368 states held; offsets 4 and 5 hit on 6,836 and 6,308, fill the memo
+to its bound, and take as long per row within noise.  Only a grid swept
+again in one process, every row a hit, runs faster at 4 or 5 (by about a
+tenth and a sixth per row).
 :func:`analyze` on a caller's graph neither reads nor writes the memo, as
 a graph edited after its closure would poison it.
 """
@@ -141,6 +168,9 @@ DEFAULT_MAX_SLOPE = 64
 # when it is to be listed (a count-only report has no such bound):
 # L(2/3 - 1/(3 * 2^k)) has 2^(k/2 + 1) points.
 MAX_PREIMAGES = 2**20
+# How many levels above the lattice depth a count-only classify keys its
+# memo entry, when the lattice depth is larger (module docstring)
+BAND = 3
 
 # StateGraph.flags values; a state is at most one kind of ray
 ZERO_RAY, ONES_RAY, MAX_RAY = 1, 2, 4
@@ -192,7 +222,12 @@ class StateGraph:
     at the lattice depth (the number of tagged states), or every id when
     the closure stops above that depth.  That includes a budget exit while
     the last tagged level is expanded: the untagged children already made
-    are below ``prefix`` too.  An ordinate outside [0, 2/3] has no states.
+    are below ``prefix`` too.  ``level`` is the depth, the first id and the
+    end id of the last keyed level the closure stopped at (module
+    docstring), and after a closure that ends above the lattice depth it is
+    an empty entry level, (lattice depth, n, n) for n states.  A graph built
+    by hand keeps the default, the root as the entry level of a graph with
+    no prefix.  An ordinate outside [0, 2/3] has no states.
     """
 
     ordinate: Fraction
@@ -204,6 +239,7 @@ class StateGraph:
     child0: list[int] = field(default_factory=list)
     child1: list[int] = field(default_factory=list)
     prefix: int = 0
+    level: tuple[int, int, int] = (0, 0, 1)
     budget_reason: Optional[str] = None
 
     @property
@@ -230,15 +266,19 @@ def close_graph(
 
 
 def _closure(y: Fraction, max_states: int, max_slope: int) -> Iterator[StateGraph]:
-    """:func:`close_graph`'s closure in two stages.  The graph is yielded
-    once its entry level, the states at the lattice depth, is made and none
-    of them is expanded (``prefix`` is then set, and ``closed`` reads True),
-    and again when the closure ends; a closure that ends above the lattice
-    depth yields only the second time."""
+    """:func:`close_graph`'s closure in stages.  The graph is yielded at each
+    keyed level, once the level is made and none of its states is expanded,
+    with ``level`` set to it and ``closed`` reading True: at the band level,
+    ``BAND`` levels above the lattice depth when that depth is more than
+    ``BAND`` (``prefix`` then counts every state made), and at the entry
+    level, the states at the lattice depth (``prefix`` then set).  It is
+    yielded again when the closure ends, and a closure that ends above a
+    keyed level does not stop there."""
     if not 0 <= y <= TWO_THIRDS:
         yield StateGraph(y, 0)
         return
     lattice_depth = 2 * ordinate_depth(y)
+    band_depth = lattice_depth - BAND if lattice_depth > BAND else lattice_depth
     scale, root_num = y.denominator, y.numerator
     root_key = (0, 0, root_num) if lattice_depth > 0 else (0, root_num)
     root_ray = ZERO_RAY if root_num == 0 else MAX_RAY if 3 * root_num == 2 * scale else 0
@@ -249,8 +289,9 @@ def _closure(y: Fraction, max_states: int, max_slope: int) -> Iterator[StateGrap
     reason: Optional[str] = None
     depth, start, end = 0, 0, 1  # the level: ids start..end - 1, all this deep
     while True:
-        if depth == lattice_depth:
-            graph.prefix = start
+        if depth == band_depth or depth == lattice_depth:
+            graph.prefix = start if depth == lattice_depth else end
+            graph.level = (depth, start, end)
             yield graph
         if start == end:
             break
@@ -328,6 +369,7 @@ def _closure(y: Fraction, max_states: int, max_slope: int) -> Iterator[StateGrap
         break
     if depth < lattice_depth:  # a budget exit or an empty level above the lattice
         graph.prefix = len(slopes)
+        graph.level = (lattice_depth, len(slopes), len(slopes))
     graph.budget_reason = reason
     yield graph
 
@@ -462,15 +504,15 @@ def _state_label(graph: StateGraph, v: int) -> str:
     return f"(D={graph.slope[v]}, R={Fraction(graph.num[v], graph.ordinate.denominator)})"
 
 
-class _Core(NamedTuple):
-    """What the count pass gives for one core, as the memo keeps it: each
-    core state's continuations and profiles, in id order from ``prefix``;
-    how many core states are live; the number of cycle clusters; the
-    largest |D|; the counts of the first core state's two children (the
-    root's, when there is no prefix); whether a zero ray is in the core; and
-    the witness texts of the first max ray, in id order, and of the first
-    branching cluster and the first cycle exit, in Tarjan's order, each
-    empty when there is none."""
+class _Entry(NamedTuple):
+    """What the count pass gives for a graph from one keyed level on, as the
+    memo keeps it: each state's continuations and profiles, in id order from
+    the level's first id; how many of those states are live; the number of
+    cycle clusters; the largest |D|; the counts of the first state's two
+    children (the root's, when there is no prefix); whether a zero ray is
+    among the states; and the witness texts of the first max ray, in id
+    order, and of the first branching cluster and the first cycle exit, in
+    Tarjan's order, each empty when there is none."""
 
     counts: list[int]
     profiles: list[int]
@@ -484,103 +526,125 @@ class _Core(NamedTuple):
     exit: str
 
 
-# The core memo: each core :func:`classify` or :func:`leftmost_preimage` has
-# analysed, keyed by its entry level (:func:`_entry_key`).  A write that
-# would take it past _CORE_MEMO_STATES core states held evicts the oldest
-# entries, in insertion order, until it fits; a larger core is not written.
-# A held state takes about 28 bytes for the deep sample's ordinates (cores
-# of about 50 states), 1.8 MB at the bound, and at most about 660 in
-# one-state cores while numbers fit in 30 bits, 43 MB; a branching
-# cluster's witness text adds a label per member.  Wider numbers add their
-# own bytes: m and N grow with den(y), and a count, in principle, with the
-# paths through a core small enough to be written.
-_CORE_MEMO: dict[tuple, _Core] = {}
+# The memo: the facts of each graph :func:`classify` or
+# :func:`leftmost_preimage` has analysed, from each keyed level on, keyed by
+# that level (:func:`_entry_key`).  A write that would take it past
+# _CORE_MEMO_STATES states held evicts the oldest entries, in insertion
+# order, until it fits; a larger entry is not written.  A held state takes
+# about 28 bytes for the deep sample's ordinates (cores of about 50 states),
+# 1.8 MB at the bound, and at most about 660 in one-state cores while
+# numbers fit in 30 bits, 43 MB; a branching cluster's witness text adds a
+# label per member.  Wider numbers add their own bytes: m and N grow with
+# den(y), and a count, in principle, with the paths through an entry small
+# enough to be written.
+_CORE_MEMO: dict[tuple, _Entry] = {}
 _CORE_MEMO_STATES = 65_536
-_core_memo_held = 0  # the core states held, read as 0 once the memo is empty
-# The graph classify has closed, its core's memo key and the entry found
-# under it (None on a miss), while analyze runs on it: the one graph whose
-# core analyze reads from and writes to the memo, as a caller's graph may
-# not be what close_graph made.
-_classified: tuple = (None, None, None)
+_core_memo_held = 0  # the states held, read as 0 once the memo is empty
+# The graph classify has closed, the (first id, key) of each keyed level it
+# stopped at and the entry found under the last (None on a miss), while
+# analyze runs on it: the one graph analyze reads from and writes to the
+# memo for, as a caller's graph may not be what close_graph made.
+_classified: tuple = (None, [], None)
 
 
 def _entry_key(graph: StateGraph) -> tuple:
-    """The memo key of the graph's core: m and the (D, N >> k) of its entry
-    level, in id order, for den(y) = 2^k m.  The entry level is the root
-    when there is no prefix, else the children of the last tagged level:
-    the ids from ``prefix`` to the largest child of a prefix state."""
-    prefix = graph.prefix
-    end = 1 + max(chain(graph.child0[:prefix], graph.child1[:prefix]), default=0)
-    shift, odd = split_denominator(graph.ordinate)
-    return odd, tuple(graph.slope[prefix:end]), tuple(n >> shift for n in graph.num[prefix:end])
+    """The memo key of the graph from its keyed level on, ``graph.level``
+    at depth d: the levels left to the lattice depth L, then k - s, m and
+    the (D, N >> s) of the level's states in id order, for den(y) = 2^k m
+    and s = min(d, k)."""
+    depth, start, end = graph.level
+    k, odd = split_denominator(graph.ordinate)
+    shift = min(depth, k)
+    nums = tuple(n >> shift for n in graph.num[start:end])
+    return graph.lattice_depth - depth, k - shift, odd, tuple(graph.slope[start:end]), nums
+
+
+def _facts(
+    graph: StateGraph, counts: list[int], profiles: list[int], start: int, end: int, below: _Entry
+) -> _Entry:
+    """The facts of the ids from ``start`` on: those of ``start`` to
+    ``end`` - 1, read off the count pass, followed by ``below``, the facts
+    from ``end`` on, which give the cycles."""
+    flags, own = graph.flags[start:end], counts[start:end]
+    max_ray = below.max_ray
+    if MAX_RAY in flags:
+        max_ray = f"max-envelope state {_state_label(graph, start + flags.index(MAX_RAY))} reached"
+    return _Entry(
+        own + below.counts,
+        profiles[start:end] + below.profiles,
+        live=sum(map(bool, own)) + below.live,
+        clusters=below.clusters,
+        top=max(below.top, max(map(abs, graph.slope[start:end]), default=0)),
+        halves=(counts[graph.child0[start]], counts[graph.child1[start]]) if own else below.halves,
+        zero_ray=ZERO_RAY in flags or below.zero_ray,
+        max_ray=max_ray,
+        branching=below.branching,
+        exit=below.exit,
+    )
 
 
 def _counted(
-    graph: StateGraph, key: Optional[tuple], core: Optional[_Core]
-) -> tuple[list[int], list[int], _Core]:
-    """The count pass: every state's continuations and profiles, and the
-    core's facts.  A remembered ``core`` gives the core's share, and the
-    prefix is swept as :func:`_live_states` sweeps it, so past the prefix
-    the graph need hold no more than its entry level.  Otherwise Tarjan
-    runs on the whole graph and, given a ``key``, the core's facts are
-    written to the memo under it."""
-    prefix = graph.prefix
-    if core is not None:
-        counts = [0] * prefix + core.counts + [0]
-        profiles = [0] * prefix + core.profiles + [0]
-        _count_from_children(graph, counts, profiles, range(prefix - 1, -1, -1))
-        return counts, profiles, core
-    comps, counts, profiles = _live_states(graph)
-    clusters, branching, exit_text = 0, "", ""
-    for comp in comps:
-        if len(comp) > 1:
-            clusters += 1
-            branches, source, target = _cluster_shape(graph, comp, counts)
-            if branches and not branching:
-                # cycles lie past the lattice depth, where keys are (D, N):
-                # sort on the (D, R) form, so the listing does not depend on S
-                scale = graph.ordinate.denominator
-                ordered = sorted(
-                    comp, key=lambda v: str((graph.slope[v], Fraction(graph.num[v], scale)))
-                )
-                labels = ", ".join(_state_label(graph, v) for v in ordered)
-                branching = f"branching cycle cluster {{{labels}}}"
-            if source >= 0 and not exit_text:
-                exit_text = (
-                    f"cycle through {_state_label(graph, source)} "
-                    f"can be left towards {_state_label(graph, target)}"
-                )
-    flags, core_counts = graph.flags[prefix:], counts[prefix:-1]
-    max_ray = ""
-    if MAX_RAY in flags:
-        max_ray = f"max-envelope state {_state_label(graph, prefix + flags.index(MAX_RAY))} reached"
-    core = _Core(
-        core_counts,
-        profiles[prefix:-1],
-        live=sum(map(bool, core_counts)),
-        clusters=clusters,
-        top=max(map(abs, graph.slope[prefix:]), default=0),
-        halves=(counts[graph.child0[prefix]], counts[graph.child1[prefix]]) if flags else (0, 0),
-        zero_ray=ZERO_RAY in flags,
-        max_ray=max_ray,
-        branching=branching,
-        exit=exit_text,
-    )
-    if key is not None:
-        _remember(key, core)
-    return counts, profiles, core
+    graph: StateGraph, keys: list[tuple[int, tuple]], entry: Optional[_Entry]
+) -> tuple[list[int], list[int], _Entry, int]:
+    """The count pass: every state's continuations and profiles, the facts
+    of the graph from a keyed level on and that level's first id.
+    ``keys`` are classify's (first id, key) pairs, highest level first, as
+    ``_classified`` holds them, and ``entry`` the facts found under the
+    last.  A remembered ``entry`` gives the share of the ids from its level
+    on, and the ids above it are swept as :func:`_live_states` sweeps the
+    prefix, so the graph need hold no more than that level.  Otherwise
+    Tarjan runs on the whole graph and the core's facts are found from
+    ``prefix`` on, and, given ``keys``, written under the last.  The entries
+    of the keyed levels above are then written from the counts, each by one
+    sweep over its band."""
+    if entry is None:
+        comps, counts, profiles = _live_states(graph)
+        clusters, branching, exit_text = 0, "", ""
+        for comp in comps:
+            if len(comp) > 1:
+                clusters += 1
+                branches, source, target = _cluster_shape(graph, comp, counts)
+                if branches and not branching:
+                    # cycles lie past the lattice depth, where keys are (D, N):
+                    # sort on the (D, R) form, so the listing does not depend on S
+                    scale = graph.ordinate.denominator
+                    ordered = sorted(
+                        comp, key=lambda v: str((graph.slope[v], Fraction(graph.num[v], scale)))
+                    )
+                    labels = ", ".join(_state_label(graph, v) for v in ordered)
+                    branching = f"branching cycle cluster {{{labels}}}"
+                if source >= 0 and not exit_text:
+                    exit_text = (
+                        f"cycle through {_state_label(graph, source)} "
+                        f"can be left towards {_state_label(graph, target)}"
+                    )
+        cycles = _Entry([], [], 0, clusters, 0, (0, 0), False, "", branching, exit_text)
+        base = graph.prefix
+        entry = _facts(graph, counts, profiles, base, len(graph.flags), cycles)
+        if keys:
+            _remember(keys[-1][1], entry)
+    else:
+        base = keys[-1][0]
+        counts = [0] * base + entry.counts + [0]
+        profiles = [0] * base + entry.profiles + [0]
+        _count_from_children(graph, counts, profiles, range(base - 1, -1, -1))
+    for start, key in reversed(keys[:-1]):
+        entry = _facts(graph, counts, profiles, start, base, entry)
+        base = start
+        _remember(key, entry)
+    return counts, profiles, entry, base
 
 
-def _remember(key: tuple, core: _Core) -> None:
-    """Write a core's entry, evicting the oldest entries until it fits."""
+def _remember(key: tuple, entry: _Entry) -> None:
+    """Write an entry, evicting the oldest entries until it fits."""
     global _core_memo_held
-    size = len(core.counts)
+    size = len(entry.counts)
     if size > _CORE_MEMO_STATES:
         return
     held = _core_memo_held if _CORE_MEMO else 0
     while held + size > _CORE_MEMO_STATES:
         held -= len(_CORE_MEMO.pop(next(iter(_CORE_MEMO))).counts)
-    _CORE_MEMO[key] = core
+    _CORE_MEMO[key] = entry
     _core_memo_held = held + size
 
 
@@ -678,8 +742,8 @@ def analyze(graph: StateGraph, *, listing: bool = True) -> LevelSetReport:
     hold under ``python -O`` too.
     On a caller's graph the count pass runs Tarjan and leaves the core memo
     alone; only the graph :func:`classify` has just closed reads and fills
-    it, and when its core is remembered that graph may end at the core's
-    entry level (module docstring).
+    it, and when the entry under its keyed level is remembered that graph
+    may end at that level (module docstring).
 
     The ordinate 0 is special-cased: its zero ray would read as "dyadic point
     attained", but 0 is attained only at the endpoints, so L(0) = {0, 1}.
@@ -706,42 +770,41 @@ def analyze(graph: StateGraph, *, listing: bool = True) -> LevelSetReport:
     if not graph.closed:
         return report(Verdict.INDETERMINATE, witness=f"budget exceeded ({graph.budget_reason})")
 
-    classified, key, core = _classified
+    classified, keys, entry = _classified
     if graph is not classified:
-        key = core = None
-    counts, profiles, core = _counted(graph, key, core)
-    prefix = graph.prefix
-    # classify's graph may hold no more of a remembered core than its entry level
-    diagnostics["states"] = prefix + len(core.counts)
-    diagnostics["cycles"] = core.clusters
-    diagnostics["live_states"] = sum(map(bool, counts[:prefix])) + core.live
+        keys, entry = [], None
+    counts, profiles, entry, base = _counted(graph, keys, entry)
+    # classify's graph may hold no more of a remembered entry than its keyed level
+    diagnostics["states"] = base + len(entry.counts)
+    diagnostics["cycles"] = entry.clusters
+    diagnostics["live_states"] = sum(map(bool, counts[:base])) + entry.live
 
-    tagged = graph.flags[:prefix]
-    if MAX_RAY in tagged:
-        witness = f"max-envelope state {_state_label(graph, tagged.index(MAX_RAY))} reached"
+    above = graph.flags[:base]
+    if MAX_RAY in above:
+        witness = f"max-envelope state {_state_label(graph, above.index(MAX_RAY))} reached"
     else:
-        witness = core.max_ray or core.branching
+        witness = entry.max_ray or entry.branching
     if witness:
         return report(Verdict.UNCOUNTABLE, witness=witness)
-    if core.zero_ray or ZERO_RAY in tagged:
+    if entry.zero_ray or ZERO_RAY in above:
         return report(
             Verdict.COUNTABLY_INFINITE,
             witness="attained at a dyadic point",
             witness_preimage=_dyadic_witness(graph) if listing else None,
         )
-    if core.exit:
+    if entry.exit:
         if counts[0] <= 0:
             raise AssertionError("a cycle can be left but the root is dead")
         return report(
             Verdict.COUNTABLY_INFINITE,
-            witness=core.exit,
+            witness=entry.exit,
             witness_preimage=next(_paths(graph, counts)).value() if listing else None,
         )
 
     # Finite: the root's counts are the root-to-cycle paths and their profiles.
     total = counts[0]
     if not listing:
-        halves = (counts[graph.child0[0]], counts[graph.child1[0]]) if prefix else core.halves
+        halves = (counts[graph.child0[0]], counts[graph.child1[0]]) if base else entry.halves
         if halves[0] != halves[1]:
             raise AssertionError("root's subtrees differ in count")
         return report(Verdict.FINITE, cardinality=total, n_local=profiles[0])
@@ -784,7 +847,7 @@ def leftmost_preimage(y: Fraction) -> Fraction:
             f"state graph for {y} did not close ({graph.budget_reason})"
         )
     key = _entry_key(graph)
-    counts = _counted(graph, key, _CORE_MEMO.get(key))[0]
+    counts = _counted(graph, [(graph.level[1], key)], _CORE_MEMO.get(key))[0]
     if counts[0] <= 0:
         raise AssertionError("the root is dead, though L(y) is not empty")
     return next(_paths(graph, counts)).value()
@@ -805,24 +868,35 @@ def classify(
     sorted preimages and their expansions (see :func:`analyze`).  Ordinates
     outside [0, 2/3] are Finite(0); blown budgets give Indeterminate, never
     a guess.  The count pass reads and fills the core memo, and a count-only
-    call whose core is remembered closes no core state (module docstring).
+    call whose keyed level is remembered expands no state from that level
+    on (module docstring).
     The graph goes through :func:`analyze` by name, so a wrapper on that
     name (perfbench's tracer) sees every classification.
     """
     global _classified
     if listing:
-        graph = close_graph(y, max_states=max_states, max_slope=max_slope)
+        stages = iter([close_graph(y, max_states=max_states, max_slope=max_slope)])
     else:
         stages = _closure(y, max_states, max_slope)
-        graph = next(stages)  # closed through its entry level, or wholly
-    key = _entry_key(graph)
-    core = _CORE_MEMO.get(key)
-    if not listing and (
-        core is None or graph.prefix + len(core.counts) > max_states or core.top > max_slope
-    ):
-        graph = next(stages, graph)  # the rest of the closure, under the same budgets
-    _classified = graph, key, core
+    # (first id, key) of each keyed level stopped at; an entry found above the
+    # entry level that does not fit the budgets means a budget exit below it,
+    # so only missing entries are written
+    keys = []
+    for graph in stages:  # closed through a keyed level, or wholly
+        start, key = graph.level[1], _entry_key(graph)
+        entry = _CORE_MEMO.get(key)
+        keys.append((start, key))
+        if listing or (
+            entry is not None
+            and start + len(entry.counts) <= max_states
+            and entry.top <= max_slope
+        ):
+            break
+        if graph.level[0] == graph.lattice_depth:
+            graph = next(stages, graph)  # the rest of the closure, under the same budgets
+            break
+    _classified = graph, keys, entry
     try:
         return analyze(graph, listing=listing)
     finally:
-        _classified = (None, None, None)
+        _classified = (None, [], None)

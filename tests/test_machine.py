@@ -32,7 +32,7 @@ from takagi.machine import (
     leftmost_preimage,
     step,
 )
-from takagi.rationals import to_binary
+from takagi.rationals import split_denominator, to_binary
 
 
 def test_envelope_pins():
@@ -961,10 +961,11 @@ def test_memo_keeps_tarjan_for_cluster_witnesses(monkeypatch):
 
 def test_memo_shifts_witnesses_behind_a_prefix(monkeypatch):
     """The cycle-exit graph behind two tagged states, with den(y) = 4 * 3:
-    its entry level is the bare graph's root a alone, so its key is the
-    bare graph's, and after classify(1/3) on the bare graph, classify on
-    this one reads the entry written at prefix 0 and must name the same
-    cycle and exit at ids two higher.  Both orders give the reports analyze
+    its entry level is the bare graph's root a alone (``level`` is set as
+    the closure would set it), so its key is the bare graph's, and after
+    classify(1/3) on the bare graph, classify on this one reads the entry
+    written at prefix 0 and must name the same cycle and exit at ids two
+    higher.  Both orders give the reports analyze
     gives, and the warm calls run no Tarjan."""
     y = Fraction(1, 12)
     a, b = (0, Fraction(1, 3)), (1, Fraction(2, 3))
@@ -973,7 +974,9 @@ def test_memo_shifts_witnesses_behind_a_prefix(monkeypatch):
     edges = {root: {0: tagged}, tagged: {0: a}}
     edges.update({a: {0: b}, b: {0: c, 1: a}, c: {1: d}, d: {0: c}})
     graphs = {"bare": _hand_graphs()[0]}
-    graphs["behind"] = dataclasses.replace(_hand_graph(y, edges), prefix=2, lattice_depth=2)
+    graphs["behind"] = dataclasses.replace(
+        _hand_graph(y, edges), prefix=2, lattice_depth=2, level=(2, 2, 3)
+    )
     cold = {
         (name, listing): analyze(graph, listing=listing)
         for name, graph in graphs.items()
@@ -1052,6 +1055,63 @@ def test_equal_core_keys_give_equal_cores():
     assert shared > 5000 and len(cores) > 500
 
 
+def _level(graph, depth):
+    """The ids at ``depth``: read off the depth tags of the keys above the
+    lattice depth, and at that depth, the children of the last tagged level
+    (the root alone when there is none)."""
+    if depth < graph.lattice_depth:
+        return [v for key, v in graph.nodes.items() if len(key) == 3 and key[0] == depth]
+    prefix = graph.prefix
+    return list(range(prefix, 1 + max(graph.child0[:prefix] + graph.child1[:prefix], default=0)))
+
+
+def test_equal_keyed_level_keys_give_equal_subgraphs():
+    """The premise of count-only classify's key, checked without the memo,
+    over the closed graphs of every depth-6 row and seeded j / (3 * 4^n) and
+    j / (m * 2^k), for den(y) = 2^k m and lattice depth L.  Every N at a
+    tagged depth d <= k is a multiple of 2^d.  Graphs whose keyed levels, at
+    d = L - 3 when L > 3 and at d = L otherwise, have the same key (L - d,
+    k - s, m and the (D, N >> s) of the level's states in id order, for
+    s = min(d, k)) have the same subgraph from the level's first id on: the
+    edges less that id, the slopes, the ray flags and N >> s.  Shared keys
+    come from rows with L > 3, with L <= 3 and with odd k (L = k + 1).  The
+    memo's key of the graph where count-only classify's closure first stops
+    is this key."""
+    ordinates = [Fraction(j, 3 * 4**6) for j in range(1, 2 * 4**6 + 1)]
+    ordinates += _seeded_ordinates(1727, (16, 32, 64), 60, 600)
+    subgraphs = {}
+    shared = {"above": 0, "entry": 0, "odd k": 0}
+    for y in ordinates:
+        graph = close_graph(y)
+        if not graph.closed:
+            continue
+        k, odd = split_denominator(y)
+        for key, v in graph.nodes.items():
+            if len(key) == 3 and key[0] <= k:
+                assert graph.num[v] % (1 << key[0]) == 0, (y, key)
+        lattice = graph.lattice_depth
+        depth = lattice - 3 if lattice > 3 else lattice
+        shift = min(depth, k)
+        ids = _level(graph, depth)
+        start = ids[0]
+        assert ids == list(range(start, start + len(ids))) and start == _keyed_start(graph), y
+        assert all(n % (1 << shift) == 0 for n in graph.num[start:]), y
+        key = (lattice - depth, k - shift, odd, tuple(graph.slope[v] for v in ids),
+               tuple(graph.num[v] >> shift for v in ids))
+        stop = next(machine._closure(y, machine.DEFAULT_MAX_STATES, machine.DEFAULT_MAX_SLOPE))
+        assert machine._entry_key(stop) == key, y
+        subgraph = tuple(
+            tuple(-1 if child < 0 else child - start for child in children[start:])
+            for children in (graph.child0, graph.child1)
+        ) + (tuple(graph.slope[start:]), tuple(graph.flags[start:]),
+             tuple(n >> shift for n in graph.num[start:]))
+        if key in subgraphs:
+            shared["above" if depth < lattice else "entry"] += 1
+            shared["odd k"] += k % 2
+        assert subgraphs.setdefault(key, subgraph) == subgraph, y
+    assert shared["above"] > 6000 and shared["entry"] > 80 and shared["odd k"] > 2000, shared
+
+
 def test_warm_witnesses_behind_a_prefix_match_cold(monkeypatch):
     """classify, warm, against analyze, cold, on every reduced j / (m * 2^k)
     with odd m <= 63 and k = 1..3, each under both ``listing`` values in
@@ -1075,29 +1135,37 @@ def test_warm_witnesses_behind_a_prefix_match_cold(monkeypatch):
 
 
 def test_core_memo_stays_within_its_bound(monkeypatch):
-    """Every reduced j/m with odd m <= 53 has more core states, summed over
-    its distinct cores, than the memo holds: it never holds more than its
-    bound, and entries are evicted on the way, oldest first and no more
-    than the new core needs, while the core just written survives each
-    overflow; every report equals the one analyze gives without the memo.  Under a bound of 20 a larger core is not
-    written at all."""
+    """Every depth-6 row, then every reduced j/m with odd m <= 53, which
+    have more core states, summed over their distinct cores, than the memo
+    holds.  The depth-6 rows write entries keyed three levels above the
+    lattice depth as well as core entries, and those count against the
+    bound too: the memo's running count is the states its entries hold,
+    it never holds more than its bound, and entries are evicted on the way,
+    keyed-level entries among them, oldest first and no more than the new
+    entries need, while the entries just written survive each overflow;
+    every report equals the one analyze gives without the memo.  Under a
+    bound of 20 a larger core is not written at all."""
     bound = machine._CORE_MEMO_STATES
-    ordinates = sorted({Fraction(j, m) for m in range(5, 54, 2) for j in range(1, 2 * m // 3 + 1)})
+    ordinates = [Fraction(j, 3 * 4**6) for j in range(2 * 4**6 + 1)]
+    ordinates += sorted({Fraction(j, m) for m in range(5, 54, 2) for j in range(1, 2 * m // 3 + 1)})
     machine._CORE_MEMO.clear()
-    overflows = 0
+    overflows = evicted_above = 0
     for y in ordinates:
         sizes = {key: len(entry.counts) for key, entry in machine._CORE_MEMO.items()}
         before = list(sizes)
         assert classify(y, listing=False) == analyze(close_graph(y), listing=False), y
-        assert _memo_held() <= bound
+        held = _memo_held()
+        assert held == (machine._core_memo_held if machine._CORE_MEMO else 0) <= bound, y
         after = list(machine._CORE_MEMO)
         if before and before[0] not in after:  # an overflow: the oldest went first
             overflows += 1
-            evicted = len(before) - len(after) + 1
-            assert after[-1] not in before and after[:-1] == before[evicted:]
+            written = [key for key in after if key not in sizes]
+            evicted = len(before) - len(after) + len(written)
+            assert 1 <= len(written) <= 2 and after == before[evicted:] + written
+            evicted_above += sum(key[0] == 3 for key in before[:evicted])
             # and no more went than had to: with the last of them back it would not fit
-            assert _memo_held() + sizes[before[evicted - 1]] > bound
-    assert overflows > 0
+            assert held + sizes[before[evicted - 1]] > bound
+    assert overflows > 100 and evicted_above > 500
     monkeypatch.setattr(machine, "_CORE_MEMO_STATES", 20)
     machine._CORE_MEMO.clear()
     large, small = Fraction(1, 5), Fraction(2, 3)
@@ -1116,11 +1184,22 @@ def _handed_to_analyze(monkeypatch):
     return graphs
 
 
+def _keyed_start(graph):
+    """The first id at count-only classify's keyed depth, read off the
+    depth tags of the graph's keys: three levels above the lattice depth L
+    when L > 3, else at L, where the keys lose their tag."""
+    depth = graph.lattice_depth - 3 if graph.lattice_depth > 3 else graph.lattice_depth
+    deep = (v for key, v in graph.nodes.items() if len(key) == 2 or key[0] >= depth)
+    return min(deep, default=len(graph.slope))
+
+
 def _skipped(graph, states):
-    """Whether analyze was handed a graph, closed through its entry level,
-    of fewer than the whole graph's ``states``, in which no state past the
-    prefix has a child: no core state was expanded."""
-    unexpanded = all(c < 0 for c in graph.child0[graph.prefix :] + graph.child1[graph.prefix :])
+    """Whether analyze was handed a graph, closed through its keyed level,
+    of fewer than the whole graph's ``states``, in which no state at or
+    below the keyed level has a child: no state from there on was
+    expanded."""
+    start = _keyed_start(graph)
+    unexpanded = all(c < 0 for c in graph.child0[start:] + graph.child1[start:])
     return graph.closed and unexpanded and len(graph.slope) < states
 
 
@@ -1137,7 +1216,9 @@ def test_remembered_core_closes_no_core_state(monkeypatch):
     with odd m <= 63 and k <= 1, shuffled, so most first calls already find
     their core.  The second call finds it every time the graph closes
     (y = 0 writes no entry), and then the graph analyze is handed ends at
-    the core's entry level: no core state is expanded."""
+    its keyed level, three levels above the lattice depth when that depth
+    is larger, else the core's entry level: no state from there on is
+    expanded."""
     rng = random.Random(1726)
     ordinates = sorted({Fraction(j, 3 * 4**n) for n in (5, 6) for j in range(2 * 4**n + 1)})
     ordinates += _seeded_ordinates(1726, (16, 32, 64, 128), 40, 0)
@@ -1165,17 +1246,19 @@ def test_remembered_core_keeps_every_budget(monkeypatch):
     under every state budget from 1 to the closed size + 1 and every slope
     budget from 0 to 11 gives the cold report of close_graph under the same
     budgets, diagnostics key order included, budget exits and their reasons
-    with it.  The core's closure is skipped exactly when the core fits both
-    budgets: the whole graph's size at most ``max_states`` and its core's
-    largest |D| at most ``max_slope`` (a closed core has no feasible child
-    past its largest |D|, so that slope budget cannot stop it)."""
+    with it.  The closure from the keyed level on (three levels above the
+    lattice depth for 37/96 and 1/2^20, the entry level for the others) is
+    skipped exactly when it fits both budgets: the whole graph's size at
+    most ``max_states`` and the largest |D| from the keyed level on at most
+    ``max_slope`` (a closed graph has no feasible child past its largest
+    |D|, so that slope budget cannot stop it)."""
     handed = _handed_to_analyze(monkeypatch)
     fitted = resumed = 0
     for y in (Fraction(2, 3), Fraction(1, 5), Fraction(37, 96), Fraction(1, 49),
               Fraction(2, 13), Fraction(1, 2**20)):
         classify(y, listing=False)
         whole = close_graph(y)
-        top = max(map(abs, whole.slope[whole.prefix :]))
+        top = max(map(abs, whole.slope[_keyed_start(whole) :]))
         for max_states in range(1, len(whole.slope) + 2):
             for max_slope in range(12):
                 budgets = {"max_states": max_states, "max_slope": max_slope}
