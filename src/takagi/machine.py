@@ -119,10 +119,14 @@ The key is known before any state of the level is expanded.
 :func:`classify` and :func:`leftmost_preimage` keep one entry per keyed
 level in a bounded memo across ordinates (the grid's j / (3 * 4^n) all
 have m = 1 or 3), with the facts of the graph from that level on: its size
-and largest |D|, its continuations, profiles and live states, its number
-of cycle clusters, whether it holds a zero ray, and the witness texts of
-its first max ray, first branching cluster and first cycle exit.  Listing
-callers close the whole graph and key by its entry level.
+and largest |D|, its live states, its number of cycle clusters, whether it
+holds a zero ray, and the witness texts of its first max ray, first
+branching cluster and first cycle exit.  Of the continuations and profiles
+it keeps what is read: the entry at the entry level keeps every core
+state's, as listing walks the core, and an entry above it its own level's
+only, as the sweep of the ids above the level reads no others.  So each
+core state is held once, however many keyed levels lead to its core.
+Listing callers close the whole graph and key by its entry level.
 ``classify(y, listing=False)`` keys ``BAND`` = 3 levels above the lattice
 depth when L > 3, at d = L - 3 <= k, and at the entry level otherwise.  It
 closes the tagged levels down to its keyed level, then looks the entry up.
@@ -143,10 +147,9 @@ depth-5 row's tagged states (7.0 of 19.1), and the closure is most of a
 remembered row's time.  Keying higher leaves fewer states to close but
 gives more distinct keys.  On a cold depth-6 grid, what one ``takagi grid
 --depth 6`` runs, offset 3 hits on 7,131 of 8,193 rows and ends with
-57,368 states held; offsets 4 and 5 hit on 6,836 and 6,308, fill the memo
-to its bound, and take as long per row within noise.  Only a grid swept
-again in one process, every row a hit, runs faster at 4 or 5 (by about a
-tenth and a sixth per row).
+19,774 states held (15,898 in 474 core entries, 3,876 in 1,058 band
+entries); offsets 4 and 5 hit on 6,836 and 6,340 and hold 20,088 and
+21,330.
 :func:`analyze` on a caller's graph neither reads nor writes the memo, as
 a graph edited after its closure would poison it.
 """
@@ -160,7 +163,7 @@ from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .curve import TWO_THIRDS
-from .rationals import ZERO, BinaryExpansion, ordinate_depth, split_denominator
+from .rationals import ZERO, BinaryExpansion, split_denominator
 
 DEFAULT_MAX_STATES = 100_000
 DEFAULT_MAX_SLOPE = 64
@@ -274,12 +277,13 @@ def _closure(y: Fraction, max_states: int, max_slope: int) -> Iterator[StateGrap
     level, the states at the lattice depth (``prefix`` then set).  It is
     yielded again when the closure ends, and a closure that ends above a
     keyed level does not stop there."""
-    if not 0 <= y <= TWO_THIRDS:
+    root_num, scale = y.numerator, y.denominator
+    if root_num < 0 or 3 * root_num > 2 * scale:  # y outside [0, 2/3]
         yield StateGraph(y, 0)
         return
-    lattice_depth = 2 * ordinate_depth(y)
+    k = (scale & -scale).bit_length() - 1  # den(y) = 2^k m, m odd
+    lattice_depth = k + (k & 1)  # 2 * ordinate_depth(y)
     band_depth = lattice_depth - BAND if lattice_depth > BAND else lattice_depth
-    scale, root_num = y.denominator, y.numerator
     root_key = (0, 0, root_num) if lattice_depth > 0 else (0, root_num)
     root_ray = ZERO_RAY if root_num == 0 else MAX_RAY if 3 * root_num == 2 * scale else 0
     graph = StateGraph(y, lattice_depth, {root_key: 0}, [0], [root_num], [root_ray], [-1], [-1])
@@ -320,13 +324,13 @@ def _closure(y: Fraction, max_states: int, max_slope: int) -> Iterator[StateGrap
                 ray = -1 if one else ZERO_RAY if slope == -1 else ONES_RAY
             if ray >= 0:
                 key = (tag, slope + 1, 2 * num) if tag else (slope + 1, 2 * num)
-                child = nodes.get(key)
-                if child is None:
-                    child = len(slopes)
-                    if child >= max_states:
+                size = len(slopes)
+                child = nodes.setdefault(key, size)
+                if child == size:  # a new state
+                    if size >= max_states:
+                        del nodes[key]
                         reason = "states"
                         break
-                    nodes[key] = child
                     slopes.append(slope + 1)
                     nums.append(2 * num)
                     flags.append(ray)
@@ -349,13 +353,13 @@ def _closure(y: Fraction, max_states: int, max_slope: int) -> Iterator[StateGrap
                 ray = -1 if one else ZERO_RAY
             if ray >= 0:
                 key = (tag, slope - 1, one) if tag else (slope - 1, one)
-                child = nodes.get(key)
-                if child is None:
-                    child = len(slopes)
-                    if child >= max_states:
+                size = len(slopes)
+                child = nodes.setdefault(key, size)
+                if child == size:  # a new state
+                    if size >= max_states:
+                        del nodes[key]
                         reason = "states"
                         break
-                    nodes[key] = child
                     slopes.append(slope - 1)
                     nums.append(one)
                     flags.append(ray)
@@ -392,6 +396,35 @@ class LevelSetReport:
     witness: Optional[str] = None
     witness_preimage: Optional[Fraction] = None
     diagnostics: dict = field(default_factory=dict)
+
+
+def _report(
+    ordinate: Fraction,
+    verdict: Verdict,
+    diagnostics: dict,
+    cardinality: Optional[int] = None,
+    preimages: Optional[tuple[Fraction, ...]] = None,
+    paths: Optional[tuple[BinaryExpansion, ...]] = None,
+    n_local: Optional[int] = None,
+    witness: Optional[str] = None,
+    witness_preimage: Optional[Fraction] = None,
+) -> LevelSetReport:
+    """What ``LevelSetReport(...)`` builds, with its fields stored straight
+    into the instance dict rather than through one ``object.__setattr__``
+    each, as the generated ``__init__`` of a frozen dataclass sets them.
+    Stored in field order, they keep the keys the class's instances share."""
+    new = object.__new__(LevelSetReport)
+    fields = new.__dict__
+    fields["ordinate"] = ordinate
+    fields["verdict"] = verdict
+    fields["cardinality"] = cardinality
+    fields["preimages"] = preimages
+    fields["paths"] = paths
+    fields["n_local"] = n_local
+    fields["witness"] = witness
+    fields["witness_preimage"] = witness_preimage
+    fields["diagnostics"] = diagnostics
+    return new
 
 
 def _strong_components(graph: StateGraph) -> list[list[int]]:
@@ -506,16 +539,21 @@ def _state_label(graph: StateGraph, v: int) -> str:
 
 class _Entry(NamedTuple):
     """What the count pass gives for a graph from one keyed level on, as the
-    memo keeps it: each state's continuations and profiles, in id order from
-    the level's first id; how many of those states are live; the number of
-    cycle clusters; the largest |D|; the counts of the first state's two
-    children (the root's, when there is no prefix); whether a zero ray is
-    among the states; and the witness texts of the first max ray, in id
-    order, and of the first branching cluster and the first cycle exit, in
-    Tarjan's order, each empty when there is none."""
+    memo keeps it.  ``counts`` and ``profiles`` hold continuations and
+    profiles in id order from the level's first id: of every core state in
+    the entry level's entry, as listing walks the core, and of the level's
+    own states only in an entry above it, as they are all that the sweep of
+    the ids above the level reads.  The rest are facts of the whole graph
+    from the level on: its number of states; how many of them are live;
+    the number of cycle clusters; the largest |D|; the counts of the first
+    state's two children (the root's, when there is no prefix); whether a
+    zero ray is among the states; and the witness texts of the first max
+    ray, in id order, and of the first branching cluster and the first
+    cycle exit, in Tarjan's order, each empty when there is none."""
 
     counts: list[int]
     profiles: list[int]
+    size: int
     live: int
     clusters: int
     top: int
@@ -532,46 +570,57 @@ class _Entry(NamedTuple):
 # _CORE_MEMO_STATES states held evicts the oldest entries, in insertion
 # order, until it fits; a larger entry is not written.  A held state takes
 # about 28 bytes for the deep sample's ordinates (cores of about 50 states),
-# 1.8 MB at the bound, and at most about 660 in one-state cores while
-# numbers fit in 30 bits, 43 MB; a branching cluster's witness text adds a
-# label per member.  Wider numbers add their own bytes: m and N grow with
-# den(y), and a count, in principle, with the paths through an entry small
-# enough to be written.
+# 1.8 MB at the bound; 66 after a cold depth-6 grid, 35 in its core entries
+# and 177 in its band entries, which hold 3.7 states each under a key that
+# lists every state of their level; and at most about 670 in one-state
+# entries while numbers fit in 30 bits, 44 MB.  A branching cluster's
+# witness text adds a label per member.  Wider numbers add their own bytes:
+# m and N grow with den(y), and a count, in principle, with the paths
+# through an entry small enough to be written.
 _CORE_MEMO: dict[tuple, _Entry] = {}
 _CORE_MEMO_STATES = 65_536
 _core_memo_held = 0  # the states held, read as 0 once the memo is empty
-# The graph classify has closed, the (first id, key) of each keyed level it
-# stopped at and the entry found under the last (None on a miss), while
-# analyze runs on it: the one graph analyze reads from and writes to the
-# memo for, as a caller's graph may not be what close_graph made.
+# The graph classify has closed, the (first id, end id, key) of each keyed
+# level it stopped at and the entry found under the last (None on a miss),
+# while analyze runs on it: the one graph analyze reads from and writes to
+# the memo for, as a caller's graph may not be what close_graph made.
 _classified: tuple = (None, [], None)
 
 
-def _entry_key(graph: StateGraph) -> tuple:
+def _entry_key(graph: StateGraph, k: int, odd: int) -> tuple:
     """The memo key of the graph from its keyed level on, ``graph.level``
     at depth d: the levels left to the lattice depth L, then k - s, m and
     the (D, N >> s) of the level's states in id order, for den(y) = 2^k m
-    and s = min(d, k)."""
+    (``k`` and ``odd``) and s = min(d, k)."""
     depth, start, end = graph.level
-    k, odd = split_denominator(graph.ordinate)
-    shift = min(depth, k)
-    nums = tuple(n >> shift for n in graph.num[start:end])
-    return graph.lattice_depth - depth, k - shift, odd, tuple(graph.slope[start:end]), nums
+    shift = depth if depth < k else k
+    nums = graph.num[start:end]
+    if shift:
+        nums = [n >> shift for n in nums]
+    return graph.lattice_depth - depth, k - shift, odd, tuple(graph.slope[start:end]), tuple(nums)
 
 
 def _facts(
-    graph: StateGraph, counts: list[int], profiles: list[int], start: int, end: int, below: _Entry
+    graph: StateGraph,
+    counts: list[int],
+    profiles: list[int],
+    start: int,
+    kept: int,
+    end: int,
+    below: _Entry,
 ) -> _Entry:
     """The facts of the ids from ``start`` on: those of ``start`` to
     ``end`` - 1, read off the count pass, followed by ``below``, the facts
-    from ``end`` on, which give the cycles."""
+    from ``end`` on, which give the cycles.  Of the counts and profiles
+    only those of ``start`` to ``kept`` - 1 are kept."""
     flags, own = graph.flags[start:end], counts[start:end]
     max_ray = below.max_ray
     if MAX_RAY in flags:
         max_ray = f"max-envelope state {_state_label(graph, start + flags.index(MAX_RAY))} reached"
     return _Entry(
-        own + below.counts,
-        profiles[start:end] + below.profiles,
+        counts[start:kept],
+        profiles[start:kept],
+        size=end - start + below.size,
         live=sum(map(bool, own)) + below.live,
         clusters=below.clusters,
         top=max(below.top, max(map(abs, graph.slope[start:end]), default=0)),
@@ -584,19 +633,20 @@ def _facts(
 
 
 def _counted(
-    graph: StateGraph, keys: list[tuple[int, tuple]], entry: Optional[_Entry]
+    graph: StateGraph, keys: list[tuple[int, int, tuple]], entry: Optional[_Entry]
 ) -> tuple[list[int], list[int], _Entry, int]:
     """The count pass: every state's continuations and profiles, the facts
     of the graph from a keyed level on and that level's first id.
-    ``keys`` are classify's (first id, key) pairs, highest level first, as
-    ``_classified`` holds them, and ``entry`` the facts found under the
-    last.  A remembered ``entry`` gives the share of the ids from its level
-    on, and the ids above it are swept as :func:`_live_states` sweeps the
-    prefix, so the graph need hold no more than that level.  Otherwise
+    ``keys`` are classify's (first id, end id, key) of each keyed level,
+    highest level first, as ``_classified`` holds them, and ``entry`` the
+    facts found under the last.  A remembered ``entry`` gives the counts of
+    its level's states, all that the sweep of the ids above it reads (the
+    sweep :func:`_live_states` makes of the prefix), and the facts from its
+    level on, so the graph need hold no more than that level.  Otherwise
     Tarjan runs on the whole graph and the core's facts are found from
     ``prefix`` on, and, given ``keys``, written under the last.  The entries
     of the keyed levels above are then written from the counts, each by one
-    sweep over its band."""
+    sweep over its band, keeping the counts of its own level only."""
     if entry is None:
         comps, counts, profiles = _live_states(graph)
         clusters, branching, exit_text = 0, "", ""
@@ -618,18 +668,18 @@ def _counted(
                         f"cycle through {_state_label(graph, source)} "
                         f"can be left towards {_state_label(graph, target)}"
                     )
-        cycles = _Entry([], [], 0, clusters, 0, (0, 0), False, "", branching, exit_text)
-        base = graph.prefix
-        entry = _facts(graph, counts, profiles, base, len(graph.flags), cycles)
+        cycles = _Entry([], [], 0, 0, clusters, 0, (0, 0), False, "", branching, exit_text)
+        base, size = graph.prefix, len(graph.flags)
+        entry = _facts(graph, counts, profiles, base, size, size, cycles)
         if keys:
-            _remember(keys[-1][1], entry)
+            _remember(keys[-1][2], entry)
     else:
         base = keys[-1][0]
         counts = [0] * base + entry.counts + [0]
         profiles = [0] * base + entry.profiles + [0]
         _count_from_children(graph, counts, profiles, range(base - 1, -1, -1))
-    for start, key in reversed(keys[:-1]):
-        entry = _facts(graph, counts, profiles, start, base, entry)
+    for start, stop, key in reversed(keys[:-1]):
+        entry = _facts(graph, counts, profiles, start, stop, base, entry)
         base = start
         _remember(key, entry)
     return counts, profiles, entry, base
@@ -757,25 +807,23 @@ def analyze(graph: StateGraph, *, listing: bool = True) -> LevelSetReport:
     if graph.budget_reason:
         diagnostics["budget_reason"] = graph.budget_reason
 
-    def report(verdict: Verdict, **fields) -> LevelSetReport:
-        return LevelSetReport(ordinate=y, verdict=verdict, diagnostics=diagnostics, **fields)
-
-    if y == 0:
+    if not y.numerator:  # y == 0
         paths = (BinaryExpansion((), ()), BinaryExpansion((), (1,)))
         listed = {"preimages": (ZERO, Fraction(1)), "paths": paths} if listing else {}
-        return report(Verdict.FINITE, cardinality=2, n_local=1, **listed)
+        return _report(y, Verdict.FINITE, diagnostics, cardinality=2, n_local=1, **listed)
     if not graph.nodes:  # y outside [0, 2/3]
         listed = {"preimages": (), "paths": ()} if listing else {}
-        return report(Verdict.FINITE, cardinality=0, n_local=0, **listed)
+        return _report(y, Verdict.FINITE, diagnostics, cardinality=0, n_local=0, **listed)
     if not graph.closed:
-        return report(Verdict.INDETERMINATE, witness=f"budget exceeded ({graph.budget_reason})")
+        witness = f"budget exceeded ({graph.budget_reason})"
+        return _report(y, Verdict.INDETERMINATE, diagnostics, witness=witness)
 
     classified, keys, entry = _classified
     if graph is not classified:
         keys, entry = [], None
     counts, profiles, entry, base = _counted(graph, keys, entry)
     # classify's graph may hold no more of a remembered entry than its keyed level
-    diagnostics["states"] = base + len(entry.counts)
+    diagnostics["states"] = base + entry.size
     diagnostics["cycles"] = entry.clusters
     diagnostics["live_states"] = sum(map(bool, counts[:base])) + entry.live
 
@@ -785,18 +833,22 @@ def analyze(graph: StateGraph, *, listing: bool = True) -> LevelSetReport:
     else:
         witness = entry.max_ray or entry.branching
     if witness:
-        return report(Verdict.UNCOUNTABLE, witness=witness)
+        return _report(y, Verdict.UNCOUNTABLE, diagnostics, witness=witness)
     if entry.zero_ray or ZERO_RAY in above:
-        return report(
+        return _report(
+            y,
             Verdict.COUNTABLY_INFINITE,
+            diagnostics,
             witness="attained at a dyadic point",
             witness_preimage=_dyadic_witness(graph) if listing else None,
         )
     if entry.exit:
         if counts[0] <= 0:
             raise AssertionError("a cycle can be left but the root is dead")
-        return report(
+        return _report(
+            y,
             Verdict.COUNTABLY_INFINITE,
+            diagnostics,
             witness=entry.exit,
             witness_preimage=next(_paths(graph, counts)).value() if listing else None,
         )
@@ -807,10 +859,10 @@ def analyze(graph: StateGraph, *, listing: bool = True) -> LevelSetReport:
         halves = (counts[graph.child0[0]], counts[graph.child1[0]]) if base else entry.halves
         if halves[0] != halves[1]:
             raise AssertionError("root's subtrees differ in count")
-        return report(Verdict.FINITE, cardinality=total, n_local=profiles[0])
+        return _report(y, Verdict.FINITE, diagnostics, cardinality=total, n_local=profiles[0])
     if total > MAX_PREIMAGES:
         diagnostics["budget_reason"] = "preimages"
-        return report(Verdict.INDETERMINATE, witness="budget exceeded (preimages)")
+        return _report(y, Verdict.INDETERMINATE, diagnostics, witness="budget exceeded (preimages)")
     # the points below 1/2, then their complements (the fold), in reverse
     half = list(_paths(graph, counts))
     path_list = half + [_complement(p) for p in reversed(half)]
@@ -820,8 +872,10 @@ def analyze(graph: StateGraph, *, listing: bool = True) -> LevelSetReport:
     preimages += tuple(1 - x for x in reversed(preimages))
     if not all(a < b for a, b in zip(preimages, preimages[1:])):
         raise AssertionError("preimages not sorted")
-    return report(
+    return _report(
+        y,
         Verdict.FINITE,
+        diagnostics,
         cardinality=total,
         preimages=preimages,
         paths=tuple(path_list),
@@ -846,8 +900,8 @@ def leftmost_preimage(y: Fraction) -> Fraction:
         raise BudgetExceededError(
             f"state graph for {y} did not close ({graph.budget_reason})"
         )
-    key = _entry_key(graph)
-    counts = _counted(graph, [(graph.level[1], key)], _CORE_MEMO.get(key))[0]
+    key = _entry_key(graph, *split_denominator(y))
+    counts = _counted(graph, [(*graph.level[1:], key)], _CORE_MEMO.get(key))[0]
     if counts[0] <= 0:
         raise AssertionError("the root is dead, though L(y) is not empty")
     return next(_paths(graph, counts)).value()
@@ -878,21 +932,21 @@ def classify(
         stages = iter([close_graph(y, max_states=max_states, max_slope=max_slope)])
     else:
         stages = _closure(y, max_states, max_slope)
-    # (first id, key) of each keyed level stopped at; an entry found above the
-    # entry level that does not fit the budgets means a budget exit below it,
-    # so only missing entries are written
+    k, odd = split_denominator(y)
+    # (first id, end id, key) of each keyed level stopped at; an entry found
+    # above the entry level that does not fit the budgets means a budget exit
+    # below it, so only missing entries are written
     keys = []
     for graph in stages:  # closed through a keyed level, or wholly
-        start, key = graph.level[1], _entry_key(graph)
+        depth, start, stop = graph.level
+        key = _entry_key(graph, k, odd)
         entry = _CORE_MEMO.get(key)
-        keys.append((start, key))
+        keys.append((start, stop, key))
         if listing or (
-            entry is not None
-            and start + len(entry.counts) <= max_states
-            and entry.top <= max_slope
+            entry is not None and start + entry.size <= max_states and entry.top <= max_slope
         ):
             break
-        if graph.level[0] == graph.lattice_depth:
+        if depth == graph.lattice_depth:
             graph = next(stages, graph)  # the rest of the closure, under the same budgets
             break
     _classified = graph, keys, entry

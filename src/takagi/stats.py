@@ -184,26 +184,28 @@ def grid_experiment(depth: int, *, max_states: int = DEFAULT_MAX_STATES) -> Grid
     if depth > MAX_GRID_DEPTH:
         raise ValueError(f"depth {depth} exceeds the maximum {MAX_GRID_DEPTH}")
     mesh = 1 << (2 * depth)
+    scale = 3 * mesh
     rows = []
     for j in range(2 * mesh + 1):
-        y = Fraction(j, 3 * mesh)
+        y = Fraction(j, scale)
         report = classify(y, max_states=max_states, listing=False)
+        cardinality = report.cardinality
         if (
             report.verdict is Verdict.FINITE
-            and 0 < y < TWO_THIRDS
-            and (report.cardinality is None or report.cardinality % 2)
+            and 0 < j < 2 * mesh  # 0 < y < 2/3
+            and (cardinality is None or cardinality % 2)
         ):
-            raise AssertionError(
-                f"finite interior ordinate {y} has odd cardinality {report.cardinality}"
-            )
-        rows.append(
-            GridRow(
-                index=j,
-                ordinate=y,
-                verdict=report.verdict,
-                cardinality=report.cardinality,
-                n_local=report.n_local,
-                states=report.diagnostics.get("states", 0),
-            )
-        )
+            raise AssertionError(f"finite interior ordinate {y} has odd cardinality {cardinality}")
+        # what GridRow(...) builds, with the fields stored straight into the
+        # instance dict rather than through one object.__setattr__ each, as
+        # the frozen __init__ does; in field order, so its keys stay shared
+        row = object.__new__(GridRow)
+        fields = row.__dict__
+        fields["index"] = j
+        fields["ordinate"] = y
+        fields["verdict"] = report.verdict
+        fields["cardinality"] = cardinality
+        fields["n_local"] = report.n_local
+        fields["states"] = report.diagnostics.get("states", 0)
+        rows.append(row)
     return GridReport(depth=depth, rows=tuple(rows))

@@ -21,6 +21,7 @@ from takagi.machine import (
     ONES_RAY,
     ZERO_RAY,
     BudgetExceededError,
+    LevelSetReport,
     StateGraph,
     Verdict,
     analyze,
@@ -33,6 +34,7 @@ from takagi.machine import (
     step,
 )
 from takagi.rationals import split_denominator, to_binary
+from takagi.stats import grid_experiment
 
 
 def test_envelope_pins():
@@ -212,6 +214,50 @@ def test_out_of_range_is_empty():
         assert report.verdict is Verdict.FINITE
         assert report.cardinality == 0
         assert report.preimages == ()
+
+
+def test_int_and_edge_ordinates_pinned():
+    """Ordinates given as int, the ends of [0, 2/3], a point outside it and
+    1/2, under both ``listing`` values: the verdict, the cardinality and
+    the state count are pinned, and the report equals the one for the
+    Fraction of the same value."""
+    cases = {
+        0: (Verdict.FINITE, 2, 1),
+        1: (Verdict.FINITE, 0, 0),
+        Fraction(-1, 3): (Verdict.FINITE, 0, 0),
+        Fraction(2, 3): (Verdict.UNCOUNTABLE, None, 3),
+        Fraction(1, 2): (Verdict.COUNTABLY_INFINITE, None, 8),
+    }
+    for y, pinned in cases.items():
+        for listing in (True, False):
+            report = classify(y, listing=listing)
+            got = (report.verdict, report.cardinality, report.diagnostics["states"])
+            assert got == pinned, (y, listing)
+            assert report == classify(Fraction(y), listing=listing), (y, listing)
+
+
+def test_reports_keep_the_dataclass_contract():
+    """classify's reports, of every verdict, listed and count-only, are
+    the frozen dataclass its constructor builds: equal to the report
+    ``LevelSetReport(**fields)`` makes from the same fields, with the same
+    repr and attributes, raising FrozenInstanceError on assignment, and
+    ``dataclasses.replace`` copies and edits them."""
+    ordinates = (0, Fraction(1, 8), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(1, 49))
+    verdicts = set()
+    for y in ordinates:
+        for listing in (True, False):
+            report = classify(y, listing=listing, max_slope=8)
+            verdicts.add(report.verdict)
+            fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+            built = LevelSetReport(**fields)
+            assert report == built and repr(report) == repr(built), (y, listing)
+            assert vars(report) == vars(built), (y, listing)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                report.cardinality = 7
+            assert dataclasses.replace(report) == report
+            edited = dataclasses.replace(report, witness="edited")
+            assert edited.witness == "edited" != report.witness
+    assert verdicts == set(Verdict)
 
 
 def test_unsupported_denominator_raises():
@@ -803,7 +849,7 @@ def test_core_memo_matches_cold_analysis(monkeypatch):
 
 
 def _memo_held():
-    """The core states the memo holds, over all its entries."""
+    """The states the memo holds: the counts kept, over all its entries."""
     return sum(len(entry.counts) for entry in machine._CORE_MEMO.values())
 
 
@@ -1099,7 +1145,7 @@ def test_equal_keyed_level_keys_give_equal_subgraphs():
         key = (lattice - depth, k - shift, odd, tuple(graph.slope[v] for v in ids),
                tuple(graph.num[v] >> shift for v in ids))
         stop = next(machine._closure(y, machine.DEFAULT_MAX_STATES, machine.DEFAULT_MAX_SLOPE))
-        assert machine._entry_key(stop) == key, y
+        assert machine._entry_key(stop, k, odd) == key, y
         subgraph = tuple(
             tuple(-1 if child < 0 else child - start for child in children[start:])
             for children in (graph.child0, graph.child1)
@@ -1173,6 +1219,26 @@ def test_core_memo_stays_within_its_bound(monkeypatch):
     for y in (small, large):
         assert classify(y) == analyze(close_graph(y)), y
     assert _memo_held() == len(close_graph(small).slope)
+
+
+def test_memo_holds_each_state_once():
+    """After a cold ``grid_experiment(6)`` an entry keyed above the entry
+    level keeps the counts and profiles of its own level's states, as many
+    as its key lists, and the core's entry at the entry level those of
+    every core state, its size.  The memo's running count is the sum over
+    all entries, and it is less than 20,000 states, under half of what the
+    entries would hold if each kept the graph from its level on."""
+    machine._CORE_MEMO.clear()
+    grid_experiment(6)
+    entries = machine._CORE_MEMO
+    for key, entry in entries.items():
+        kept = len(key[3]) if key[0] else entry.size
+        assert len(entry.counts) == len(entry.profiles) == kept, key
+    above = sum(key[0] > 0 for key in entries)
+    assert above > 1000 and len(entries) - above > 400
+    held = _memo_held()
+    assert held == machine._core_memo_held < 20_000
+    assert 2 * held < sum(entry.size for entry in entries.values())
 
 
 def _handed_to_analyze(monkeypatch):

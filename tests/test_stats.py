@@ -1,5 +1,6 @@
 """Catalan series partial sums and the dyadic-ordinate grid experiment."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from takagi import stats
 from takagi.machine import Verdict
 from takagi.stats import (
+    GridRow,
     catalan,
     catalan_series_partial,
     central_binomial,
@@ -134,6 +136,22 @@ def test_grid_calls_classify_once_per_row(monkeypatch):
     report = grid_experiment(3)
     assert calls == [False] * report.ordinate_count
     assert report.ordinate_count == 2 * 4**3 + 1
+
+
+def test_grid_rows_keep_the_dataclass_contract():
+    """The rows grid_experiment builds are the frozen dataclass its
+    constructor builds: equal to ``GridRow(**fields)`` from the same
+    fields, with the same repr and attributes, raising FrozenInstanceError
+    on assignment, and ``dataclasses.replace`` copies and edits them."""
+    for row in grid_experiment(2).rows:
+        fields = {f.name: getattr(row, f.name) for f in dataclasses.fields(row)}
+        built = GridRow(**fields)
+        assert row == built and repr(row) == repr(built) and vars(row) == vars(built), row
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            row.states = 0
+        assert dataclasses.replace(row) == row
+        assert dataclasses.replace(row, states=row.states + 1).states == row.states + 1
+    assert hash(row) == hash(built)
 
 
 def test_grid_depth_guard():
