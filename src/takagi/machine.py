@@ -150,8 +150,10 @@ gives more distinct keys.  On a cold depth-6 grid, what one ``takagi grid
 19,774 states held (15,898 in 474 core entries, 3,876 in 1,058 band
 entries); offsets 4 and 5 hit on 6,836 and 6,340 and hold 20,088 and
 21,330.
-:func:`analyze` on a caller's graph neither reads nor writes the memo, as
-a graph edited after its closure would poison it.
+Memo facts reach the count pass only as arguments, never through module
+state, so :func:`analyze` on a caller's graph neither reads nor writes the
+memo (an edited graph would poison it), and classify, whose memo writes
+hold a lock, is safe to call re-entrantly and from threads.
 """
 
 from __future__ import annotations
@@ -160,7 +162,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Iterator, NamedTuple, Optional
+from threading import Lock
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .curve import TWO_THIRDS
 from .rationals import ZERO, BinaryExpansion, split_denominator
@@ -576,15 +579,12 @@ class _Entry(NamedTuple):
 # entries while numbers fit in 30 bits, 44 MB.  A branching cluster's
 # witness text adds a label per member.  Wider numbers add their own bytes:
 # m and N grow with den(y), and a count, in principle, with the paths
-# through an entry small enough to be written.
+# through an entry small enough to be written.  Its facts reach the count
+# pass only as arguments; writes hold _CORE_MEMO_LOCK, reads are dict.get.
 _CORE_MEMO: dict[tuple, _Entry] = {}
 _CORE_MEMO_STATES = 65_536
+_CORE_MEMO_LOCK = Lock()
 _core_memo_held = 0  # the states held, read as 0 once the memo is empty
-# The graph classify has closed, the (first id, end id, key) of each keyed
-# level it stopped at and the entry found under the last (None on a miss),
-# while analyze runs on it: the one graph analyze reads from and writes to
-# the memo for, as a caller's graph may not be what close_graph made.
-_classified: tuple = (None, [], None)
 
 
 def _entry_key(graph: StateGraph, k: int, odd: int) -> tuple:
@@ -633,14 +633,14 @@ def _facts(
 
 
 def _counted(
-    graph: StateGraph, keys: list[tuple[int, int, tuple]], entry: Optional[_Entry]
+    graph: StateGraph, keys: Sequence[tuple[int, int, tuple]], entry: Optional[_Entry]
 ) -> tuple[list[int], list[int], _Entry, int]:
     """The count pass: every state's continuations and profiles, the facts
     of the graph from a keyed level on and that level's first id.
     ``keys`` are classify's (first id, end id, key) of each keyed level,
-    highest level first, as ``_classified`` holds them, and ``entry`` the
-    facts found under the last.  A remembered ``entry`` gives the counts of
-    its level's states, all that the sweep of the ids above it reads (the
+    highest level first, as classify passes them to analyze, and ``entry``
+    the facts found under the last.  A remembered ``entry`` gives the counts
+    of its level's states, all that the sweep of the ids above it reads (the
     sweep :func:`_live_states` makes of the prefix), and the facts from its
     level on, so the graph need hold no more than that level.  Otherwise
     Tarjan runs on the whole graph and the core's facts are found from
@@ -686,16 +686,20 @@ def _counted(
 
 
 def _remember(key: tuple, entry: _Entry) -> None:
-    """Write an entry, evicting the oldest entries until it fits."""
+    """Write an entry, evicting the oldest entries until it fits, unless its
+    key is held: two threads that missed it at once found the same facts."""
     global _core_memo_held
     size = len(entry.counts)
     if size > _CORE_MEMO_STATES:
         return
-    held = _core_memo_held if _CORE_MEMO else 0
-    while held + size > _CORE_MEMO_STATES:
-        held -= len(_CORE_MEMO.pop(next(iter(_CORE_MEMO))).counts)
-    _CORE_MEMO[key] = entry
-    _core_memo_held = held + size
+    with _CORE_MEMO_LOCK:
+        if key in _CORE_MEMO:
+            return
+        held = _core_memo_held if _CORE_MEMO else 0
+        while held + size > _CORE_MEMO_STATES:
+            held -= len(_CORE_MEMO.pop(next(iter(_CORE_MEMO))).counts)
+        _CORE_MEMO[key] = entry
+        _core_memo_held = held + size
 
 
 def _dyadic_witness(graph: StateGraph) -> Fraction:
@@ -778,7 +782,9 @@ def _complement(path: BinaryExpansion) -> BinaryExpansion:
     return BinaryExpansion(word[:split], word[split:])
 
 
-def analyze(graph: StateGraph, *, listing: bool = True) -> LevelSetReport:
+def analyze(
+    graph: StateGraph, *, listing: bool = True, _keyed: tuple = ((), None)
+) -> LevelSetReport:
     """Turn a closed state graph into a verdict, and list the points if asked.
 
     The verdict, the cardinality (the root's count), ``n_local`` (the root's
@@ -790,10 +796,10 @@ def analyze(graph: StateGraph, *, listing: bool = True) -> LevelSetReport:
     two children count alike, the fold symmetry the listing relies on.
     The checks on a caller's graph raise AssertionError explicitly, so they
     hold under ``python -O`` too.
-    On a caller's graph the count pass runs Tarjan and leaves the core memo
-    alone; only the graph :func:`classify` has just closed reads and fills
-    it, and when the entry under its keyed level is remembered that graph
-    may end at that level (module docstring).
+    ``_keyed`` is :func:`classify`'s alone: its keyed levels and the entry
+    found under the last, with which the count pass reads and fills the
+    memo and the graph may end at a remembered level (module docstring).
+    By default, as on a caller's graph, Tarjan runs and the memo is untouched.
 
     The ordinate 0 is special-cased: its zero ray would read as "dyadic point
     attained", but 0 is attained only at the endpoints, so L(0) = {0, 1}.
@@ -818,10 +824,7 @@ def analyze(graph: StateGraph, *, listing: bool = True) -> LevelSetReport:
         witness = f"budget exceeded ({graph.budget_reason})"
         return _report(y, Verdict.INDETERMINATE, diagnostics, witness=witness)
 
-    classified, keys, entry = _classified
-    if graph is not classified:
-        keys, entry = [], None
-    counts, profiles, entry, base = _counted(graph, keys, entry)
+    counts, profiles, entry, base = _counted(graph, *_keyed)
     # classify's graph may hold no more of a remembered entry than its keyed level
     diagnostics["states"] = base + entry.size
     diagnostics["cycles"] = entry.clusters
@@ -923,11 +926,11 @@ def classify(
     outside [0, 2/3] are Finite(0); blown budgets give Indeterminate, never
     a guess.  The count pass reads and fills the core memo, and a count-only
     call whose keyed level is remembered expands no state from that level
-    on (module docstring).
-    The graph goes through :func:`analyze` by name, so a wrapper on that
-    name (perfbench's tracer) sees every classification.
+    on (module docstring).  The graph and the memo facts go to
+    :func:`analyze` as arguments, so classify is safe to call re-entrantly and
+    from threads, and by name, so a wrapper on it (perfbench's tracer) sees
+    every classification.
     """
-    global _classified
     if listing:
         stages = iter([close_graph(y, max_states=max_states, max_slope=max_slope)])
     else:
@@ -949,8 +952,4 @@ def classify(
         if depth == graph.lattice_depth:
             graph = next(stages, graph)  # the rest of the closure, under the same budgets
             break
-    _classified = graph, keys, entry
-    try:
-        return analyze(graph, listing=listing)
-    finally:
-        _classified = (None, [], None)
+    return analyze(graph, listing=listing, _keyed=(keys, entry))

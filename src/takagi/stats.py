@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .curve import TWO_THIRDS
 from .humps import catalan, central_binomial
 from .machine import DEFAULT_MAX_STATES, Verdict, classify
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 
 import _oracles as oracles
-from takagi.curve import d_expression_residual, eval_rational
+from takagi.curve import TWO_THIRDS, d_expression_residual, eval_rational
 from takagi.humps import count_balanced
 from takagi.machine import Verdict, classify, envelope_max, leftmost_preimage
 from takagi.signed import (
@@ -25,7 +25,6 @@ from takagi.signed import (
     signed_extrema,
 )
 from takagi.stats import (
-    TWO_THIRDS,
     GridReport,
     GridRow,
     catalan,

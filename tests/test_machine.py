@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -781,6 +782,22 @@ def _live_by_pruning(graph):
     return sum(live)
 
 
+_COLD: dict = {}
+
+
+def _cold(y, *listings, graph=None):
+    """The cold analyze(close_graph(y), listing=...) under each of
+    ``listings``, which never reads the memo, built once per session and
+    shared by the warm-versus-cold tests; ``graph`` is close_graph(y), when
+    the caller has closed it.  y is closed at most once per call."""
+    missing = [listing for listing in listings if (y, listing) not in _COLD]
+    if missing and graph is None:
+        graph = close_graph(y)
+    for listing in missing:
+        _COLD[y, listing] = analyze(graph, listing=listing)
+    return tuple(_COLD[y, listing] for listing in listings)
+
+
 def test_count_only_matches_listing():
     """``listing=False`` gives the listed report without its points: every
     field equal except ``preimages``, ``paths`` and ``witness_preimage``,
@@ -799,7 +816,7 @@ def test_count_only_matches_listing():
     verdicts = dict.fromkeys(Verdict, 0)
     for y, budget in cases:
         graph = close_graph(y, **budget)
-        listed = analyze(graph)
+        listed = analyze(graph) if budget else _cold(y, True, graph=graph)[0]
         counted = classify(y, listing=False, **budget)
         assert counted == dataclasses.replace(listed, **points), (y, budget)
         verdicts[listed.verdict] += 1
@@ -828,9 +845,7 @@ def test_core_memo_matches_cold_analysis(monkeypatch):
     ordinates += [Fraction(1, 49), Fraction(37, 96)]
     cold = {}
     for y in ordinates:
-        graph = close_graph(y)
-        for listing in (True, False):
-            cold[y, listing] = analyze(graph, listing=listing)
+        cold[y, True], cold[y, False] = _cold(y, True, False)
     assert sum(str(r.witness).startswith("branching") for r in cold.values()) == 2 * 22
 
     tarjan = []
@@ -905,6 +920,29 @@ def test_analyze_leaves_the_core_memo_alone():
     for y in (Fraction(1, 5), Fraction(1, 3)):
         for listing in (True, False):
             assert classify(y, listing=listing) == analyze(close_graph(y), listing=listing), y
+
+
+def test_nested_classify_keeps_the_outer_report(monkeypatch):
+    """classify run from inside analyze, as a wrapper on ``machine.analyze``
+    (the name perfbench's tracer wraps) may run it: with 59/512's keyed
+    level remembered, its count-only classify hands analyze a graph closed
+    only down to that level, and a nested classify(1/5) run first leaves
+    the outer report the cold one, Finite(2) with 23 live states."""
+    y = Fraction(59, 512)
+    cold = analyze(close_graph(y), listing=False)
+    assert (cold.cardinality, cold.diagnostics["live_states"]) == (2, 23)
+    classify(y, listing=False)
+    handed, real = [], machine.analyze
+
+    def nesting(graph, **kwargs):
+        handed.append(graph)
+        if len(handed) == 1:  # the outer call: nest once, and only once
+            classify(Fraction(1, 5), listing=False)
+        return real(graph, **kwargs)
+
+    monkeypatch.setattr(machine, "analyze", nesting)
+    assert classify(y, listing=False) == cold
+    assert len(handed) == 2 and len(handed[0].slope) < cold.diagnostics["states"]
 
 
 def _run_optimized(script):
@@ -1163,7 +1201,8 @@ def test_warm_witnesses_behind_a_prefix_match_cold(monkeypatch):
     with odd m <= 63 and k = 1..3, each under both ``listing`` values in
     turn: the same reports.  All 104 branching rows have a tagged prefix,
     and each one's second call reads its cluster off the memo.  classify is
-    handed the graph analyze read, so each ordinate is closed once."""
+    handed close_graph(y), which the cold reports are read from when they
+    are not built yet, so each ordinate is closed once."""
     ordinates = sorted({
         y for m in range(1, 64, 2) for k in (1, 2, 3) for j in range(1, 2 * (m << k) // 3 + 1)
         if (y := Fraction(j, m << k)).denominator == m << k
@@ -1174,7 +1213,7 @@ def test_warm_witnesses_behind_a_prefix_match_cold(monkeypatch):
     for y, graph in zip(ordinates, graphs):
         _close_to(monkeypatch, graph)
         for listing in (True, False):
-            cold = analyze(graph, listing=listing)
+            cold = _cold(y, listing, graph=graph)[0]
             assert classify(y, listing=listing) == cold, (y, listing)
         branching += str(cold.witness).startswith("branching") and graph.prefix > 0
     assert branching == 104
@@ -1199,7 +1238,7 @@ def test_core_memo_stays_within_its_bound(monkeypatch):
     for y in ordinates:
         sizes = {key: len(entry.counts) for key, entry in machine._CORE_MEMO.items()}
         before = list(sizes)
-        assert classify(y, listing=False) == analyze(close_graph(y), listing=False), y
+        assert classify(y, listing=False) == _cold(y, False)[0], y
         held = _memo_held()
         assert held == (machine._core_memo_held if machine._CORE_MEMO else 0) <= bound, y
         after = list(machine._CORE_MEMO)
@@ -1292,7 +1331,7 @@ def test_remembered_core_closes_no_core_state(monkeypatch):
         y for m in range(1, 64, 2) for k in (0, 1) for j in range(1, 2 * (m << k) // 3 + 1)
         if (y := Fraction(j, m << k)).denominator == m << k
     })
-    cold = {y: analyze(close_graph(y), listing=False) for y in ordinates}
+    cold = {y: _cold(y, False)[0] for y in ordinates}
     rng.shuffle(ordinates)
     handed = _handed_to_analyze(monkeypatch)
     skipped_first = 0
@@ -1305,6 +1344,32 @@ def test_remembered_core_closes_no_core_state(monkeypatch):
             elif cold[y].diagnostics["closed"] and y:
                 assert skipped, y
     assert skipped_first > len(ordinates) // 2
+
+
+def test_threads_share_the_memo():
+    """Four threads classify, count-only, a seeded split of every depth-5
+    row and every reduced j/m with odd m <= 53, with the interpreter's
+    switch interval lowered so they interleave often: once from a cleared
+    memo, which overflows its bound, and once warm.  Every report is the
+    cold one, and after the threads are joined the memo's running count is
+    the states its entries hold, within the bound."""
+    ordinates = [Fraction(j, 3 * 4**5) for j in range(2 * 4**5 + 1)]
+    ordinates += sorted({Fraction(j, m) for m in range(5, 54, 2) for j in range(1, 2 * m // 3 + 1)})
+    random.Random(1728).shuffle(ordinates)
+    parts = [ordinates[i::4] for i in range(4)]
+    cold = {y: _cold(y, False)[0] for y in ordinates}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        machine._CORE_MEMO.clear()
+        for _ in ("cleared", "warm"):
+            with ThreadPoolExecutor(4) as pool:
+                reports = pool.map(lambda part: [classify(y, listing=False) for y in part], parts)
+                for part, warm in zip(parts, reports):
+                    assert warm == [cold[y] for y in part]
+            assert machine._core_memo_held == _memo_held() <= machine._CORE_MEMO_STATES
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_remembered_core_keeps_every_budget(monkeypatch):
