@@ -64,13 +64,18 @@ Nothing assumes the shape of S.  Feasibility confines N to
     min(0, D) S <= N <= max(0, D) S + 2S / (3 * 2^|D|),
 
 at most (|D| + 1) S + 1 integers for each D, so the state set is finite
-once |D| <= max_slope and the breadth-first closure ends.  It expands one
-level at a time.  Of a state's two children, the one whose |D| shrinks has
-its parent's headroom 2S - 3 * 2^|D| * (N - max(0, D) S), so only its
-lower bound is tested; the one whose |D| grows (both at D = 0) is tested
-against the top of the envelope and the slope budget.  A suffix that
-drifts, such as (001)^inf under y = 1/49, moves D by one per period: it
-ends in the slope budget, as Indeterminate, and does not hang.  For the
+once |D| is bounded, by the slope budget k + ``SLOPE_MARGIN`` for
+S = 2^k m, m odd.  It follows k, as the slopes of a closing graph do:
+|D| <= depth on the tagged prefix, which ends at the lattice depth, k or
+k + 1, so no slope exit happens there, and the core past it is fixed by m
+and its entry level (below); 1 / (3 * 2^k) closes at largest |D| = k + 10,
+11, 25 and 31 for k = 100, 300, 1000 and 2000.  The breadth-first closure
+expands one level at a time.  Of a state's two children, the one whose
+|D| shrinks has its parent's headroom 2S - 3 * 2^|D| * (N - max(0, D) S),
+so only its lower bound is tested; the one whose |D| grows (both at D = 0)
+is tested against the top of the envelope and the slope budget.  A suffix
+that drifts, such as (001)^inf under y = 1/49, moves D by one per period:
+it ends in the slope budget, as Indeterminate, and does not hang.  For the
 first 2n digits, n = :func:`~takagi.rationals.ordinate_depth` (read off the
 2-adic valuation of S), a state's key also carries its depth; for
 S = 2^k or 3 * 2^k the residues from there on lie on a fixed lattice
@@ -131,11 +136,13 @@ Listing callers close the whole graph and key by its entry level.
 depth when L > 3, at d = L - 3 <= k, and at the entry level otherwise.  It
 closes the tagged levels down to its keyed level, then looks the entry up.
 A hit that fits the budgets, the level's first id plus the entry's size at
-most ``max_states`` and the entry's largest |D| at most ``max_slope``,
-gives the report from one sweep of the ids above the level and the entry,
-and no state from the level on is expanded.  Neither budget could stop
-that closure: a slope exit needs a feasible child past the budget, and a
-closed graph whose largest |D| is T has no feasible child past T.  On a
+most ``max_states`` and the entry's largest |D| at most the slope budget
+(k - s in the key is 0 at the entry level, so ordinates of different k
+share core entries but not slope budgets), gives the report from one
+sweep of the ids above the level and the entry, and no state from the
+level on is expanded.  Neither budget could stop that closure: a slope
+exit needs a feasible child past the budget, and a closed graph whose
+largest |D| is T has no feasible child past T.  On a
 miss, or when a budget could stop the closure, it resumes to the entry
 level and reads the core's entry as listing callers do; past a miss there,
 or when a budget could stop the core, it closes the rest, so a budget exit
@@ -169,7 +176,7 @@ from .curve import TWO_THIRDS
 from .rationals import ZERO, BinaryExpansion, split_denominator
 
 DEFAULT_MAX_STATES = 100_000
-DEFAULT_MAX_SLOPE = 64
+SLOPE_MARGIN = 256  # the slope budget is k + SLOPE_MARGIN for den(y) = 2^k m
 # A Finite level set with more points than this is reported Indeterminate
 # when it is to be listed (a count-only report has no such bound):
 # L(2/3 - 1/(3 * 2^k)) has 2^(k/2 + 1) points.
@@ -253,25 +260,20 @@ class StateGraph:
         return self.budget_reason is None
 
 
-def close_graph(
-    y: Fraction,
-    *,
-    max_states: int = DEFAULT_MAX_STATES,
-    max_slope: int = DEFAULT_MAX_SLOPE,
-) -> StateGraph:
+def close_graph(y: Fraction, *, max_states: int = DEFAULT_MAX_STATES) -> StateGraph:
     """Breadth-first closure of the feasible states of a rational ordinate.
 
     Stops early (closed=False) if more than ``max_states`` states appear or
-    some slope exceeds ``max_slope`` in absolute value; analysis then reports
-    Indeterminate rather than guessing.  Terminal rays are kept as states but
-    never expanded.  The walk runs on integer states (D, N), N = R * S, one
-    breadth-first level at a time.
+    some |D| exceeds the slope budget (module docstring); analysis then
+    reports Indeterminate rather than guessing.  Terminal rays are kept as
+    states but never expanded.  The walk runs on integer states (D, N),
+    N = R * S, one breadth-first level at a time.
     """
-    *_, graph = _closure(y, max_states, max_slope)
+    *_, graph = _closure(y, max_states)
     return graph
 
 
-def _closure(y: Fraction, max_states: int, max_slope: int) -> Iterator[StateGraph]:
+def _closure(y: Fraction, max_states: int) -> Iterator[StateGraph]:
     """:func:`close_graph`'s closure in stages.  The graph is yielded at each
     keyed level, once the level is made and none of its states is expanded,
     with ``level`` set to it and ``closed`` reading True: at the band level,
@@ -285,6 +287,7 @@ def _closure(y: Fraction, max_states: int, max_slope: int) -> Iterator[StateGrap
         yield StateGraph(y, 0)
         return
     k = (scale & -scale).bit_length() - 1  # den(y) = 2^k m, m odd
+    max_slope = k + SLOPE_MARGIN
     lattice_depth = k + (k & 1)  # 2 * ordinate_depth(y)
     band_depth = lattice_depth - BAND if lattice_depth > BAND else lattice_depth
     root_key = (0, 0, root_num) if lattice_depth > 0 else (0, root_num)
@@ -911,11 +914,7 @@ def leftmost_preimage(y: Fraction) -> Fraction:
 
 
 def classify(
-    y: Fraction,
-    *,
-    max_states: int = DEFAULT_MAX_STATES,
-    max_slope: int = DEFAULT_MAX_SLOPE,
-    listing: bool = True,
+    y: Fraction, *, max_states: int = DEFAULT_MAX_STATES, listing: bool = True
 ) -> LevelSetReport:
     """Full classification of L(y) for any rational ordinate.
 
@@ -924,17 +923,19 @@ def classify(
     (module docstring); under ``listing`` (the default) also with exact
     sorted preimages and their expansions (see :func:`analyze`).  Ordinates
     outside [0, 2/3] are Finite(0); blown budgets give Indeterminate, never
-    a guess.  The count pass reads and fills the core memo, and a count-only
-    call whose keyed level is remembered expands no state from that level
-    on (module docstring).  The graph and the memo facts go to
+    a guess.  The slope budget, worked out from den(y), stops drift suffixes
+    such as (001)^inf under 1/49 and some cores of wide odd parts (module
+    docstring).  The count pass reads and fills the core memo, and a
+    count-only call whose keyed level is remembered expands no state from
+    that level on (module docstring).  The graph and the memo facts go to
     :func:`analyze` as arguments, so classify is safe to call re-entrantly and
     from threads, and by name, so a wrapper on it (perfbench's tracer) sees
     every classification.
     """
     if listing:
-        stages = iter([close_graph(y, max_states=max_states, max_slope=max_slope)])
+        stages = iter([close_graph(y, max_states=max_states)])
     else:
-        stages = _closure(y, max_states, max_slope)
+        stages = _closure(y, max_states)
     k, odd = split_denominator(y)
     # (first id, end id, key) of each keyed level stopped at; an entry found
     # above the entry level that does not fit the budgets means a budget exit
@@ -945,9 +946,8 @@ def classify(
         key = _entry_key(graph, k, odd)
         entry = _CORE_MEMO.get(key)
         keys.append((start, stop, key))
-        if listing or (
-            entry is not None and start + entry.size <= max_states and entry.top <= max_slope
-        ):
+        fits = entry is not None and start + entry.size <= max_states
+        if listing or (fits and entry.top <= k + SLOPE_MARGIN):
             break
         if depth == graph.lattice_depth:
             graph = next(stages, graph)  # the rest of the closure, under the same budgets

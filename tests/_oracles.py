@@ -4,9 +4,10 @@ Everything here goes back to the defining series or to first principles and
 shares as little machinery as possible with the package under test, so an
 agreement between the two is meaningful evidence rather than a tautology.
 From ``takagi`` it takes only the rules: ``machine.step``,
-``machine.is_feasible``, the envelopes, the graph type, its flags and the
-default budgets, and ``rationals.BinaryExpansion`` and ``ordinate_depth``
-(``test_machine`` checks the imports).
+``machine.is_feasible``, the envelopes, the graph type, its flags, the
+default state budget and ``machine.SLOPE_MARGIN``, read at call time so
+that a test may patch it, and ``rationals.BinaryExpansion`` and
+``ordinate_depth`` (``test_machine`` checks the imports).
 
 ``reference_close_graph`` is the one closure of the feasible states here,
 the rules in integer form, and the oracles that need the state graph share
@@ -23,8 +24,8 @@ from math import floor, lcm
 
 import numpy as np
 
+from takagi import machine
 from takagi.machine import (
-    DEFAULT_MAX_SLOPE,
     DEFAULT_MAX_STATES,
     MAX_RAY,
     ONES_RAY,
@@ -180,19 +181,19 @@ def expansion_value(preperiod, period) -> Fraction:
 # a digit loop per state, every check on both children
 
 
-def reference_close_graph(
-    y: Fraction, *, max_states: int = DEFAULT_MAX_STATES, max_slope: int = DEFAULT_MAX_SLOPE
-) -> StateGraph:
+def reference_close_graph(y: Fraction, *, max_states: int = DEFAULT_MAX_STATES) -> StateGraph:
     """``machine.close_graph`` one state at a time: the queue is the id range
     from ``v`` on, the depth advances when ``v`` reaches the end of a level,
-    and each child is tested on both feasibility bounds and the slope budget
-    whichever way its |D| moves.  These are the ``step`` and ``is_feasible``
-    rules with R = N / S; ``test_integer_closure_matches_fraction_reference``
+    and each child is tested on both feasibility bounds and the slope budget,
+    k + ``machine.SLOPE_MARGIN`` for den(y) = 2^k m with m odd, whichever way
+    its |D| moves.  These are the ``step`` and ``is_feasible`` rules with
+    R = N / S; ``test_integer_closure_matches_fraction_reference``
     checks the integer closure edge by edge against them."""
     if not 0 <= y <= TWO_THIRDS:
         return StateGraph(y, 0)
     lattice_depth = 2 * ordinate_depth(y)
     scale, root_num = y.denominator, y.numerator
+    max_slope = (scale & -scale).bit_length() - 1 + machine.SLOPE_MARGIN
     root_key = (0, 0, root_num) if lattice_depth > 0 else (0, root_num)
     root_ray = ZERO_RAY if root_num == 0 else MAX_RAY if 3 * root_num == 2 * scale else 0
     graph = StateGraph(y, lattice_depth, {root_key: 0}, [0], [root_num], [root_ray], [-1], [-1])

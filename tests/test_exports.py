@@ -1,6 +1,10 @@
-"""The package's export list: every name resolves, in a stable order."""
+"""The package's export list: every name resolves, in a stable order; and
+the budgets ``machine``'s entry points take."""
+
+import inspect
 
 import takagi
+from takagi import machine
 
 REMOVED = (
     "DigitWord",
@@ -20,3 +24,16 @@ def test_export_list():
     assert len(set(names)) == len(names)
     assert not set(REMOVED) & set(names)
     assert not any(hasattr(takagi, name) for name in REMOVED)
+
+
+def test_budget_parameters():
+    """The slope budget is worked out from the ordinate, so the closure and
+    classify take the state budget only."""
+
+    def keyword_only(function):
+        parameters = inspect.signature(function).parameters.values()
+        return [p.name for p in parameters if p.kind is p.KEYWORD_ONLY]
+
+    assert keyword_only(machine.classify) == ["max_states", "listing"]
+    assert keyword_only(machine.close_graph) == ["max_states"]
+    assert not hasattr(machine, "DEFAULT_MAX_SLOPE")

@@ -133,7 +133,7 @@ def test_deep_ordinates_enumerate_without_recursion():
     """Preimage prefixes run to 2n = 2000 digits at n = 1000, past the
     interpreter's default recursion limit; path enumeration must not care.
     The draws j / (3 * 4^n) with 3 not dividing j are never values of T at
-    dyadic points, and a slope budget of 2n lets each of them close."""
+    dyadic points, and each of them closes within the slope budget."""
     n = 1000
     rng = random.Random(20000)
     for _ in range(3):
@@ -141,7 +141,7 @@ def test_deep_ordinates_enumerate_without_recursion():
         while j % 3 == 0:
             j = rng.randrange(2 * 4**n + 1)
         y = Fraction(j, 3 * 4**n)
-        report = classify(y, max_slope=2 * n)
+        report = classify(y)
         assert report.verdict is Verdict.FINITE
         assert report.cardinality == len(report.preimages) > 0
         for x in report.preimages:
@@ -247,7 +247,7 @@ def test_reports_keep_the_dataclass_contract():
     verdicts = set()
     for y in ordinates:
         for listing in (True, False):
-            report = classify(y, listing=listing, max_slope=8)
+            report = classify(y, listing=listing)
             verdicts.add(report.verdict)
             fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
             built = LevelSetReport(**fields)
@@ -273,8 +273,9 @@ def test_budget_exhaustion_is_indeterminate():
     report = classify(Fraction(1, 2), max_states=3)
     assert report.verdict is Verdict.INDETERMINATE
     assert report.diagnostics["closed"] is False
-    report = classify(Fraction(37, 96), max_slope=1)
+    report = classify(Fraction(1, 49))  # the suffix (001)^inf drifts
     assert report.verdict is Verdict.INDETERMINATE
+    assert report.diagnostics["budget_reason"] == "slope"
 
 
 def test_preimage_budget_is_indeterminate(monkeypatch):
@@ -405,7 +406,7 @@ def test_integer_closure_matches_fraction_reference():
             ordinates += [Fraction(rng.randrange(2 * den // 3 + 1), den) for _ in range(4)]
     widest = 0
     for y in ordinates:
-        graph = close_graph(y, max_slope=256)
+        graph = close_graph(y)
         assert graph.closed, y
         keys = list(graph.nodes)
         assert list(graph.nodes.values()) == list(range(len(keys)))
@@ -499,7 +500,7 @@ def test_open_denominators_against_oracles():
     for _ in range(80):
         den = rng.randrange(5, 64, 2) << rng.randint(0, 5)
         y = Fraction(rng.randrange(1, 2 * den // 3 + 1), den)
-        report = classify(y, max_slope=256)
+        report = classify(y)
         verdicts.append(report.verdict)
         if report.witness_preimage is not None:
             assert eval_rational(report.witness_preimage) == y, y
@@ -513,6 +514,45 @@ def test_open_denominators_against_oracles():
     assert compared > 60 and Verdict.UNCOUNTABLE in verdicts
     for y in (Fraction(2, 13), Fraction(8, 51)):
         assert classify(y).verdict is Verdict.UNCOUNTABLE
+
+
+def test_open_denominator_sample_is_decided():
+    """Seeded j / (m * 2^k) with odd m in [3, 2000) and k in [0, 20), j in
+    [1, 2 den / 3]: the count-only report is the listed one without its
+    points, every listed point attains y, and the only Indeterminate
+    reports are slope exits (drifts, or odd parts too wide for the
+    margin).  The tally is pinned; under a fixed slope budget of 64, 58 of
+    these 160 draws were refused."""
+    rng = random.Random(20261020)
+    points = dict(preimages=None, paths=None, witness_preimage=None)
+    verdicts = dict.fromkeys(Verdict, 0)
+    for _ in range(160):
+        den = rng.randrange(3, 2000, 2) << rng.randrange(20)
+        y = Fraction(rng.randrange(1, 2 * den // 3 + 1), den)
+        counted, listed = classify(y, listing=False), classify(y)
+        assert counted == dataclasses.replace(listed, **points), y
+        assert all(eval_rational(x) == y for x in listed.preimages or ()), y
+        if listed.verdict is Verdict.INDETERMINATE:
+            assert listed.witness == "budget exceeded (slope)", y
+        verdicts[listed.verdict] += 1
+    assert verdicts == {Verdict.FINITE: 154, Verdict.COUNTABLY_INFINITE: 0,
+                        Verdict.UNCOUNTABLE: 3, Verdict.INDETERMINATE: 3}, verdicts
+
+
+def test_near_dyadic_and_drift_pins():
+    """1 / (3 * 2^k) closes at largest |D| a little past k, within the slope
+    budget k + SLOPE_MARGIN, and has two preimages in one local level set;
+    the drift ordinates, whose suffixes such as (001)^inf under 1/49 move
+    D by one per period, stay slope exits."""
+    for k in (100, 300, 1000, 2000):
+        y = Fraction(1, 3 << k)
+        report = classify(y)
+        assert (report.verdict, report.cardinality, report.n_local) == (Verdict.FINITE, 2, 1), k
+        assert all(eval_rational(x) == y for x in report.preimages), k
+    for y in (Fraction(1, 49), Fraction(29, 98), Fraction(1, 225)):
+        report = classify(y)
+        assert report.verdict is Verdict.INDETERMINATE, y
+        assert report.diagnostics["budget_reason"] == "slope", y
 
 
 def _report_line(y, report):
@@ -556,13 +596,20 @@ def _seeded_ordinates(seed, depths, per_depth, odd):
     return ordinates
 
 
-def test_prefix_is_a_layered_dag():
+def _slope_budget(monkeypatch, y, cap):
+    """Make the slope budget of ``y`` ``cap``: SLOPE_MARGIN = cap - k for
+    den(y) = 2^k m.  The setting lasts until the next call or the test's
+    end."""
+    monkeypatch.setattr(machine, "SLOPE_MARGIN", cap - split_denominator(y)[0])
+
+
+def test_prefix_is_a_layered_dag(monkeypatch):
     """The tagged states are the ids below ``prefix``; their edges lead one
     depth down, to a larger id, and no core edge leads back into them."""
     ordinates = [Fraction(j, 3 * 4**5) for j in range(2 * 4**5 + 1)]
     ordinates += _seeded_ordinates(1717, (32, 64, 128), 20, 40)
     for y in ordinates:
-        graph = close_graph(y, max_slope=256)
+        graph = close_graph(y)
         assert graph.closed, y
         prefix, keys = graph.prefix, list(graph.nodes)
         assert prefix == sum(len(key) == 3 for key in keys), y
@@ -580,8 +627,10 @@ def test_prefix_is_a_layered_dag():
         graph = close_graph(y)
         assert graph.lattice_depth == graph.prefix == 0 < len(graph.slope)
     # closures stopped by a budget above the lattice depth: every state is tagged
-    for graph in (close_graph(Fraction(1, 2**20), max_states=3),
-                  close_graph(Fraction(37, 96), max_slope=1)):
+    stopped = [close_graph(Fraction(1, 2**20), max_states=3)]
+    _slope_budget(monkeypatch, Fraction(37, 96), 1)
+    stopped.append(close_graph(Fraction(37, 96)))
+    for graph in stopped:
         assert not graph.closed and graph.lattice_depth > 0
         assert graph.prefix == len(graph.slope)
 
@@ -595,7 +644,7 @@ def test_core_tarjan_matches_whole_graph():
     ordinates += _seeded_ordinates(1718, (32, 64, 128), 40, 80)
     cycles = 0
     for y in ordinates:
-        graph = close_graph(y, max_slope=256)
+        graph = close_graph(y)
         if not graph.closed:
             continue
         comps, counts, profiles = machine._live_states(graph)
@@ -658,11 +707,13 @@ def _graph_fields(graph):
             graph.child1, graph.prefix, graph.budget_reason)
 
 
-def test_closure_kernel_matches_reference():
+def test_closure_kernel_matches_reference(monkeypatch):
     """The level-by-level closure against the state-at-a-time reference in
     _oracles: the same keys and ids, lists, ``prefix`` and budget reason on
     every depth-6 row, on seeded deep and open-denominator draws, and under
-    every state budget up to the closed size and every slope budget 0-11.
+    every slope budget 0-11 (set through SLOPE_MARGIN, which the reference
+    reads too) and every state budget up to the size of the closure under
+    slope budget 64, + 1.
     The sweep includes exits while the last tagged level is expanded, where
     the untagged children already made count in ``prefix``."""
     ordinates = [Fraction(j, 3 * 4**6) for j in range(2 * 4**6 + 1)]
@@ -672,13 +723,13 @@ def test_closure_kernel_matches_reference():
     exits = last_level_exits = 0
     for y in (Fraction(2, 3), Fraction(1, 5), Fraction(37, 96), Fraction(1, 49), Fraction(2, 13),
               Fraction(1, 2**20)):
+        _slope_budget(monkeypatch, y, 64)
         for max_states in range(1, len(close_graph(y).slope) + 2):
-            for max_slope in range(12):
-                graph = close_graph(y, max_states=max_states, max_slope=max_slope)
-                reference = oracles.reference_close_graph(
-                    y, max_states=max_states, max_slope=max_slope
-                )
-                assert _graph_fields(graph) == _graph_fields(reference), (y, max_states, max_slope)
+            for cap in range(12):
+                _slope_budget(monkeypatch, y, cap)
+                graph = close_graph(y, max_states=max_states)
+                reference = oracles.reference_close_graph(y, max_states=max_states)
+                assert _graph_fields(graph) == _graph_fields(reference), (y, max_states, cap)
                 if reference.closed:
                     continue
                 exits += 1
@@ -742,13 +793,19 @@ def test_mirrored_listing_matches_full_walk():
 def test_oracles_import_only_the_rules():
     """The oracles take from takagi only the rules, so that no reference
     leans on a kernel it checks: from machine, step, is_feasible, the
-    envelopes, the graph type, its flags and the default budgets; from
-    rationals, BinaryExpansion and ordinate_depth."""
+    envelopes, the graph type, its flags, the default budgets and
+    SLOPE_MARGIN, the one name read off the module itself (at call time, so
+    that a test may patch it); from rationals, BinaryExpansion and
+    ordinate_depth."""
     allowed = {
+        "takagi": {"machine"},
         "takagi.machine": {"step", "is_feasible", "StateGraph", "ZERO_RAY", "ONES_RAY", "MAX_RAY"},
         "takagi.rationals": {"BinaryExpansion", "ordinate_depth"},
     }
     tree = ast.parse(Path(oracles.__file__).read_text())
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "machine"}
+    assert read == {"SLOPE_MARGIN"}, read
     imported = 0
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -798,7 +855,7 @@ def _cold(y, *listings, graph=None):
     return tuple(_COLD[y, listing] for listing in listings)
 
 
-def test_count_only_matches_listing():
+def test_count_only_matches_listing(monkeypatch):
     """``listing=False`` gives the listed report without its points: every
     field equal except ``preimages``, ``paths`` and ``witness_preimage``,
     which are None.  Every depth-6 row, seeded deep and open-denominator
@@ -808,17 +865,21 @@ def test_count_only_matches_listing():
     diagnostic is the number of states left by pruning (above)."""
     ordinates = [Fraction(j, 3 * 4**6) for j in range(2 * 4**6 + 1)]
     ordinates += _seeded_ordinates(1723, (32, 64, 128), 40, 80)
-    cases = [(y, {}) for y in ordinates]
+    margin = machine.SLOPE_MARGIN
+    cases = [(y, {}, margin) for y in ordinates]  # (y, state budget, SLOPE_MARGIN)
     for y in (Fraction(1, 2), Fraction(2, 13), Fraction(37, 96), Fraction(1, 49), Fraction(7, 12)):
-        cases += [(y, {"max_states": n}) for n in (1, 3, 10, 30)]
-        cases += [(y, {"max_slope": n}) for n in (0, 1, 2, 4)]
+        k = split_denominator(y)[0]
+        cases += [(y, {"max_states": n}, margin) for n in (1, 3, 10, 30)]
+        cases += [(y, {}, n - k) for n in (0, 1, 2, 4)]  # slope budgets 0, 1, 2 and 4
     points = dict(preimages=None, paths=None, witness_preimage=None)
     verdicts = dict.fromkeys(Verdict, 0)
-    for y, budget in cases:
+    for y, budget, slope_margin in cases:
+        monkeypatch.setattr(machine, "SLOPE_MARGIN", slope_margin)
         graph = close_graph(y, **budget)
-        listed = analyze(graph) if budget else _cold(y, True, graph=graph)[0]
+        cold = not budget and slope_margin == margin
+        listed = _cold(y, True, graph=graph)[0] if cold else analyze(graph)
         counted = classify(y, listing=False, **budget)
-        assert counted == dataclasses.replace(listed, **points), (y, budget)
+        assert counted == dataclasses.replace(listed, **points), (y, budget, slope_margin)
         verdicts[listed.verdict] += 1
         if listed.verdict is Verdict.FINITE:
             assert len(listed.preimages) == len(listed.paths) == listed.cardinality, y
@@ -880,7 +941,7 @@ def _tarjan_runs(monkeypatch):
 def _close_to(monkeypatch, graph):
     """Make classify's closure, under either ``listing`` value, give back
     ``graph`` as its only stage, whole, whatever the ordinate."""
-    monkeypatch.setattr(machine, "_closure", lambda y, max_states, max_slope: iter([graph]))
+    monkeypatch.setattr(machine, "_closure", lambda y, max_states: iter([graph]))
 
 
 def _hand_graphs():
@@ -1182,7 +1243,7 @@ def test_equal_keyed_level_keys_give_equal_subgraphs():
         assert all(n % (1 << shift) == 0 for n in graph.num[start:]), y
         key = (lattice - depth, k - shift, odd, tuple(graph.slope[v] for v in ids),
                tuple(graph.num[v] >> shift for v in ids))
-        stop = next(machine._closure(y, machine.DEFAULT_MAX_STATES, machine.DEFAULT_MAX_SLOPE))
+        stop = next(machine._closure(y, machine.DEFAULT_MAX_STATES))
         assert machine._entry_key(stop, k, odd) == key, y
         subgraph = tuple(
             tuple(-1 if child < 0 else child - start for child in children[start:])
@@ -1374,30 +1435,34 @@ def test_threads_share_the_memo():
 
 def test_remembered_core_keeps_every_budget(monkeypatch):
     """With the memo warm from the default budgets, count-only classify
-    under every state budget from 1 to the closed size + 1 and every slope
-    budget from 0 to 11 gives the cold report of close_graph under the same
+    under every state budget from 1 to the size of the closure under slope
+    budget 64, + 1, and every slope budget from 0 to 11 (set through
+    SLOPE_MARGIN) gives the cold report of close_graph under the same
     budgets, diagnostics key order included, budget exits and their reasons
     with it.  The closure from the keyed level on (three levels above the
     lattice depth for 37/96 and 1/2^20, the entry level for the others) is
     skipped exactly when it fits both budgets: the whole graph's size at
     most ``max_states`` and the largest |D| from the keyed level on at most
-    ``max_slope`` (a closed graph has no feasible child past its largest
+    the slope budget (a closed graph has no feasible child past its largest
     |D|, so that slope budget cannot stop it)."""
     handed = _handed_to_analyze(monkeypatch)
     fitted = resumed = 0
+    margin = machine.SLOPE_MARGIN
     for y in (Fraction(2, 3), Fraction(1, 5), Fraction(37, 96), Fraction(1, 49),
               Fraction(2, 13), Fraction(1, 2**20)):
+        monkeypatch.setattr(machine, "SLOPE_MARGIN", margin)
         classify(y, listing=False)
+        _slope_budget(monkeypatch, y, 64)
         whole = close_graph(y)
         top = max(map(abs, whole.slope[_keyed_start(whole) :]))
         for max_states in range(1, len(whole.slope) + 2):
-            for max_slope in range(12):
-                budgets = {"max_states": max_states, "max_slope": max_slope}
-                cold = analyze(close_graph(y, **budgets), listing=False)
-                warm = classify(y, listing=False, **budgets)
-                _assert_same_report(warm, cold, (y, budgets))
-                fits = whole.closed and max_states >= len(whole.slope) and max_slope >= top
-                assert _skipped(handed[-1], len(whole.slope)) == fits, (y, budgets)
+            for cap in range(12):
+                _slope_budget(monkeypatch, y, cap)
+                cold = analyze(close_graph(y, max_states=max_states), listing=False)
+                warm = classify(y, listing=False, max_states=max_states)
+                _assert_same_report(warm, cold, (y, max_states, cap))
+                fits = whole.closed and max_states >= len(whole.slope) and cap >= top
+                assert _skipped(handed[-1], len(whole.slope)) == fits, (y, max_states, cap)
                 fitted += fits
                 resumed += not fits and handed[-1].prefix == whole.prefix
     assert fitted > 40 and resumed > 1000

@@ -24,7 +24,7 @@ def supported_ordinates(draw):
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(supported_ordinates())
 def test_classify_answers_are_checkable(y):
-    report = classify(y, max_slope=256)
+    report = classify(y)
     if report.verdict is Verdict.FINITE:
         preimages = report.preimages
         assert len(preimages) == report.cardinality
