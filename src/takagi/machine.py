@@ -121,42 +121,35 @@ above.  Equal keys fix the graph from the level's first id on, up to that
 id: its edges, ray flags and largest |D|, and Tarjan's order on its core.
 The key is known before any state of the level is expanded.
 
-:func:`classify` and :func:`leftmost_preimage` keep one entry per keyed
-level in a bounded memo across ordinates (the grid's j / (3 * 4^n) all
-have m = 1 or 3), with the facts of the graph from that level on: its size
-and largest |D|, its live states, its number of cycle clusters, whether it
-holds a zero ray, and the witness texts of its first max ray, first
-branching cluster and first cycle exit.  Of the continuations and profiles
-it keeps what is read: the entry at the entry level keeps every core
-state's, as listing walks the core, and an entry above it its own level's
-only, as the sweep of the ids above the level reads no others.  So each
-core state is held once, however many keyed levels lead to its core.
-Listing callers close the whole graph and key by its entry level.
-``classify(y, listing=False)`` keys ``BAND`` = 3 levels above the lattice
-depth when L > 3, at d = L - 3 <= k, and at the entry level otherwise.  It
-closes the tagged levels down to its keyed level, then looks the entry up.
-A hit that fits the budgets, the level's first id plus the entry's size at
-most ``max_states`` and the entry's largest |D| at most the slope budget
-(k - s in the key is 0 at the entry level, so ordinates of different k
-share core entries but not slope budgets), gives the report from one
-sweep of the ids above the level and the entry, and no state from the
-level on is expanded.  Neither budget could stop that closure: a slope
-exit needs a feasible child past the budget, and a closed graph whose
-largest |D| is T has no feasible child past T.  On a
-miss, or when a budget could stop the closure, it resumes to the entry
-level and reads the core's entry as listing callers do; past a miss there,
-or when a budget could stop the core, it closes the rest, so a budget exit
-keeps its reason, and Tarjan runs once per core.  A missing keyed-level
-entry is then written from the core's entry and one sweep over the band,
-the ``BAND`` levels between.  Why three: a grid row's tagged levels widen
-with depth, so the three nearest the lattice hold about a third of a
-depth-5 row's tagged states (7.0 of 19.1), and the closure is most of a
-remembered row's time.  Keying higher leaves fewer states to close but
-gives more distinct keys.  On a cold depth-6 grid, what one ``takagi grid
---depth 6`` runs, offset 3 hits on 7,131 of 8,193 rows and ends with
-19,774 states held (15,898 in 474 core entries, 3,876 in 1,058 band
-entries); offsets 4 and 5 hit on 6,836 and 6,340 and hold 20,088 and
-21,330.
+A count-only :func:`classify` keys one level in a bounded memo across
+ordinates (the grid's j / (3 * 4^n) all have m = 1 or 3): ``BAND`` = 3
+levels above the lattice depth when L > 3, at d = L - 3 <= k, else the
+entry level.  Its closure stops once, when that level is made, and the
+key is looked up once.  An entry holds the continuations and profiles of
+the level's own states, all that the sweep of the ids above the level
+reads, and the facts of the graph from the level on: its size and largest
+|D|, its live states, its number of cycle clusters, whether it holds a
+zero ray, and the witness texts of its first max ray, first branching
+cluster and first cycle exit.  A hit that fits the budgets, the level's
+first id plus the entry's size at most ``max_states`` and the entry's
+largest |D| at most the slope budget (ordinates of different k may share
+an entry, but not a slope budget), gives the report from that sweep and
+the entry, and no state from the level on is expanded.  Neither budget
+could stop that closure: a slope exit needs a feasible child past the
+budget, and a closed graph whose largest |D| is T has no feasible child
+past T.  A miss, or a hit that does not fit, closes the rest under the
+same budgets, so a budget exit keeps its reason, and runs the cold count
+pass on the whole graph; its facts from the level on are the level's
+entry.  Listing callers, the default ``classify`` and
+:func:`leftmost_preimage`, walk the core, which no entry keeps: they count
+the whole graph cold and neither read nor write the memo.  Why three: a
+grid row's tagged levels widen with depth, so the three nearest the
+lattice hold about a third of a depth-5 row's tagged states (7.0 of
+19.1), and the closure is most of a remembered row's time.  Keying higher
+leaves fewer states to close but gives more distinct keys: on a cold
+depth-6 grid, what one ``takagi grid --depth 6`` runs, offset 3 hits on
+7,127 of 8,193 rows and ends with 3,889 states held in 1,065 entries;
+offsets 4 and 5 hit on 6,822 and 6,326 and hold 4,231 and 5,473.
 Memo facts reach the count pass only as arguments, never through module
 state, so :func:`analyze` on a caller's graph neither reads nor writes the
 memo (an edited graph would poison it), and classify, whose memo writes
@@ -170,7 +163,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import chain
 from threading import Lock
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .curve import TWO_THIRDS
 from .rationals import ZERO, BinaryExpansion, split_denominator
@@ -236,11 +229,10 @@ class StateGraph:
     the closure stops above that depth.  That includes a budget exit while
     the last tagged level is expanded: the untagged children already made
     are below ``prefix`` too.  ``level`` is the depth, the first id and the
-    end id of the last keyed level the closure stopped at (module
-    docstring), and after a closure that ends above the lattice depth it is
-    an empty entry level, (lattice depth, n, n) for n states.  A graph built
-    by hand keeps the default, the root as the entry level of a graph with
-    no prefix.  An ordinate outside [0, 2/3] has no states.
+    end id of the keyed level (module docstring), and after a closure that
+    ends above it an empty level at its depth, (depth, n, n) for n states.
+    A graph built by hand keeps the default, the root as the keyed level of
+    a graph with no prefix.  An ordinate outside [0, 2/3] has no states.
     """
 
     ordinate: Fraction
@@ -274,14 +266,13 @@ def close_graph(y: Fraction, *, max_states: int = DEFAULT_MAX_STATES) -> StateGr
 
 
 def _closure(y: Fraction, max_states: int) -> Iterator[StateGraph]:
-    """:func:`close_graph`'s closure in stages.  The graph is yielded at each
-    keyed level, once the level is made and none of its states is expanded,
-    with ``level`` set to it and ``closed`` reading True: at the band level,
-    ``BAND`` levels above the lattice depth when that depth is more than
-    ``BAND`` (``prefix`` then counts every state made), and at the entry
-    level, the states at the lattice depth (``prefix`` then set).  It is
-    yielded again when the closure ends, and a closure that ends above a
-    keyed level does not stop there."""
+    """:func:`close_graph`'s closure in two stages.  The graph is yielded at
+    the keyed level, ``BAND`` levels above the lattice depth when that depth
+    is more than ``BAND``, else at the lattice depth, once the level is made
+    and none of its states is expanded, with ``level`` set to it, ``prefix``
+    set as for a closure that stopped there and ``closed`` reading True.  It
+    is yielded again when the closure ends; a closure that ends above the
+    keyed level yields only then."""
     root_num, scale = y.numerator, y.denominator
     if root_num < 0 or 3 * root_num > 2 * scale:  # y outside [0, 2/3]
         yield StateGraph(y, 0)
@@ -289,7 +280,7 @@ def _closure(y: Fraction, max_states: int) -> Iterator[StateGraph]:
     k = (scale & -scale).bit_length() - 1  # den(y) = 2^k m, m odd
     max_slope = k + SLOPE_MARGIN
     lattice_depth = k + (k & 1)  # 2 * ordinate_depth(y)
-    band_depth = lattice_depth - BAND if lattice_depth > BAND else lattice_depth
+    keyed_depth = lattice_depth - BAND if lattice_depth > BAND else lattice_depth
     root_key = (0, 0, root_num) if lattice_depth > 0 else (0, root_num)
     root_ray = ZERO_RAY if root_num == 0 else MAX_RAY if 3 * root_num == 2 * scale else 0
     graph = StateGraph(y, lattice_depth, {root_key: 0}, [0], [root_num], [root_ray], [-1], [-1])
@@ -299,8 +290,9 @@ def _closure(y: Fraction, max_states: int) -> Iterator[StateGraph]:
     reason: Optional[str] = None
     depth, start, end = 0, 0, 1  # the level: ids start..end - 1, all this deep
     while True:
-        if depth == band_depth or depth == lattice_depth:
+        if depth <= lattice_depth:
             graph.prefix = start if depth == lattice_depth else end
+        if depth == keyed_depth:
             graph.level = (depth, start, end)
             yield graph
         if start == end:
@@ -379,7 +371,8 @@ def _closure(y: Fraction, max_states: int) -> Iterator[StateGraph]:
         break
     if depth < lattice_depth:  # a budget exit or an empty level above the lattice
         graph.prefix = len(slopes)
-        graph.level = (lattice_depth, len(slopes), len(slopes))
+    if depth < keyed_depth:  # the closure ended above the keyed level
+        graph.level = (keyed_depth, len(slopes), len(slopes))
     graph.budget_reason = reason
     yield graph
 
@@ -433,19 +426,41 @@ def _report(
     return new
 
 
-def _strong_components(graph: StateGraph) -> list[list[int]]:
-    """Tarjan over the no-dead-end subgraph of the core, the states from
-    ``graph.prefix`` on; emitted children-first.  No core edge leads back
-    into the tagged prefix, so the search never leaves the core."""
-    flags, children = graph.flags, (graph.child0, graph.child1)
+def _live_states(
+    graph: StateGraph,
+) -> tuple[list[int], list[int], int, list[int], tuple[int, int]]:
+    """The cold count pass: (continuations, profiles) per state, the number
+    of cycle clusters, and the members of the first branching cluster and
+    the first cycle exit, as (state, child), in Tarjan's order.
+
+    One Tarjan over the no-dead-end subgraph of the core, the states from
+    ``graph.prefix`` on (no core edge leads back into the tagged prefix),
+    counts each component as it emits it, children first: every state of
+    a cycle cluster counts 1, a single state as :func:`_count_from_children`
+    counts it.  A cluster branches when more of its edges stay inside it
+    than it has states, and its exit is its first edge, in member order,
+    0-digit first, to a live state outside it, emitted before it; the first
+    of each is kept, [] and (-1, -1) when there is none.  A sweep down the
+    prefix ids, whose edges all lead to larger ids, ends the pass.
+
+    Infinite paths in a finite graph must reach a cycle or stop on the
+    all-zeros ray, so a state is live iff its continuations are > 0.  Under
+    a Finite verdict (exit-free simple cycles) both counts are exact: path
+    counts and counts of distinct |D_j| sequences.  Dead ends count 0, and
+    so does one extra last entry, which a missing child (-1) reads.
+    """
+    flags, slopes, child0, child1 = graph.flags, graph.slope, graph.child0, graph.child1
+    children = (child0, child1)
     size = len(flags)
+    counts, profiles = [0] * (size + 1), [0] * (size + 1)
     index = [-1] * size
     low = [0] * size
     on_stack = bytearray(size)
     next_bit = bytearray(size)  # the next child to try, per state on ``work``
     stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
+    counter = clusters = 0
+    branching: list[int] = []
+    exit_edge = (-1, -1)
     for start in range(graph.prefix, size):
         if index[start] >= 0 or flags[start] & ONES_RAY:
             continue
@@ -471,38 +486,42 @@ def _strong_components(graph: StateGraph) -> list[list[int]]:
             work.pop()
             if work and low[v] < low[work[-1]]:
                 low[work[-1]] = low[v]
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = 0
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-    return comps
-
-
-def _live_states(graph: StateGraph) -> tuple[list[list[int]], list[int], list[int]]:
-    """The core's components, then (continuations, profiles) per state,
-    children first: over the components, then down the prefix ids, whose
-    edges all lead to larger ids.
-
-    Infinite paths in a finite graph must reach a cycle or stop on the
-    all-zeros ray, so a state is live iff its continuations are > 0.  Under
-    a Finite verdict (exit-free simple cycles) both counts are exact: path
-    counts and counts of distinct |D_j| sequences.  Dead ends count 0, and
-    so does one extra last entry, which a missing child (-1) reads.
-    """
-    comps = _strong_components(graph)
-    counts, profiles = [0] * (len(graph.flags) + 1), [0] * (len(graph.flags) + 1)
-    for comp in comps:  # every cycle state counts 1, before the states that read it
-        if len(comp) > 1:
-            for v in comp:
-                counts[v] = profiles[v] = 1
-    singles = (c[0] for c in comps if len(c) == 1)
-    _count_from_children(graph, counts, profiles, chain(singles, range(graph.prefix - 1, -1, -1)))
-    return comps, counts, profiles
+            if low[v] < index[v]:  # not the root of its component
+                continue
+            w = stack.pop()
+            on_stack[w] = 0
+            if w == v:  # a single state
+                if flags[v] & ZERO_RAY:
+                    counts[v] = profiles[v] = 1
+                    continue
+                zero, one = child0[v], child1[v]
+                counts[v] = counts[zero] + counts[one]
+                if slopes[v]:
+                    profiles[v] = profiles[zero] + profiles[one]
+                else:
+                    profiles[v] = max(profiles[zero], profiles[one])
+                continue
+            comp = [w]
+            while w != v:
+                w = stack.pop()
+                on_stack[w] = 0
+                comp.append(w)
+            clusters += 1
+            for w in comp:
+                counts[w] = profiles[w] = 1
+            if branching and exit_edge[0] >= 0:
+                continue
+            members, inner = set(comp), 0
+            for w in comp:
+                for child in (child0[w], child1[w]):
+                    if child in members:
+                        inner += 1
+                    elif exit_edge[0] < 0 and counts[child] > 0:
+                        exit_edge = (w, child)
+            if inner > len(comp) and not branching:
+                branching = comp
+    _count_from_children(graph, counts, profiles, range(graph.prefix - 1, -1, -1))
+    return counts, profiles, clusters, branching, exit_edge
 
 
 def _count_from_children(
@@ -524,38 +543,20 @@ def _count_from_children(
             profiles[v] = max(profiles[zero], profiles[one])
 
 
-def _cluster_shape(graph: StateGraph, comp: list[int], counts: list[int]) -> tuple[bool, int, int]:
-    """Whether a cycle cluster branches (more edges inside it than states),
-    and its first edge to a live state outside it, as (state, child), in
-    member order, 0-digit first; (-1, -1) when it has none."""
-    members = set(comp)
-    inner, exit_edge = 0, (-1, -1)
-    for v in comp:
-        for child in (graph.child0[v], graph.child1[v]):
-            if child in members:
-                inner += 1
-            elif exit_edge[0] < 0 and counts[child] > 0:
-                exit_edge = (v, child)
-    return inner > len(comp), *exit_edge
-
-
 def _state_label(graph: StateGraph, v: int) -> str:
     return f"(D={graph.slope[v]}, R={Fraction(graph.num[v], graph.ordinate.denominator)})"
 
 
 class _Entry(NamedTuple):
-    """What the count pass gives for a graph from one keyed level on, as the
-    memo keeps it.  ``counts`` and ``profiles`` hold continuations and
-    profiles in id order from the level's first id: of every core state in
-    the entry level's entry, as listing walks the core, and of the level's
-    own states only in an entry above it, as they are all that the sweep of
+    """What the count pass gives for a graph from its keyed level on, as the
+    memo keeps it.  ``counts`` and ``profiles`` hold the continuations and
+    profiles of the level's own states, in id order, all that the sweep of
     the ids above the level reads.  The rest are facts of the whole graph
     from the level on: its number of states; how many of them are live;
-    the number of cycle clusters; the largest |D|; the counts of the first
-    state's two children (the root's, when there is no prefix); whether a
-    zero ray is among the states; and the witness texts of the first max
-    ray, in id order, and of the first branching cluster and the first
-    cycle exit, in Tarjan's order, each empty when there is none."""
+    the number of cycle clusters; the largest |D|; whether a zero ray is
+    among the states; and the witness texts of the first max ray, in id
+    order, and of the first branching cluster and the first cycle exit, in
+    Tarjan's order, each empty when there is none."""
 
     counts: list[int]
     profiles: list[int]
@@ -563,31 +564,32 @@ class _Entry(NamedTuple):
     live: int
     clusters: int
     top: int
-    halves: tuple[int, int]
     zero_ray: bool
     max_ray: str
     branching: str
     exit: str
 
 
-# The memo: the facts of each graph :func:`classify` or
-# :func:`leftmost_preimage` has analysed, from each keyed level on, keyed by
-# that level (:func:`_entry_key`).  A write that would take it past
-# _CORE_MEMO_STATES states held evicts the oldest entries, in insertion
-# order, until it fits; a larger entry is not written.  A held state takes
-# about 28 bytes for the deep sample's ordinates (cores of about 50 states),
-# 1.8 MB at the bound; 66 after a cold depth-6 grid, 35 in its core entries
-# and 177 in its band entries, which hold 3.7 states each under a key that
-# lists every state of their level; and at most about 670 in one-state
-# entries while numbers fit in 30 bits, 44 MB.  A branching cluster's
-# witness text adds a label per member.  Wider numbers add their own bytes:
-# m and N grow with den(y), and a count, in principle, with the paths
-# through an entry small enough to be written.  Its facts reach the count
-# pass only as arguments; writes hold _CORE_MEMO_LOCK, reads are dict.get.
+# The memo: the facts of the graph from each keyed level on that a
+# count-only :func:`classify` has counted, keyed by that level
+# (:func:`_entry_key`).  A write that would take it past _CORE_MEMO_STATES
+# states held evicts the oldest entries, in insertion order, until it
+# fits; a larger entry is not written.  An entry holds its level's states
+# under a key that lists each of them.  A held state takes about 173 bytes
+# after a cold depth-6 grid (3,889 states in 1,065 entries), 11 MB at the
+# bound; 233 after count-only calls on the deep sample; and about 460 in
+# the one-state entries of odd den(y), whose keyed level is the root, while
+# numbers fit in 30 bits, 30 MB at the bound.  A witness text adds its
+# bytes, a branching cluster's a label per member (up to 1,278 bytes for
+# one such entry over the reduced j/m with odd m < 64).  Wider numbers add
+# their own bytes: m and N grow with den(y), and a count, in principle,
+# with the paths through the graph from the level on.  Its facts reach the
+# count pass only as arguments; writes hold _CORE_MEMO_LOCK, reads are
+# dict.get.
 _CORE_MEMO: dict[tuple, _Entry] = {}
 _CORE_MEMO_STATES = 65_536
 _CORE_MEMO_LOCK = Lock()
-_core_memo_held = 0  # the states held, read as 0 once the memo is empty
+_core_memo_held = 0  # the states held, over every entry
 
 
 def _entry_key(graph: StateGraph, k: int, odd: int) -> tuple:
@@ -603,89 +605,56 @@ def _entry_key(graph: StateGraph, k: int, odd: int) -> tuple:
     return graph.lattice_depth - depth, k - shift, odd, tuple(graph.slope[start:end]), tuple(nums)
 
 
-def _facts(
-    graph: StateGraph,
-    counts: list[int],
-    profiles: list[int],
-    start: int,
-    kept: int,
-    end: int,
-    below: _Entry,
-) -> _Entry:
-    """The facts of the ids from ``start`` on: those of ``start`` to
-    ``end`` - 1, read off the count pass, followed by ``below``, the facts
-    from ``end`` on, which give the cycles.  Of the counts and profiles
-    only those of ``start`` to ``kept`` - 1 are kept."""
-    flags, own = graph.flags[start:end], counts[start:end]
-    max_ray = below.max_ray
+def _counted(
+    graph: StateGraph, key: Optional[tuple], entry: Optional[_Entry]
+) -> tuple[list[int], list[int], _Entry]:
+    """The count pass: every state's continuations and profiles, and the
+    facts of the graph from its keyed level on, ``graph.level``.  A
+    remembered ``entry``, found under ``key``, gives the counts of the
+    level's states, all that the sweep of the ids above it reads, and the
+    facts from the level on, so the graph need hold no more than that
+    level.  Otherwise the cold pass runs on the whole graph, and the facts
+    are read off it and, given a ``key``, written under it."""
+    start, end = graph.level[1:]
+    if entry is not None:
+        counts = [0] * start + entry.counts + [0]
+        profiles = [0] * start + entry.profiles + [0]
+        _count_from_children(graph, counts, profiles, range(start - 1, -1, -1))
+        return counts, profiles, entry
+    counts, profiles, clusters, branching, (source, target) = _live_states(graph)
+    flags = graph.flags[start:]
+    max_ray = branches = exit_text = ""
     if MAX_RAY in flags:
         max_ray = f"max-envelope state {_state_label(graph, start + flags.index(MAX_RAY))} reached"
-    return _Entry(
-        counts[start:kept],
-        profiles[start:kept],
-        size=end - start + below.size,
-        live=sum(map(bool, own)) + below.live,
-        clusters=below.clusters,
-        top=max(below.top, max(map(abs, graph.slope[start:end]), default=0)),
-        halves=(counts[graph.child0[start]], counts[graph.child1[start]]) if own else below.halves,
-        zero_ray=ZERO_RAY in flags or below.zero_ray,
+    if branching:
+        # cycles lie past the lattice depth, where keys are (D, N): sort on
+        # the (D, R) form, so the listing does not depend on S
+        scale = graph.ordinate.denominator
+        ordered = sorted(
+            branching, key=lambda v: str((graph.slope[v], Fraction(graph.num[v], scale)))
+        )
+        labels = ", ".join(_state_label(graph, v) for v in ordered)
+        branches = f"branching cycle cluster {{{labels}}}"
+    if source >= 0:
+        exit_text = (
+            f"cycle through {_state_label(graph, source)} "
+            f"can be left towards {_state_label(graph, target)}"
+        )
+    entry = _Entry(
+        counts[start:end],
+        profiles[start:end],
+        size=len(flags),
+        live=sum(map(bool, counts[start:-1])),
+        clusters=clusters,
+        top=max(map(abs, graph.slope[start:]), default=0),
+        zero_ray=ZERO_RAY in flags,
         max_ray=max_ray,
-        branching=below.branching,
-        exit=below.exit,
+        branching=branches,
+        exit=exit_text,
     )
-
-
-def _counted(
-    graph: StateGraph, keys: Sequence[tuple[int, int, tuple]], entry: Optional[_Entry]
-) -> tuple[list[int], list[int], _Entry, int]:
-    """The count pass: every state's continuations and profiles, the facts
-    of the graph from a keyed level on and that level's first id.
-    ``keys`` are classify's (first id, end id, key) of each keyed level,
-    highest level first, as classify passes them to analyze, and ``entry``
-    the facts found under the last.  A remembered ``entry`` gives the counts
-    of its level's states, all that the sweep of the ids above it reads (the
-    sweep :func:`_live_states` makes of the prefix), and the facts from its
-    level on, so the graph need hold no more than that level.  Otherwise
-    Tarjan runs on the whole graph and the core's facts are found from
-    ``prefix`` on, and, given ``keys``, written under the last.  The entries
-    of the keyed levels above are then written from the counts, each by one
-    sweep over its band, keeping the counts of its own level only."""
-    if entry is None:
-        comps, counts, profiles = _live_states(graph)
-        clusters, branching, exit_text = 0, "", ""
-        for comp in comps:
-            if len(comp) > 1:
-                clusters += 1
-                branches, source, target = _cluster_shape(graph, comp, counts)
-                if branches and not branching:
-                    # cycles lie past the lattice depth, where keys are (D, N):
-                    # sort on the (D, R) form, so the listing does not depend on S
-                    scale = graph.ordinate.denominator
-                    ordered = sorted(
-                        comp, key=lambda v: str((graph.slope[v], Fraction(graph.num[v], scale)))
-                    )
-                    labels = ", ".join(_state_label(graph, v) for v in ordered)
-                    branching = f"branching cycle cluster {{{labels}}}"
-                if source >= 0 and not exit_text:
-                    exit_text = (
-                        f"cycle through {_state_label(graph, source)} "
-                        f"can be left towards {_state_label(graph, target)}"
-                    )
-        cycles = _Entry([], [], 0, 0, clusters, 0, (0, 0), False, "", branching, exit_text)
-        base, size = graph.prefix, len(graph.flags)
-        entry = _facts(graph, counts, profiles, base, size, size, cycles)
-        if keys:
-            _remember(keys[-1][2], entry)
-    else:
-        base = keys[-1][0]
-        counts = [0] * base + entry.counts + [0]
-        profiles = [0] * base + entry.profiles + [0]
-        _count_from_children(graph, counts, profiles, range(base - 1, -1, -1))
-    for start, stop, key in reversed(keys[:-1]):
-        entry = _facts(graph, counts, profiles, start, stop, base, entry)
-        base = start
+    if key is not None:
         _remember(key, entry)
-    return counts, profiles, entry, base
+    return counts, profiles, entry
 
 
 def _remember(key: tuple, entry: _Entry) -> None:
@@ -698,7 +667,7 @@ def _remember(key: tuple, entry: _Entry) -> None:
     with _CORE_MEMO_LOCK:
         if key in _CORE_MEMO:
             return
-        held = _core_memo_held if _CORE_MEMO else 0
+        held = _core_memo_held
         while held + size > _CORE_MEMO_STATES:
             held -= len(_CORE_MEMO.pop(next(iter(_CORE_MEMO))).counts)
         _CORE_MEMO[key] = entry
@@ -786,7 +755,7 @@ def _complement(path: BinaryExpansion) -> BinaryExpansion:
 
 
 def analyze(
-    graph: StateGraph, *, listing: bool = True, _keyed: tuple = ((), None)
+    graph: StateGraph, *, listing: bool = True, _keyed: tuple = (None, None)
 ) -> LevelSetReport:
     """Turn a closed state graph into a verdict, and list the points if asked.
 
@@ -799,10 +768,11 @@ def analyze(
     two children count alike, the fold symmetry the listing relies on.
     The checks on a caller's graph raise AssertionError explicitly, so they
     hold under ``python -O`` too.
-    ``_keyed`` is :func:`classify`'s alone: its keyed levels and the entry
-    found under the last, with which the count pass reads and fills the
-    memo and the graph may end at a remembered level (module docstring).
-    By default, as on a caller's graph, Tarjan runs and the memo is untouched.
+    ``_keyed`` is count-only :func:`classify`'s alone: the key of its keyed
+    level and the entry found under it, which the count pass reads, or
+    None, when it writes the entry it finds; with an entry the graph may
+    end at the keyed level (module docstring).  By default, as on a
+    caller's graph, the cold pass runs and the memo is untouched.
 
     The ordinate 0 is special-cased: its zero ray would read as "dyadic point
     attained", but 0 is attained only at the endpoints, so L(0) = {0, 1}.
@@ -827,8 +797,8 @@ def analyze(
         witness = f"budget exceeded ({graph.budget_reason})"
         return _report(y, Verdict.INDETERMINATE, diagnostics, witness=witness)
 
-    counts, profiles, entry, base = _counted(graph, *_keyed)
-    # classify's graph may hold no more of a remembered entry than its keyed level
+    counts, profiles, entry = _counted(graph, *_keyed)
+    base = graph.level[1]  # a remembered entry's graph may end at this level
     diagnostics["states"] = base + entry.size
     diagnostics["cycles"] = entry.clusters
     diagnostics["live_states"] = sum(map(bool, counts[:base])) + entry.live
@@ -861,9 +831,8 @@ def analyze(
 
     # Finite: the root's counts are the root-to-cycle paths and their profiles.
     total = counts[0]
-    if not listing:
-        halves = (counts[graph.child0[0]], counts[graph.child1[0]]) if base else entry.halves
-        if halves[0] != halves[1]:
+    if not listing:  # a root remembered as its keyed level has no children here
+        if counts[graph.child0[0]] != counts[graph.child1[0]]:
             raise AssertionError("root's subtrees differ in count")
         return _report(y, Verdict.FINITE, diagnostics, cardinality=total, n_local=profiles[0])
     if total > MAX_PREIMAGES:
@@ -895,7 +864,8 @@ def leftmost_preimage(y: Fraction) -> Fraction:
     That path either stops on the all-zeros ray (dyadic answer) or first
     revisits one of its states, closing an eventually periodic expansion,
     e.g. leftmost(1/2) = 1/6 = 0.0(01) and leftmost(2/3) = 1/3 = 0.(01).
-    Its counts come through the core memo, as :func:`classify`'s do.
+    The walk reads the counts of the cold pass over the whole graph, as
+    listing :func:`classify` does; the memo is neither read nor written.
     """
     if not 0 <= y <= TWO_THIRDS:
         raise ValueError(f"level set of {y} is empty")
@@ -906,8 +876,7 @@ def leftmost_preimage(y: Fraction) -> Fraction:
         raise BudgetExceededError(
             f"state graph for {y} did not close ({graph.budget_reason})"
         )
-    key = _entry_key(graph, *split_denominator(y))
-    counts = _counted(graph, [(*graph.level[1:], key)], _CORE_MEMO.get(key))[0]
+    counts = _live_states(graph)[0]
     if counts[0] <= 0:
         raise AssertionError("the root is dead, though L(y) is not empty")
     return next(_paths(graph, counts)).value()
@@ -925,31 +894,22 @@ def classify(
     outside [0, 2/3] are Finite(0); blown budgets give Indeterminate, never
     a guess.  The slope budget, worked out from den(y), stops drift suffixes
     such as (001)^inf under 1/49 and some cores of wide odd parts (module
-    docstring).  The count pass reads and fills the core memo, and a
-    count-only call whose keyed level is remembered expands no state from
-    that level on (module docstring).  The graph and the memo facts go to
-    :func:`analyze` as arguments, so classify is safe to call re-entrantly and
-    from threads, and by name, so a wrapper on it (perfbench's tracer) sees
-    every classification.
+    docstring).  A listing call is ``analyze(close_graph(y))`` and leaves
+    the memo alone.  A count-only call makes one memo lookup, at its keyed
+    level, and when the entry is there and fits its budgets expands no state
+    from that level on; otherwise it closes the rest and writes the entry
+    (module docstring).  The graph and the memo facts go to :func:`analyze`
+    as arguments, so classify is safe to call re-entrantly and from
+    threads, and by name, so a wrapper on it (perfbench's tracer) sees every
+    classification.
     """
     if listing:
-        stages = iter([close_graph(y, max_states=max_states)])
-    else:
-        stages = _closure(y, max_states)
+        return analyze(close_graph(y, max_states=max_states))
     k, odd = split_denominator(y)
-    # (first id, end id, key) of each keyed level stopped at; an entry found
-    # above the entry level that does not fit the budgets means a budget exit
-    # below it, so only missing entries are written
-    keys = []
-    for graph in stages:  # closed through a keyed level, or wholly
-        depth, start, stop = graph.level
-        key = _entry_key(graph, k, odd)
-        entry = _CORE_MEMO.get(key)
-        keys.append((start, stop, key))
-        fits = entry is not None and start + entry.size <= max_states
-        if listing or (fits and entry.top <= k + SLOPE_MARGIN):
-            break
-        if depth == graph.lattice_depth:
-            graph = next(stages, graph)  # the rest of the closure, under the same budgets
-            break
-    return analyze(graph, listing=listing, _keyed=(keys, entry))
+    stages = _closure(y, max_states)
+    graph = next(stages)  # closed through its keyed level, or wholly
+    key = _entry_key(graph, k, odd)
+    entry = _CORE_MEMO.get(key)
+    if entry is None or graph.level[1] + entry.size > max_states or entry.top > k + SLOPE_MARGIN:
+        graph, entry = next(stages, graph), None  # the rest of the closure, under the same budgets
+    return analyze(graph, listing=False, _keyed=(key, entry))

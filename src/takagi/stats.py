@@ -34,7 +34,10 @@ from .machine import DEFAULT_MAX_STATES, Verdict, classify
 #: Largest order for which the exact (Fraction) series mode is offered.
 EXACT_SERIES_LIMIT = 64
 
-#: Largest grid depth: depth 6 is already 8193 classifications.
+#: Largest grid depth.  Deeper grids run (depth 8, 131,073 count-only rows,
+#: in a few seconds), but ``grid --depth 7`` exiting with status 2 is part of
+#: the CLI contract (``tests/test_cli.py::test_grid_depth_bounds``); raising
+#: the cap is a contract change of its own.
 MAX_GRID_DEPTH = 6
 
 

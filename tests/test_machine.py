@@ -636,24 +636,43 @@ def test_prefix_is_a_layered_dag(monkeypatch):
 
 
 def test_core_tarjan_matches_whole_graph():
-    """Tarjan on the core and the prefix sweep against Tarjan from every id
-    and one count pass over its components (the reference in _oracles):
-    the same components in the same order, once the prefix ids are
-    filtered out, and the same counts, profiles and liveness everywhere."""
-    ordinates = [Fraction(j, 3 * 4**6) for j in range(2 * 4**6 + 1)]
-    ordinates += _seeded_ordinates(1718, (32, 64, 128), 40, 80)
-    cycles = 0
-    for y in ordinates:
-        graph = close_graph(y)
+    """The cold pass, one Tarjan on the core that counts each component as
+    it emits it, then the prefix sweep, against Tarjan from every id and
+    one count pass over its components (the reference in _oracles): the
+    same counts, profiles and liveness everywhere, and, over the reference's
+    cycle clusters once the prefix ids are filtered out, in its order, the
+    same number of clusters, the same first branching cluster (more edges
+    inside it than members), members in emission order, and the same first
+    cycle exit, the first edge of a cluster, in member order, 0-digit first,
+    to a live state outside it.  Every depth-6 row, seeded deep and
+    open-denominator draws and the hand-built graphs, which give the
+    branching cluster and the exit."""
+    graphs = [close_graph(y) for y in [Fraction(j, 3 * 4**6) for j in range(2 * 4**6 + 1)]]
+    graphs += [close_graph(y) for y in _seeded_ordinates(1718, (32, 64, 128), 40, 80)]
+    graphs += _hand_graphs()
+    found = dict.fromkeys(("cycles", "branching", "exits"), 0)
+    for graph in graphs:
         if not graph.closed:
             continue
-        comps, counts, profiles = machine._live_states(graph)
+        y = graph.ordinate
+        counts, profiles, clusters, branching, exit_edge = machine._live_states(graph)
         ref_comps, ref_counts, ref_profiles, ref_live = oracles.whole_graph_live_states(graph)
-        assert comps == [c for c in ref_comps if c[0] >= graph.prefix], y
         live = [n > 0 for n in counts]
         assert (counts, profiles, live) == (ref_counts, ref_profiles, ref_live), y
-        cycles += sum(len(c) > 1 for c in comps)
-    assert cycles > 10_000
+        cores = [c for c in ref_comps if len(c) > 1 and c[0] >= graph.prefix]
+        edges = [[(v, w) for v in c for w in (graph.child0[v], graph.child1[v])] for c in cores]
+        ref_branching = next(
+            (c for c, out in zip(cores, edges) if sum(w in c for _, w in out) > len(c)), []
+        )
+        ref_exit = next(
+            ((v, w) for c, out in zip(cores, edges) for v, w in out if w not in c and ref_live[w]),
+            (-1, -1),
+        )
+        assert (clusters, branching, exit_edge) == (len(cores), ref_branching, ref_exit), y
+        found["cycles"] += clusters
+        found["branching"] += bool(branching)
+        found["exits"] += exit_edge[0] >= 0
+    assert found["cycles"] > 10_000 and found["branching"] > 100 and found["exits"] > 1000, found
 
 
 def test_leftmost_matches_first_preimage_deep():
@@ -890,13 +909,16 @@ def test_count_only_matches_listing(monkeypatch):
 
 
 def test_core_memo_matches_cold_analysis(monkeypatch):
-    """classify from one warm core memo, ordinates taken in shuffled order,
-    each under both ``listing`` values in turn, against the cold analysis of
-    the same closed graph, which never reads the memo: the same reports.
-    Every depth-6 row, seeded deep draws, every reduced j/m with odd m <= 63
-    (22 of them branching clusters, whose second call finds every core
-    state remembered) and two budget exits.  Most warm calls run no Tarjan,
-    and hundreds of those are on odd m."""
+    """classify from one warm memo, ordinates taken in shuffled order, each
+    count-only, then under both ``listing`` values in shuffled order,
+    against the cold analysis of the same closed graph, which never reads
+    the memo: the same reports.  Every depth-6 row, seeded deep draws,
+    every reduced j/m with odd m <= 63 (22 of them branching clusters) and
+    two budget exits.  The first count-only call writes the entry or finds
+    it; every later count-only call on a closed graph reads it and runs no
+    Tarjan, the 22 branching rows among them, and so do most first calls:
+    Tarjan runs under fewer than a quarter of the count-only calls, and
+    hundreds of the calls that run none are on odd m."""
     rng = random.Random(1724)
     ordinates = [Fraction(j, 3 * 4**6) for j in range(2 * 4**6 + 1)]
     ordinates += [
@@ -909,24 +931,35 @@ def test_core_memo_matches_cold_analysis(monkeypatch):
         cold[y, True], cold[y, False] = _cold(y, True, False)
     assert sum(str(r.witness).startswith("branching") for r in cold.values()) == 2 * 22
 
-    tarjan = []
-    live_states = machine._live_states
-    monkeypatch.setattr(machine, "_live_states", lambda graph: tarjan.append(graph) or
-                        live_states(graph))
+    tarjan = _tarjan_runs(monkeypatch)
     rng.shuffle(ordinates)
-    machine._CORE_MEMO.clear()
-    recalled_odd = 0
+    _clear_memo()
+    counted = runs = recalled_odd = recalled_branching = 0
     for y in ordinates:
-        for listing in rng.sample((True, False), 2):  # the second call reads what the first wrote
+        for call, listing in enumerate((False, *rng.sample((True, False), 2))):
             ran = len(tarjan)
             assert classify(y, listing=listing) == cold[y, listing], (y, listing)
+            if listing:
+                continue
+            counted += 1
+            runs += len(tarjan) - ran
             recalled_odd += len(tarjan) == ran and y.denominator % 2
-    assert len(tarjan) < len(cold) // 4 and recalled_odd > 500
+            if call and "cycles" in cold[y, False].diagnostics:  # the first call wrote or found it
+                assert len(tarjan) == ran, y
+                recalled_branching += str(cold[y, False].witness).startswith("branching")
+    assert runs < counted // 4 and recalled_odd > 500 and recalled_branching == 22
 
 
 def _memo_held():
     """The states the memo holds: the counts kept, over all its entries."""
     return sum(len(entry.counts) for entry in machine._CORE_MEMO.values())
+
+
+def _clear_memo():
+    """Empty the memo and its running count, as a fresh process has them."""
+    with machine._CORE_MEMO_LOCK:
+        machine._CORE_MEMO.clear()
+        machine._core_memo_held = 0
 
 
 def _tarjan_runs(monkeypatch):
@@ -957,8 +990,10 @@ def test_analyze_leaves_the_core_memo_alone():
     hand-built graphs give the same reports with the memo empty and warm; a
     copy of close_graph(1/5) with one edge removed fails the fold check
     either way (read from the memo, its counts would pass it); and the memo
-    is left as it was.  classify(1/5) and classify(1/3) then give their
-    cold reports."""
+    is left as it was.  Listing classify and leftmost_preimage leave it as
+    it was too, empty or warm: only count-only classify writes it, one
+    entry of one state each for 1/5 and 1/3, whose keyed level is the root.
+    classify(1/5) and classify(1/3) then give their cold reports."""
     graph = close_graph(Fraction(1, 5))
     edited = dataclasses.replace(graph, child1=list(graph.child1))
     edited.child1[next(v for v, child in enumerate(graph.child1) if child >= 0)] = -1
@@ -969,15 +1004,22 @@ def test_analyze_leaves_the_core_memo_alone():
                 analyze(edited, listing=listing)
         return [analyze(g, listing=listing) for g in _hand_graphs() for listing in (True, False)]
 
-    machine._CORE_MEMO.clear()
+    def list_all():
+        for y in (Fraction(1, 5), Fraction(1, 3)):
+            classify(y)
+            leftmost_preimage(y)
+
+    _clear_memo()
     empty = analyze_all()
-    assert not machine._CORE_MEMO
-    classify(Fraction(1, 5))
-    classify(Fraction(1, 3))
+    list_all()
+    assert not machine._CORE_MEMO and machine._core_memo_held == 0
+    for y in (Fraction(1, 5), Fraction(1, 3)):
+        classify(y, listing=False)
     warm = dict(machine._CORE_MEMO)
-    assert _memo_held() == len(graph.slope) + len(close_graph(Fraction(1, 3)).slope)
+    assert len(warm) == _memo_held() == machine._core_memo_held == 2
     assert analyze_all() == empty
-    assert machine._CORE_MEMO == warm
+    list_all()
+    assert machine._CORE_MEMO == warm and machine._core_memo_held == 2
     for y in (Fraction(1, 5), Fraction(1, 3)):
         for listing in (True, False):
             assert classify(y, listing=listing) == analyze(close_graph(y), listing=listing), y
@@ -1087,31 +1129,37 @@ def test_analyze_has_no_bare_assert():
 
 def test_memo_keeps_tarjan_for_cluster_witnesses(monkeypatch):
     """A branching cluster and a cycle exit are named in Tarjan's order,
-    which a remembered core gives back.  Each hand-built graph, handed to
-    classify as its own closure, gives the report analyze gives on the first
-    call, which runs Tarjan, and on the warm calls after it, which do not."""
+    which a remembered entry gives back.  Each hand-built graph, handed to
+    classify as its own closure, gives the report analyze gives on each
+    call: the first count-only call runs Tarjan and writes the entry, of
+    the root alone, the graph's keyed level; the listing call runs its own
+    and writes nothing; and the second count-only call reads the witness
+    off the entry and runs none."""
     tarjan = _tarjan_runs(monkeypatch)
     try:
         for graph in _hand_graphs():
             _close_to(monkeypatch, graph)
-            machine._CORE_MEMO.clear()
-            tarjan.clear()
-            for listing in (True, False, True):
-                assert classify(graph.ordinate, listing=listing) == analyze(graph, listing=listing)
-            assert _memo_held() == len(graph.slope)
-            assert len(tarjan) == 4  # the first classify and the three cold analyses
+            _clear_memo()
+            runs = []
+            for listing in (False, True, False):
+                cold = analyze(graph, listing=listing)
+                ran = len(tarjan)
+                assert classify(graph.ordinate, listing=listing) == cold
+                runs.append(len(tarjan) - ran)
+            assert runs == [1, 1, 0] and _memo_held() == 1
     finally:
-        machine._CORE_MEMO.clear()  # the hand-built facts are not the closure's
+        _clear_memo()  # the hand-built facts are not the closure's
 
 
 def test_memo_shifts_witnesses_behind_a_prefix(monkeypatch):
     """The cycle-exit graph behind two tagged states, with den(y) = 4 * 3:
     its entry level is the bare graph's root a alone (``level`` is set as
     the closure would set it), so its key is the bare graph's, and after
-    classify(1/3) on the bare graph, classify on this one reads the entry
-    written at prefix 0 and must name the same cycle and exit at ids two
-    higher.  Both orders give the reports analyze
-    gives, and the warm calls run no Tarjan."""
+    count-only classify(1/3) on the bare graph, count-only classify on this
+    one reads the entry written at prefix 0 and must name the same cycle
+    and exit at ids two higher.  Both orders give the reports analyze gives
+    under both ``listing`` values; of the count-only calls only the first
+    runs Tarjan, and the memo holds one entry."""
     y = Fraction(1, 12)
     a, b = (0, Fraction(1, 3)), (1, Fraction(2, 3))
     c, d = (2, Fraction(4, 3)), (1, Fraction(1))
@@ -1133,16 +1181,18 @@ def test_memo_shifts_witnesses_behind_a_prefix(monkeypatch):
     tarjan = _tarjan_runs(monkeypatch)
     try:
         for order in (("bare", "behind"), ("behind", "bare")):
-            machine._CORE_MEMO.clear()
-            tarjan.clear()
+            _clear_memo()
+            counted = []
             for name in order:
                 graph = graphs[name]
                 _close_to(monkeypatch, graph)
-                for listing in (True, False):
+                for listing in (False, True):
+                    ran = len(tarjan)
                     assert classify(graph.ordinate, listing=listing) == cold[name, listing], name
-            assert tarjan == [graphs[order[0]]] and len(machine._CORE_MEMO) == 1
+                    counted += [] if listing else tarjan[ran:]
+            assert counted == [graphs[order[0]]] and len(machine._CORE_MEMO) == 1
     finally:
-        machine._CORE_MEMO.clear()  # the hand-built facts are not the closure's
+        _clear_memo()  # the hand-built facts are not the closure's
 
 
 def test_core_key_keeps_m_and_n_apart(monkeypatch):
@@ -1162,14 +1212,14 @@ def test_core_key_keeps_m_and_n_apart(monkeypatch):
     assert [g.slope for g in branching] == [exits.slope] * 2
     assert branching[0].num == exits.num != branching[1].num
     try:
-        machine._CORE_MEMO.clear()
+        _clear_memo()
         for graph in (exits, *branching):
             cold = analyze(graph, listing=False)
             _close_to(monkeypatch, graph)
             assert classify(graph.ordinate, listing=False) == cold, graph.ordinate
         assert cold.verdict is Verdict.UNCOUNTABLE and len(machine._CORE_MEMO) == 3
     finally:
-        machine._CORE_MEMO.clear()  # the hand-built facts are not the closure's
+        _clear_memo()  # the hand-built facts are not the closure's
 
 
 def test_equal_core_keys_give_equal_cores():
@@ -1259,85 +1309,91 @@ def test_equal_keyed_level_keys_give_equal_subgraphs():
 
 def test_warm_witnesses_behind_a_prefix_match_cold(monkeypatch):
     """classify, warm, against analyze, cold, on every reduced j / (m * 2^k)
-    with odd m <= 63 and k = 1..3, each under both ``listing`` values in
-    turn: the same reports.  All 104 branching rows have a tagged prefix,
-    and each one's second call reads its cluster off the memo.  classify is
-    handed close_graph(y), which the cold reports are read from when they
-    are not built yet, so each ordinate is closed once."""
+    with odd m <= 63 and k = 1..3, each count-only, listing, then count-only
+    again: the same reports.  All 104 branching rows have a tagged prefix,
+    and each one's last call reads its cluster off the entry the first
+    wrote or found, and runs no Tarjan.  classify is handed close_graph(y),
+    which the cold reports are read from when they are not built yet, so
+    each ordinate is closed once."""
     ordinates = sorted({
         y for m in range(1, 64, 2) for k in (1, 2, 3) for j in range(1, 2 * (m << k) // 3 + 1)
         if (y := Fraction(j, m << k)).denominator == m << k
     })
     graphs = [close_graph(y) for y in ordinates]  # before close_graph's closure is patched
-    machine._CORE_MEMO.clear()
+    tarjan = _tarjan_runs(monkeypatch)
+    _clear_memo()
     branching = 0
     for y, graph in zip(ordinates, graphs):
         _close_to(monkeypatch, graph)
-        for listing in (True, False):
+        for listing in (False, True, False):
             cold = _cold(y, listing, graph=graph)[0]
+            ran = len(tarjan)
             assert classify(y, listing=listing) == cold, (y, listing)
-        branching += str(cold.witness).startswith("branching") and graph.prefix > 0
+        if str(cold.witness).startswith("branching") and graph.prefix > 0:
+            assert len(tarjan) == ran, y
+            branching += 1
     assert branching == 104
 
 
 def test_core_memo_stays_within_its_bound(monkeypatch):
-    """Every depth-6 row, then every reduced j/m with odd m <= 53, which
-    have more core states, summed over their distinct cores, than the memo
-    holds.  The depth-6 rows write entries keyed three levels above the
-    lattice depth as well as core entries, and those count against the
-    bound too: the memo's running count is the states its entries hold,
-    it never holds more than its bound, and entries are evicted on the way,
-    keyed-level entries among them, oldest first and no more than the new
-    entries need, while the entries just written survive each overflow;
-    every report equals the one analyze gives without the memo.  Under a
-    bound of 20 a larger core is not written at all."""
-    bound = machine._CORE_MEMO_STATES
+    """Every depth-6 row, then every reduced j/m with odd m <= 53, under a
+    bound of 2,048 states, which the 4,271 states of their entries
+    overflow.  Entries keyed three levels above the lattice depth and
+    entries at the entry level count against the bound alike: the memo's
+    running count is the states its entries hold, it never holds more than
+    its bound, and entries are evicted on the way, keyed-level entries
+    among them, oldest first and no more than the new entry needs, while
+    the entry just written survives each overflow; every report equals the
+    one analyze gives without the memo.  Under a bound of 1 an entry of
+    two states is not written at all."""
+    bound = 2048
+    monkeypatch.setattr(machine, "_CORE_MEMO_STATES", bound)
     ordinates = [Fraction(j, 3 * 4**6) for j in range(2 * 4**6 + 1)]
     ordinates += sorted({Fraction(j, m) for m in range(5, 54, 2) for j in range(1, 2 * m // 3 + 1)})
-    machine._CORE_MEMO.clear()
+    _clear_memo()
     overflows = evicted_above = 0
     for y in ordinates:
         sizes = {key: len(entry.counts) for key, entry in machine._CORE_MEMO.items()}
         before = list(sizes)
         assert classify(y, listing=False) == _cold(y, False)[0], y
         held = _memo_held()
-        assert held == (machine._core_memo_held if machine._CORE_MEMO else 0) <= bound, y
+        assert held == machine._core_memo_held <= bound, y
         after = list(machine._CORE_MEMO)
         if before and before[0] not in after:  # an overflow: the oldest went first
             overflows += 1
             written = [key for key in after if key not in sizes]
             evicted = len(before) - len(after) + len(written)
-            assert 1 <= len(written) <= 2 and after == before[evicted:] + written
+            assert len(written) == 1 and after == before[evicted:] + written
             evicted_above += sum(key[0] == 3 for key in before[:evicted])
             # and no more went than had to: with the last of them back it would not fit
             assert held + sizes[before[evicted - 1]] > bound
     assert overflows > 100 and evicted_above > 500
-    monkeypatch.setattr(machine, "_CORE_MEMO_STATES", 20)
-    machine._CORE_MEMO.clear()
-    large, small = Fraction(1, 5), Fraction(2, 3)
-    assert len(close_graph(large).slope) > 20 >= len(close_graph(small).slope)
+    monkeypatch.setattr(machine, "_CORE_MEMO_STATES", 1)
+    _clear_memo()
+    large, small = Fraction(1, 12), Fraction(2, 3)
+    levels = [next(machine._closure(y, machine.DEFAULT_MAX_STATES)).level for y in (large, small)]
+    assert levels == [(2, 3, 5), (0, 0, 1)]
     for y in (small, large):
-        assert classify(y) == analyze(close_graph(y)), y
-    assert _memo_held() == len(close_graph(small).slope)
+        assert classify(y, listing=False) == analyze(close_graph(y), listing=False), y
+    assert _memo_held() == 1 and len(machine._CORE_MEMO) == 1
 
 
 def test_memo_holds_each_state_once():
-    """After a cold ``grid_experiment(6)`` an entry keyed above the entry
-    level keeps the counts and profiles of its own level's states, as many
-    as its key lists, and the core's entry at the entry level those of
-    every core state, its size.  The memo's running count is the sum over
-    all entries, and it is less than 20,000 states, under half of what the
-    entries would hold if each kept the graph from its level on."""
-    machine._CORE_MEMO.clear()
+    """After a cold ``grid_experiment(6)`` every entry, whether keyed three
+    levels above the entry level or at it, keeps the counts and profiles of
+    its own level's states, as many as its key lists.  The memo's running
+    count is the sum over all entries, and it is less than 4,000 states
+    (3,889 when measured), under half of what the entries would hold if
+    each kept the graph from its level on."""
+    _clear_memo()
     grid_experiment(6)
     entries = machine._CORE_MEMO
     for key, entry in entries.items():
-        kept = len(key[3]) if key[0] else entry.size
-        assert len(entry.counts) == len(entry.profiles) == kept, key
+        assert len(entry.counts) == len(entry.profiles) == len(key[3]), key
     above = sum(key[0] > 0 for key in entries)
-    assert above > 1000 and len(entries) - above > 400
+    assert above > 1000 and len(entries) - above > 5
     held = _memo_held()
-    assert held == machine._core_memo_held < 20_000
+    assert held == machine._core_memo_held < 4_000
     assert 2 * held < sum(entry.size for entry in entries.values())
 
 
@@ -1407,22 +1463,24 @@ def test_remembered_core_closes_no_core_state(monkeypatch):
     assert skipped_first > len(ordinates) // 2
 
 
-def test_threads_share_the_memo():
+def test_threads_share_the_memo(monkeypatch):
     """Four threads classify, count-only, a seeded split of every depth-5
     row and every reduced j/m with odd m <= 53, with the interpreter's
     switch interval lowered so they interleave often: once from a cleared
-    memo, which overflows its bound, and once warm.  Every report is the
-    cold one, and after the threads are joined the memo's running count is
-    the states its entries hold, within the bound."""
+    memo, under a bound of 1,024 states, which their 1,755 overflow, and
+    once warm.  Every report is the cold one, and after the threads are
+    joined the memo's running count is the states its entries hold, within
+    the bound."""
     ordinates = [Fraction(j, 3 * 4**5) for j in range(2 * 4**5 + 1)]
     ordinates += sorted({Fraction(j, m) for m in range(5, 54, 2) for j in range(1, 2 * m // 3 + 1)})
     random.Random(1728).shuffle(ordinates)
     parts = [ordinates[i::4] for i in range(4)]
     cold = {y: _cold(y, False)[0] for y in ordinates}
+    monkeypatch.setattr(machine, "_CORE_MEMO_STATES", 1024)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        machine._CORE_MEMO.clear()
+        _clear_memo()
         for _ in ("cleared", "warm"):
             with ThreadPoolExecutor(4) as pool:
                 reports = pool.map(lambda part: [classify(y, listing=False) for y in part], parts)
