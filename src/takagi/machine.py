@@ -56,12 +56,14 @@ the prefix value v_j is a multiple of 2^-j.  The steps become
 
     eps = 0:  (D + 1, 2N)          eps = 1:  (D - 1, 2N - (D + 1) S)
 
-and feasibility becomes  min(0, D) S <= N  and
-3 * 2^|D| * (N - max(0, D) S) <= 2S,  with equality on the right exactly at
-a max ray; N = 0, D >= 0 is a zero ray and N = D S, D <= -1 a ones ray.
-Nothing assumes the shape of S.  Feasibility confines N to
+and feasibility becomes  min(0, D) S <= N  and  N - max(0, D) S <= cap(|D|),
+where cap(a) = (2S // 3) >> a, the floor of 2S / (3 * 2^a): the excess
+N - max(0, D) S is an integer.  A max ray is a state whose excess times
+3 * 2^|D| is 2S, so its excess is the cap; N = 0, D >= 0 is a zero ray and
+N = D S, D <= -1 a ones ray.  Nothing assumes the shape of S.  Feasibility
+confines N to
 
-    min(0, D) S <= N <= max(0, D) S + 2S / (3 * 2^|D|),
+    min(0, D) S <= N <= max(0, D) S + cap(|D|),
 
 at most (|D| + 1) S + 1 integers for each D, so the state set is finite
 once |D| is bounded, by the slope budget k + ``SLOPE_MARGIN`` for
@@ -70,10 +72,13 @@ S = 2^k m, m odd.  It follows k, as the slopes of a closing graph do:
 k + 1, so no slope exit happens there, and the core past it is fixed by m
 and its entry level (below); 1 / (3 * 2^k) closes at largest |D| = k + 10,
 11, 25 and 31 for k = 100, 300, 1000 and 2000.  The breadth-first closure
-expands one level at a time.  Of a state's two children, the one whose
-|D| shrinks has its parent's headroom 2S - 3 * 2^|D| * (N - max(0, D) S),
-so only its lower bound is tested; the one whose |D| grows (both at D = 0)
-is tested against the top of the envelope and the slope budget.  A suffix
+expands one level at a time, and keeps the caps in a table that grows by
+one entry a level, as |D| <= depth.  Of a state's two children, the one
+whose |D| shrinks has twice its parent's excess under the cap one shift
+wider, so it fits, and is a max ray, exactly when its parent does and is:
+only its lower bound is tested.  The one whose |D| grows (both at D = 0)
+is tested against its cap, the product 3 * 2^|D| * excess is formed only
+at the cap, to tell a max ray, and then the slope budget.  A suffix
 that drifts, such as (001)^inf under y = 1/49, moves D by one per period:
 it ends in the slope budget, as Indeterminate, and does not hang.  For the
 first 2n digits, n = :func:`~takagi.rationals.ordinate_depth` (read off the
@@ -91,8 +96,9 @@ label.  The tagged states are the ids below
 ``prefix``, the first state at the lattice depth.  They form a layered DAG:
 each edge leaves depth d for depth d + 1 and a larger id, and no edge of the
 untagged core leads back into the prefix.  So Tarjan and the walk's revisit
-check run on the core alone, and the count pass finishes with one sweep down
-the prefix ids.  :func:`step`, :func:`is_feasible` and the
+check run on the core alone, the count pass finishes with one sweep down
+the prefix ids, and the walk takes a forced run through tagged states once
+(:func:`_paths`).  :func:`step`, :func:`is_feasible` and the
 ``envelope_*`` functions state the same rules on (D, R) with Fractions and
 are the exact reference the closure is tested against.
 
@@ -286,9 +292,14 @@ def _closure(y: Fraction, max_states: int) -> Iterator[StateGraph]:
     graph = StateGraph(y, lattice_depth, {root_key: 0}, [0], [root_num], [root_ray], [-1], [-1])
     nodes, slopes, nums, flags = graph.nodes, graph.slope, graph.num, graph.flags
     child0, child1 = graph.child0, graph.child1
+    add = nodes.setdefault
     twice = 2 * scale
+    # caps[a] = (2S // 3) >> a, the largest excess N - max(0, D) S of a feasible
+    # state with |D| = a; one entry more per level, as |D| <= depth
+    caps = [twice // 3]
     reason: Optional[str] = None
     depth, start, end = 0, 0, 1  # the level: ids start..end - 1, all this deep
+    size = 1  # the states made
     while True:
         if depth <= lattice_depth:
             graph.prefix = start if depth == lattice_depth else end
@@ -298,66 +309,72 @@ def _closure(y: Fraction, max_states: int) -> Iterator[StateGraph]:
         if start == end:
             break
         tag = depth + 1 if depth + 1 < lattice_depth else 0  # the children's key tag, if any
+        caps.append(caps[-1] >> 1)
         for v in range(start, end):
             flag = flags[v]
             if flag & (ZERO_RAY | ONES_RAY):
                 continue
             slope, num = slopes[v], nums[v]
-            one = 2 * num - (slope + 1) * scale  # the 1-child's N
+            double = 2 * num
+            one = double - (slope + 1) * scale  # the 1-child's N
             # ``ray`` is the child's flag, -1 for an infeasible digit.  The child
-            # whose |D| shrinks keeps its parent's headroom, and with it the
-            # parent's MAX_RAY flag (module docstring)
+            # whose |D| shrinks fits, and is a max ray, exactly when its parent
+            # does and is, so it keeps the parent's flag; the one whose |D| grows
+            # to a has the excess ``one``, which fits iff it is at most caps[a]
+            # and makes a max ray only there (module docstring)
             if slope >= 0:  # 0-child (D + 1, 2N) grows; 2N > 0, as N = 0 is a zero ray
-                headroom = twice - (3 * one << slope + 1)
-                if headroom < 0:
+                cap = caps[slope + 1]
+                if one > cap:
                     ray = -1
                 elif slope >= max_slope:
                     reason = "slope"
                     break
                 else:
-                    ray = 0 if headroom else MAX_RAY
+                    ray = MAX_RAY if one == cap and 3 * one << slope + 1 == twice else 0
             elif one > 0:  # 0-child shrinks: 2N > min(0, D + 1) S
                 ray = flag
             else:  # 2N = min(0, D + 1) S is a zero ray at D + 1 = 0, else a ones ray
                 ray = -1 if one else ZERO_RAY if slope == -1 else ONES_RAY
             if ray >= 0:
-                key = (tag, slope + 1, 2 * num) if tag else (slope + 1, 2 * num)
-                size = len(slopes)
-                child = nodes.setdefault(key, size)
+                key = (tag, slope + 1, double) if tag else (slope + 1, double)
+                child = add(key, size)
                 if child == size:  # a new state
                     if size >= max_states:
                         del nodes[key]
                         reason = "states"
                         break
+                    size += 1
                     slopes.append(slope + 1)
-                    nums.append(2 * num)
+                    nums.append(double)
                     flags.append(ray)
                     child0.append(-1)
                     child1.append(-1)
                 child0[v] = child
-            if slope <= 0:  # 1-child (D - 1, e) grows: e >= (D - 1) S and its headroom
+            if slope <= 0:  # 1-child (D - 1, e) grows: e >= (D - 1) S and e <= its cap
+                cap = caps[1 - slope]
                 above = one - (slope - 1) * scale
-                headroom = twice - (3 * one << 1 - slope)
-                if above < 0 or headroom < 0:
+                if one > cap or above < 0:
                     ray = -1
                 elif slope <= -max_slope:
                     reason = "slope"
                     break
+                elif one == cap and 3 * one << 1 - slope == twice:
+                    ray = MAX_RAY
                 else:
-                    ray = MAX_RAY if not headroom else 0 if above else ONES_RAY
+                    ray = 0 if above else ONES_RAY
             elif one > 0:  # 1-child shrinks: e > 0
                 ray = flag
             else:  # e = 0 is a zero ray
                 ray = -1 if one else ZERO_RAY
             if ray >= 0:
                 key = (tag, slope - 1, one) if tag else (slope - 1, one)
-                size = len(slopes)
-                child = nodes.setdefault(key, size)
+                child = add(key, size)
                 if child == size:  # a new state
                     if size >= max_states:
                         del nodes[key]
                         reason = "states"
                         break
+                    size += 1
                     slopes.append(slope - 1)
                     nums.append(one)
                     flags.append(ray)
@@ -366,13 +383,13 @@ def _closure(y: Fraction, max_states: int) -> Iterator[StateGraph]:
                 child1[v] = child
         else:  # the level is expanded: on to the next, if it has states
             depth += 1
-            start, end = end, len(slopes)
+            start, end = end, size
             continue
         break
     if depth < lattice_depth:  # a budget exit or an empty level above the lattice
-        graph.prefix = len(slopes)
+        graph.prefix = size
     if depth < keyed_depth:  # the closure ended above the keyed level
-        graph.level = (keyed_depth, len(slopes), len(slopes))
+        graph.level = (keyed_depth, size, size)
     graph.budget_reason = reason
     yield graph
 
@@ -703,8 +720,12 @@ def _paths(graph: StateGraph, counts: list[int]) -> Iterator[BinaryExpansion]:
     lies in the 0-subtree.  A path goes once round its exit-free cycle,
     keeping the rotation it entered at, e.g. 0^10 (0110) where
     :func:`to_binary` has 0^9 (0011).  A prefix state is never revisited, so
-    only core states are recorded on the path.  The walk keeps its own
-    stack, so long prefixes are fine.
+    only core states are recorded on the path.  A tagged state with one
+    live child starts a forced run, the digits up to the next tagged state
+    with two live children, zero ray or core state: the walk takes it once,
+    the first time it reaches the state, and every later path through that
+    state replays it with one list extend.  The walk keeps its own stack,
+    so long prefixes are fine.
     """
     flags, child0, child1, prefix = graph.flags, graph.child0, graph.child1, graph.prefix
     offset = graph.lattice_depth  # every path enters the core at this depth
@@ -713,6 +734,8 @@ def _paths(graph: StateGraph, counts: list[int]) -> Iterator[BinaryExpansion]:
     # digits[offset + i] leaves path[i]
     path: list[int] = [] if prefix else [0]
     position = [0] * len(flags)  # where a state stands on the path, if it is on it
+    # a forced tagged state's run, as its digits and the state it ends at
+    runs: dict[int, tuple[list[int], int]] = {}
     # (state, digits before the edge into it, that edge's digit)
     stack: list[tuple[int, int, tuple[int, ...]]] = [(child0[0], 0, (0,))]
     while stack:
@@ -731,6 +754,31 @@ def _paths(graph: StateGraph, counts: list[int]) -> Iterator[BinaryExpansion]:
                     break
                 position[v] = len(path)
                 path.append(v)
+            else:
+                run = runs.get(v)
+                if run is not None:  # a forced tagged state walked before
+                    digits += run[0]
+                    v = run[1]
+                    continue
+                # first reached: while the state has one live child, take its digit,
+                # up to a core state, a zero ray (no live child) or a tagged state
+                # with two live children, and record the run
+                head, start = v, len(digits)
+                while v < prefix:
+                    zero, one = child0[v], child1[v]
+                    if counts[zero] > 0:
+                        if counts[one] > 0:
+                            break
+                        digits.append(0)
+                        v = zero
+                    elif counts[one] > 0:
+                        digits.append(1)
+                        v = one
+                    else:
+                        break
+                if v != head:
+                    runs[head] = digits[start:], v
+                    continue
             zero, one = child0[v], child1[v]
             if counts[zero] > 0:
                 if counts[one] > 0:

@@ -726,19 +726,49 @@ def _graph_fields(graph):
             graph.child1, graph.prefix, graph.budget_reason)
 
 
+def _cap_boundary_children(graph):
+    """The children whose |D| grows to some a and whose excess
+    N - max(0, D) S is (2S // 3) >> a, the largest that fits: how many are
+    max rays and how many are not."""
+    scale = graph.ordinate.denominator
+    cap = 2 * scale // 3
+    found = {"max_ray": 0, "not_max_ray": 0}
+    for v, children in enumerate(zip(graph.child0, graph.child1)):
+        for child in children:
+            if child < 0:
+                continue
+            slope = graph.slope[child]
+            grows = abs(slope) > abs(graph.slope[v])
+            if grows and graph.num[child] - max(0, slope) * scale == cap >> abs(slope):
+                found["max_ray" if graph.flags[child] & MAX_RAY else "not_max_ray"] += 1
+    return found
+
+
 def test_closure_kernel_matches_reference(monkeypatch):
     """The level-by-level closure against the state-at-a-time reference in
     _oracles: the same keys and ids, lists, ``prefix`` and budget reason on
-    every depth-6 row, on seeded deep and open-denominator draws, and under
+    every depth-6 row, on every reduced j / (m * 2^k) in (0, 2/3] with odd
+    m < 32 and k <= 3, on seeded deep and open-denominator draws, and under
     every slope budget 0-11 (set through SLOPE_MARGIN, which the reference
     reads too) and every state budget up to the size of the closure under
-    slope budget 64, + 1.
+    slope budget 64, + 1.  The corpus holds hundreds of growing children at
+    the fit test's boundary, an excess equal to its cap, both max rays and
+    not.
     The sweep includes exits while the last tagged level is expanded, where
     the untagged children already made count in ``prefix``."""
     ordinates = [Fraction(j, 3 * 4**6) for j in range(2 * 4**6 + 1)]
+    ordinates += sorted(
+        {Fraction(j, m << k) for m in range(1, 32, 2) for k in range(4)
+         for j in range(1, 2 * (m << k) // 3 + 1)}
+    )
     ordinates += _seeded_ordinates(1721, (32, 48, 64, 128), 25, 80)
+    boundary = dict.fromkeys(("max_ray", "not_max_ray"), 0)
     for y in ordinates:
-        assert _graph_fields(close_graph(y)) == _graph_fields(oracles.reference_close_graph(y)), y
+        graph = close_graph(y)
+        assert _graph_fields(graph) == _graph_fields(oracles.reference_close_graph(y)), y
+        for kind, count in _cap_boundary_children(graph).items():
+            boundary[kind] += count
+    assert boundary["max_ray"] > 500 and boundary["not_max_ray"] > 300, boundary
     exits = last_level_exits = 0
     for y in (Fraction(2, 3), Fraction(1, 5), Fraction(37, 96), Fraction(1, 49), Fraction(2, 13),
               Fraction(1, 2**20)):
@@ -782,15 +812,21 @@ def test_mirrored_listing_matches_full_walk():
     a state exactly where its period closes, at the state where the period
     starts.  The preimages are the paths' values, strictly increasing, and
     there are ``cardinality`` of them.  Every Finite depth-6 row, seeded deep
-    draws and odd denominators, whose lattice depth is 0, so the root is a
-    core state."""
+    draws, odd denominators, whose lattice depth is 0, so the root is a
+    core state, and 2/3 - 1/(3 * 2^k) for even k = 8..20, with 2^(k/2 + 1)
+    points on graphs of a few dozen states, so every forced run of the
+    tagged prefix is replayed many times."""
+    many = {Fraction(2, 3) - Fraction(1, 3 << k): k for k in range(8, 21, 2)}
     ordinates = [Fraction(j, 3 * 4**6) for j in range(1, 2 * 4**6 + 1)]
     ordinates += _seeded_ordinates(1722, (32, 64, 128), 40, 80)
     ordinates += sorted({Fraction(j, m) for m in range(5, 64, 2) for j in range(1, 2 * m // 3 + 1)})
+    ordinates += many
     finite = core_root = 0
     for y in ordinates:
         graph = close_graph(y)
         report = analyze(graph)
+        if y in many:
+            assert report.cardinality == 2 ** (many[y] // 2 + 1) and report.n_local == 1, y
         if report.verdict is not Verdict.FINITE:
             continue
         reference = oracles.reference_close_graph(y)
