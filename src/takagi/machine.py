@@ -23,11 +23,14 @@ cardinality of L(y):
 
 States with R = D and D <= -1 admit only the all-ones suffix, the
 non-canonical twin of a dyadic expansion counted elsewhere; they are dead
-ends and are the only feasible dead ends.  Every other state gets a count of
-infinite continuations in one children-first pass over the strongly
-connected components (1 on a cycle or a zero ray, else the sum over its
-children); a state is live exactly when its count is positive, and under a
-Finite verdict the root's count is the cardinality.
+ends and are the only feasible dead ends.  The count pass gives every
+state its number of infinite continuations: Tarjan finds the cycle
+clusters, whose states count 1, and every other state counts, children
+first, 1 on a zero ray, else the sum over its children.  A state is live
+exactly when its count is positive, and under a Finite verdict the root's
+count is the cardinality.  The verdict's witnesses are read off the
+clusters, in the order Tarjan emits them: the first that branches, and
+the first that can be left.
 
 The fold (D, R) -> (-D, R - D) is the state of the complemented suffix
 1 - t (T(1 - t) = T(t)).  It keeps |D| and commutes with the steps (a 0 on
@@ -96,8 +99,8 @@ label.  The tagged states are the ids below
 ``prefix``, the first state at the lattice depth.  They form a layered DAG:
 each edge leaves depth d for depth d + 1 and a larger id, and no edge of the
 untagged core leads back into the prefix.  So Tarjan and the walk's revisit
-check run on the core alone, the count pass finishes with one sweep down
-the prefix ids, and the walk takes a forced run through tagged states once
+check run on the core alone, the count pass ends with one sweep down the
+prefix ids, and the walk takes a forced run through tagged states once
 (:func:`_paths`).  :func:`step`, :func:`is_feasible` and the
 ``envelope_*`` functions state the same rules on (D, R) with Fractions and
 are the exact reference the closure is tested against.
@@ -131,35 +134,37 @@ A count-only :func:`classify` keys one level in a bounded memo across
 ordinates (the grid's j / (3 * 4^n) all have m = 1 or 3): ``BAND`` = 3
 levels above the lattice depth when L > 3, at d = L - 3 <= k, else the
 entry level.  Its closure stops once, when that level is made, and the
-key is looked up once.  An entry holds the continuations and profiles of
-the level's own states, all that the sweep of the ids above the level
-reads, and the facts of the graph from the level on: its size and largest
-|D|, its live states, its number of cycle clusters, whether it holds a
-zero ray, and the witness texts of its first max ray, first branching
-cluster and first cycle exit.  A hit that fits the budgets, the level's
-first id plus the entry's size at most ``max_states`` and the entry's
-largest |D| at most the slope budget (ordinates of different k may share
-an entry, but not a slope budget), gives the report from that sweep and
-the entry, and no state from the level on is expanded.  Neither budget
-could stop that closure: a slope exit needs a feasible child past the
-budget, and a closed graph whose largest |D| is T has no feasible child
-past T.  A miss, or a hit that does not fit, closes the rest under the
-same budgets, so a budget exit keeps its reason, and runs the cold count
-pass on the whole graph; its facts from the level on are the level's
-entry.  Listing callers, the default ``classify`` and
-:func:`leftmost_preimage`, walk the core, which no entry keeps: they count
-the whole graph cold and neither read nor write the memo.  Why three: a
-grid row's tagged levels widen with depth, so the three nearest the
-lattice hold about a third of a depth-5 row's tagged states (7.0 of
-19.1), and the closure is most of a remembered row's time.  Keying higher
-leaves fewer states to close but gives more distinct keys: on a cold
-depth-6 grid, what one ``takagi grid --depth 6`` runs, offset 3 hits on
-7,127 of 8,193 rows and ends with 3,889 states held in 1,065 entries;
-offsets 4 and 5 hit on 6,822 and 6,326 and hold 4,231 and 5,473.
-Memo facts reach the count pass only as arguments, never through module
-state, so :func:`analyze` on a caller's graph neither reads nor writes the
-memo (an edited graph would poison it), and classify, whose memo writes
-hold a lock, is safe to call re-entrantly and from threads.
+key is looked up once.  An entry holds the counts of the level's own
+states, all that the sweep of the ids above the level reads, and the
+facts of the graph from the level on: its size, live states, cycle
+clusters and largest |D|, whether it holds a zero ray, and its witness
+texts.  A hit that fits the budgets, the level's first id plus the
+entry's size at most ``max_states`` and the entry's largest |D| at most
+the slope budget (ordinates of different k may share an entry, but not a
+slope budget), gives the report from that sweep and the entry, and no
+state from the level on is expanded.  Neither budget could stop that
+closure: a slope exit needs a feasible child past the budget, and a
+closed graph whose largest |D| is T has none.  A miss, or a hit that does
+not fit, closes the rest under the same budgets, so a budget exit keeps
+its reason, and runs the cold count pass on the whole graph; its facts
+from the level on are the entry.  Why three: a grid row's tagged levels
+widen with depth, so the three nearest the lattice hold about a third of
+a depth-5 row's tagged states (7.0 of 19.1), and the closure is most of a
+remembered row's time.  Keying higher leaves fewer states to close but
+gives more distinct keys: on a cold depth-6 grid, what one
+``takagi grid --depth 6`` runs, offset 3 hits on 7,127 of 8,193 rows and
+ends with 3,889 states held in 1,065 entries; offsets 4 and 5 hit on
+6,822 and 6,326 and hold 4,231 and 5,473.
+
+The keyed level is not a field of the graph: the closure hands it to
+classify beside the graph, and classify hands it, the key and the entry
+to :func:`analyze` as arguments, never through module state.  Every other
+caller counts the whole graph cold from id 0 and neither reads nor writes
+the memo: listing callers, the default ``classify`` and
+:func:`leftmost_preimage`, walk the core, which no entry keeps, and
+:func:`analyze` on a caller's graph must not (an edited graph would poison
+the memo).  Memo writes hold a lock, so classify is safe to call
+re-entrantly and from threads.
 """
 
 from __future__ import annotations
@@ -234,11 +239,7 @@ class StateGraph:
     at the lattice depth (the number of tagged states), or every id when
     the closure stops above that depth.  That includes a budget exit while
     the last tagged level is expanded: the untagged children already made
-    are below ``prefix`` too.  ``level`` is the depth, the first id and the
-    end id of the keyed level (module docstring), and after a closure that
-    ends above it an empty level at its depth, (depth, n, n) for n states.
-    A graph built by hand keeps the default, the root as the keyed level of
-    a graph with no prefix.  An ordinate outside [0, 2/3] has no states.
+    are below ``prefix`` too.  An ordinate outside [0, 2/3] has no states.
     """
 
     ordinate: Fraction
@@ -250,7 +251,6 @@ class StateGraph:
     child0: list[int] = field(default_factory=list)
     child1: list[int] = field(default_factory=list)
     prefix: int = 0
-    level: tuple[int, int, int] = (0, 0, 1)
     budget_reason: Optional[str] = None
 
     @property
@@ -267,21 +267,25 @@ def close_graph(y: Fraction, *, max_states: int = DEFAULT_MAX_STATES) -> StateGr
     states but never expanded.  The walk runs on integer states (D, N),
     N = R * S, one breadth-first level at a time.
     """
-    *_, graph = _closure(y, max_states)
+    *_, (graph, _) = _closure(y, max_states)
     return graph
 
 
-def _closure(y: Fraction, max_states: int) -> Iterator[StateGraph]:
-    """:func:`close_graph`'s closure in two stages.  The graph is yielded at
-    the keyed level, ``BAND`` levels above the lattice depth when that depth
-    is more than ``BAND``, else at the lattice depth, once the level is made
-    and none of its states is expanded, with ``level`` set to it, ``prefix``
-    set as for a closure that stopped there and ``closed`` reading True.  It
-    is yielded again when the closure ends; a closure that ends above the
-    keyed level yields only then."""
+def _closure(
+    y: Fraction, max_states: int
+) -> Iterator[tuple[StateGraph, tuple[int, int, int]]]:
+    """:func:`close_graph`'s closure in two stages, each yielded as the graph
+    and its keyed level: the depth, first id and end id of the level
+    (module docstring), ``BAND`` levels above the lattice depth when that
+    depth is more than ``BAND``, else at the lattice depth.  The first stage
+    comes once that level is made and none of its states is expanded, with
+    ``prefix`` set as for a closure that stopped there and ``closed``
+    reading True; the second when the closure ends.  A closure that ends
+    above the keyed level yields only the second, with an empty level at
+    the keyed depth, (depth, n, n) for n states."""
     root_num, scale = y.numerator, y.denominator
     if root_num < 0 or 3 * root_num > 2 * scale:  # y outside [0, 2/3]
-        yield StateGraph(y, 0)
+        yield StateGraph(y, 0), (0, 0, 0)
         return
     k = (scale & -scale).bit_length() - 1  # den(y) = 2^k m, m odd
     max_slope = k + SLOPE_MARGIN
@@ -304,8 +308,8 @@ def _closure(y: Fraction, max_states: int) -> Iterator[StateGraph]:
         if depth <= lattice_depth:
             graph.prefix = start if depth == lattice_depth else end
         if depth == keyed_depth:
-            graph.level = (depth, start, end)
-            yield graph
+            level = (depth, start, end)
+            yield graph, level
         if start == end:
             break
         tag = depth + 1 if depth + 1 < lattice_depth else 0  # the children's key tag, if any
@@ -389,9 +393,9 @@ def _closure(y: Fraction, max_states: int) -> Iterator[StateGraph]:
     if depth < lattice_depth:  # a budget exit or an empty level above the lattice
         graph.prefix = size
     if depth < keyed_depth:  # the closure ended above the keyed level
-        graph.level = (keyed_depth, size, size)
+        level = (keyed_depth, size, size)
     graph.budget_reason = reason
-    yield graph
+    yield graph, level
 
 
 class Verdict(Enum):
@@ -443,22 +447,16 @@ def _report(
     return new
 
 
-def _live_states(
-    graph: StateGraph,
-) -> tuple[list[int], list[int], int, list[int], tuple[int, int]]:
-    """The cold count pass: (continuations, profiles) per state, the number
-    of cycle clusters, and the members of the first branching cluster and
-    the first cycle exit, as (state, child), in Tarjan's order.
+def _live_states(graph: StateGraph) -> tuple[list[int], list[int], list[list[int]]]:
+    """The cold count pass: each state's continuations and profiles, and
+    the cycle clusters, in Tarjan's order, each in the order Tarjan pops its
+    members.
 
-    One Tarjan over the no-dead-end subgraph of the core, the states from
-    ``graph.prefix`` on (no core edge leads back into the tagged prefix),
-    counts each component as it emits it, children first: every state of
-    a cycle cluster counts 1, a single state as :func:`_count_from_children`
-    counts it.  A cluster branches when more of its edges stay inside it
-    than it has states, and its exit is its first edge, in member order,
-    0-digit first, to a live state outside it, emitted before it; the first
-    of each is kept, [] and (-1, -1) when there is none.  A sweep down the
-    prefix ids, whose edges all lead to larger ids, ends the pass.
+    Tarjan runs over the no-dead-end subgraph of the core, the states from
+    ``graph.prefix`` on (no core edge leads back into the tagged prefix), and
+    emits each component after every component it leads to.  A cycle
+    cluster's states count 1; the single states, in emission order, then the
+    prefix ids, downwards, are counted by :func:`_count_from_children`.
 
     Infinite paths in a finite graph must reach a cycle or stop on the
     all-zeros ray, so a state is live iff its continuations are > 0.  Under
@@ -466,8 +464,7 @@ def _live_states(
     counts and counts of distinct |D_j| sequences.  Dead ends count 0, and
     so does one extra last entry, which a missing child (-1) reads.
     """
-    flags, slopes, child0, child1 = graph.flags, graph.slope, graph.child0, graph.child1
-    children = (child0, child1)
+    flags, children = graph.flags, (graph.child0, graph.child1)
     size = len(flags)
     counts, profiles = [0] * (size + 1), [0] * (size + 1)
     index = [-1] * size
@@ -475,9 +472,9 @@ def _live_states(
     on_stack = bytearray(size)
     next_bit = bytearray(size)  # the next child to try, per state on ``work``
     stack: list[int] = []
-    counter = clusters = 0
-    branching: list[int] = []
-    exit_edge = (-1, -1)
+    counter = 0
+    singles: list[int] = []
+    cycles: list[list[int]] = []
     for start in range(graph.prefix, size):
         if index[start] >= 0 or flags[start] & ONES_RAY:
             continue
@@ -507,46 +504,29 @@ def _live_states(
                 continue
             w = stack.pop()
             on_stack[w] = 0
-            if w == v:  # a single state
-                if flags[v] & ZERO_RAY:
-                    counts[v] = profiles[v] = 1
-                    continue
-                zero, one = child0[v], child1[v]
-                counts[v] = counts[zero] + counts[one]
-                if slopes[v]:
-                    profiles[v] = profiles[zero] + profiles[one]
-                else:
-                    profiles[v] = max(profiles[zero], profiles[one])
+            if w == v:
+                singles.append(v)
                 continue
             comp = [w]
             while w != v:
                 w = stack.pop()
                 on_stack[w] = 0
                 comp.append(w)
-            clusters += 1
             for w in comp:
                 counts[w] = profiles[w] = 1
-            if branching and exit_edge[0] >= 0:
-                continue
-            members, inner = set(comp), 0
-            for w in comp:
-                for child in (child0[w], child1[w]):
-                    if child in members:
-                        inner += 1
-                    elif exit_edge[0] < 0 and counts[child] > 0:
-                        exit_edge = (w, child)
-            if inner > len(comp) and not branching:
-                branching = comp
-    _count_from_children(graph, counts, profiles, range(graph.prefix - 1, -1, -1))
-    return counts, profiles, clusters, branching, exit_edge
+            cycles.append(comp)
+    _count_from_children(graph, counts, profiles, chain(singles, range(graph.prefix - 1, -1, -1)))
+    return counts, profiles, cycles
 
 
 def _count_from_children(
     graph: StateGraph, counts: list[int], profiles: list[int], states: Iterable[int]
 ) -> None:
-    """Count each of ``states``, in order, off its children's counts: 1 on a
-    zero ray, else the sum, except that a D = 0 state's profiles are its
-    children's, the two children being folds of each other."""
+    """The counting rule, for every state that is not on a cycle: count
+    each of ``states``, in order, off its children's counts.  A zero ray
+    counts 1; any other state the sum of its children's, except that a
+    D = 0 state's profiles are its children's, the two children being folds
+    of each other."""
     slopes, flags, child0, child1 = graph.slope, graph.flags, graph.child0, graph.child1
     for v in states:
         if flags[v] & ZERO_RAY:
@@ -565,15 +545,15 @@ def _state_label(graph: StateGraph, v: int) -> str:
 
 
 class _Entry(NamedTuple):
-    """What the count pass gives for a graph from its keyed level on, as the
-    memo keeps it.  ``counts`` and ``profiles`` hold the continuations and
-    profiles of the level's own states, in id order, all that the sweep of
-    the ids above the level reads.  The rest are facts of the whole graph
-    from the level on: its number of states; how many of them are live;
-    the number of cycle clusters; the largest |D|; whether a zero ray is
-    among the states; and the witness texts of the first max ray, in id
-    order, and of the first branching cluster and the first cycle exit, in
-    Tarjan's order, each empty when there is none."""
+    """The count pass's facts of a graph from its keyed level on, as the memo
+    keeps them.  ``counts`` and ``profiles`` are those of the level's own
+    states, in id order, all that the sweep of the ids above the level
+    reads.  The rest hold from the level on: the number of states, of live
+    states and of cycle clusters; the largest |D|, formed only for an entry
+    to be written (0 otherwise); whether a zero ray is among the states;
+    and two witness texts, empty when there is none.  ``uncountable`` names
+    the first max ray, in id order, or else the first branching cluster, in
+    Tarjan's order; ``exit`` names the first cycle exit, in Tarjan's order."""
 
     counts: list[int]
     profiles: list[int]
@@ -582,8 +562,7 @@ class _Entry(NamedTuple):
     clusters: int
     top: int
     zero_ray: bool
-    max_ray: str
-    branching: str
+    uncountable: str
     exit: str
 
 
@@ -609,12 +588,12 @@ _CORE_MEMO_LOCK = Lock()
 _core_memo_held = 0  # the states held, over every entry
 
 
-def _entry_key(graph: StateGraph, k: int, odd: int) -> tuple:
-    """The memo key of the graph from its keyed level on, ``graph.level``
-    at depth d: the levels left to the lattice depth L, then k - s, m and
-    the (D, N >> s) of the level's states in id order, for den(y) = 2^k m
-    (``k`` and ``odd``) and s = min(d, k)."""
-    depth, start, end = graph.level
+def _entry_key(graph: StateGraph, level: tuple[int, int, int], k: int, odd: int) -> tuple:
+    """The memo key of the graph from its keyed ``level`` at depth d: the
+    levels left to the lattice depth L, then k - s, m and the (D, N >> s) of
+    the level's states in id order, for den(y) = 2^k m (``k`` and ``odd``)
+    and s = min(d, k)."""
+    depth, start, end = level
     shift = depth if depth < k else k
     nums = graph.num[start:end]
     if shift:
@@ -623,50 +602,57 @@ def _entry_key(graph: StateGraph, k: int, odd: int) -> tuple:
 
 
 def _counted(
-    graph: StateGraph, key: Optional[tuple], entry: Optional[_Entry]
+    graph: StateGraph, start: int, end: int, key: Optional[tuple], entry: Optional[_Entry]
 ) -> tuple[list[int], list[int], _Entry]:
     """The count pass: every state's continuations and profiles, and the
-    facts of the graph from its keyed level on, ``graph.level``.  A
-    remembered ``entry``, found under ``key``, gives the counts of the
-    level's states, all that the sweep of the ids above it reads, and the
-    facts from the level on, so the graph need hold no more than that
-    level.  Otherwise the cold pass runs on the whole graph, and the facts
-    are read off it and, given a ``key``, written under it."""
-    start, end = graph.level[1:]
+    facts of the graph from the level of ids ``start`` to ``end`` on.  A
+    remembered ``entry``, found under ``key``, gives the counts of that
+    level's states, from which the ids above it are swept, and the facts,
+    so the graph need hold no more than that level.  Otherwise the cold
+    pass runs on the whole graph, the facts are read off it and its cycle
+    clusters, and, given a ``key``, written under it."""
     if entry is not None:
         counts = [0] * start + entry.counts + [0]
         profiles = [0] * start + entry.profiles + [0]
         _count_from_children(graph, counts, profiles, range(start - 1, -1, -1))
         return counts, profiles, entry
-    counts, profiles, clusters, branching, (source, target) = _live_states(graph)
-    flags = graph.flags[start:]
-    max_ray = branches = exit_text = ""
+    counts, profiles, cycles = _live_states(graph)
+    flags, child0, child1 = graph.flags[start:], graph.child0, graph.child1
+    uncountable = exit_text = ""
     if MAX_RAY in flags:
-        max_ray = f"max-envelope state {_state_label(graph, start + flags.index(MAX_RAY))} reached"
-    if branching:
-        # cycles lie past the lattice depth, where keys are (D, N): sort on
-        # the (D, R) form, so the listing does not depend on S
-        scale = graph.ordinate.denominator
-        ordered = sorted(
-            branching, key=lambda v: str((graph.slope[v], Fraction(graph.num[v], scale)))
-        )
-        labels = ", ".join(_state_label(graph, v) for v in ordered)
-        branches = f"branching cycle cluster {{{labels}}}"
-    if source >= 0:
-        exit_text = (
-            f"cycle through {_state_label(graph, source)} "
-            f"can be left towards {_state_label(graph, target)}"
-        )
+        first = start + flags.index(MAX_RAY)
+        uncountable = f"max-envelope state {_state_label(graph, first)} reached"
+    for comp in cycles:
+        if uncountable and exit_text:
+            break
+        members, inner = set(comp), 0
+        for w in comp:
+            for child in (child0[w], child1[w]):
+                if child in members:
+                    inner += 1
+                elif not exit_text and counts[child] > 0:
+                    exit_text = (
+                        f"cycle through {_state_label(graph, w)} "
+                        f"can be left towards {_state_label(graph, child)}"
+                    )
+        if inner > len(comp) and not uncountable:
+            # cycles lie past the lattice depth, where keys are (D, N): sort on
+            # the (D, R) form, so the listing does not depend on S
+            scale = graph.ordinate.denominator
+            ordered = sorted(
+                comp, key=lambda v: str((graph.slope[v], Fraction(graph.num[v], scale)))
+            )
+            labels = ", ".join(_state_label(graph, v) for v in ordered)
+            uncountable = f"branching cycle cluster {{{labels}}}"
     entry = _Entry(
         counts[start:end],
         profiles[start:end],
         size=len(flags),
         live=sum(map(bool, counts[start:-1])),
-        clusters=clusters,
-        top=max(map(abs, graph.slope[start:]), default=0),
+        clusters=len(cycles),
+        top=max(map(abs, graph.slope[start:]), default=0) if key is not None else 0,
         zero_ray=ZERO_RAY in flags,
-        max_ray=max_ray,
-        branching=branches,
+        uncountable=uncountable,
         exit=exit_text,
     )
     if key is not None:
@@ -803,7 +789,7 @@ def _complement(path: BinaryExpansion) -> BinaryExpansion:
 
 
 def analyze(
-    graph: StateGraph, *, listing: bool = True, _keyed: tuple = (None, None)
+    graph: StateGraph, *, listing: bool = True, _keyed: tuple = (0, 1, None, None)
 ) -> LevelSetReport:
     """Turn a closed state graph into a verdict, and list the points if asked.
 
@@ -816,11 +802,12 @@ def analyze(
     two children count alike, the fold symmetry the listing relies on.
     The checks on a caller's graph raise AssertionError explicitly, so they
     hold under ``python -O`` too.
-    ``_keyed`` is count-only :func:`classify`'s alone: the key of its keyed
-    level and the entry found under it, which the count pass reads, or
-    None, when it writes the entry it finds; with an entry the graph may
-    end at the keyed level (module docstring).  By default, as on a
-    caller's graph, the cold pass runs and the memo is untouched.
+    ``_keyed`` is count-only :func:`classify`'s alone: the first and end
+    ids of its keyed level, the level's key, and the entry found under it
+    or None.  With an entry the graph may end at that level; without one
+    the cold pass writes its facts under the key (module docstring).  The
+    default, the root's level with no key, counts the whole graph cold
+    and leaves the memo alone.
 
     The ordinate 0 is special-cased: its zero ray would read as "dyadic point
     attained", but 0 is attained only at the endpoints, so L(0) = {0, 1}.
@@ -846,7 +833,7 @@ def analyze(
         return _report(y, Verdict.INDETERMINATE, diagnostics, witness=witness)
 
     counts, profiles, entry = _counted(graph, *_keyed)
-    base = graph.level[1]  # a remembered entry's graph may end at this level
+    base = _keyed[0]  # a remembered entry's graph may end at this level
     diagnostics["states"] = base + entry.size
     diagnostics["cycles"] = entry.clusters
     diagnostics["live_states"] = sum(map(bool, counts[:base])) + entry.live
@@ -855,7 +842,7 @@ def analyze(
     if MAX_RAY in above:
         witness = f"max-envelope state {_state_label(graph, above.index(MAX_RAY))} reached"
     else:
-        witness = entry.max_ray or entry.branching
+        witness = entry.uncountable
     if witness:
         return _report(y, Verdict.UNCOUNTABLE, diagnostics, witness=witness)
     if entry.zero_ray or ZERO_RAY in above:
@@ -912,8 +899,8 @@ def leftmost_preimage(y: Fraction) -> Fraction:
     That path either stops on the all-zeros ray (dyadic answer) or first
     revisits one of its states, closing an eventually periodic expansion,
     e.g. leftmost(1/2) = 1/6 = 0.0(01) and leftmost(2/3) = 1/3 = 0.(01).
-    The walk reads the counts of the cold pass over the whole graph, as
-    listing :func:`classify` does; the memo is neither read nor written.
+    The walk reads the cold counts of the whole graph, as listing
+    :func:`classify` does, and leaves the memo alone.
     """
     if not 0 <= y <= TWO_THIRDS:
         raise ValueError(f"level set of {y} is empty")
@@ -943,21 +930,24 @@ def classify(
     a guess.  The slope budget, worked out from den(y), stops drift suffixes
     such as (001)^inf under 1/49 and some cores of wide odd parts (module
     docstring).  A listing call is ``analyze(close_graph(y))`` and leaves
-    the memo alone.  A count-only call makes one memo lookup, at its keyed
-    level, and when the entry is there and fits its budgets expands no state
-    from that level on; otherwise it closes the rest and writes the entry
-    (module docstring).  The graph and the memo facts go to :func:`analyze`
-    as arguments, so classify is safe to call re-entrantly and from
-    threads, and by name, so a wrapper on it (perfbench's tracer) sees every
-    classification.
+    the memo alone.  A count-only call closes the graph through its keyed
+    level, which the closure hands back beside the graph, and looks that
+    level up once: an entry that fits its budgets spares every state from
+    the level on; otherwise the rest is closed and the entry written
+    (module docstring).  The level's ids, its key and the entry go to
+    :func:`analyze` as arguments, so classify is safe to call re-entrantly
+    and from threads, and by name, so a wrapper on it (perfbench's tracer)
+    sees every classification.
     """
     if listing:
         return analyze(close_graph(y, max_states=max_states))
     k, odd = split_denominator(y)
     stages = _closure(y, max_states)
-    graph = next(stages)  # closed through its keyed level, or wholly
-    key = _entry_key(graph, k, odd)
+    graph, level = next(stages)  # closed through its keyed level, or wholly
+    key = _entry_key(graph, level, k, odd)
     entry = _CORE_MEMO.get(key)
-    if entry is None or graph.level[1] + entry.size > max_states or entry.top > k + SLOPE_MARGIN:
-        graph, entry = next(stages, graph), None  # the rest of the closure, under the same budgets
-    return analyze(graph, listing=False, _keyed=(key, entry))
+    start, end = level[1:]
+    if entry is None or start + entry.size > max_states or entry.top > k + SLOPE_MARGIN:
+        # the rest of the closure, under the same budgets
+        graph, entry = next(stages, (graph, level))[0], None
+    return analyze(graph, listing=False, _keyed=(start, end, key, entry))

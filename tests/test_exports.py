@@ -1,6 +1,7 @@
-"""The package's export list: every name resolves, in a stable order; and
-the budgets ``machine``'s entry points take."""
+"""The package's export list: every name resolves, in a stable order; the
+budgets ``machine``'s entry points take; and the fields of its graph."""
 
+import dataclasses
 import inspect
 
 import takagi
@@ -37,3 +38,22 @@ def test_budget_parameters():
     assert keyword_only(machine.classify) == ["max_states", "listing"]
     assert keyword_only(machine.close_graph) == ["max_states"]
     assert not hasattr(machine, "DEFAULT_MAX_SLOPE")
+
+
+def test_state_graph_fields():
+    """The closed graph's fields, in order: the keyed level of count-only
+    classify is not among them (the closure hands it over beside the
+    graph), so a graph built by hand or read back from its lists needs no
+    more than these."""
+    assert [f.name for f in dataclasses.fields(machine.StateGraph)] == [
+        "ordinate",
+        "lattice_depth",
+        "nodes",
+        "slope",
+        "num",
+        "flags",
+        "child0",
+        "child1",
+        "prefix",
+        "budget_reason",
+    ]

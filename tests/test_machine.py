@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -635,18 +636,22 @@ def test_prefix_is_a_layered_dag(monkeypatch):
         assert graph.prefix == len(graph.slope)
 
 
+_LABEL = re.compile(r"\(D=-?\d+, R=[^)]*\)")
+
+
 def test_core_tarjan_matches_whole_graph():
-    """The cold pass, one Tarjan on the core that counts each component as
-    it emits it, then the prefix sweep, against Tarjan from every id and
-    one count pass over its components (the reference in _oracles): the
-    same counts, profiles and liveness everywhere, and, over the reference's
-    cycle clusters once the prefix ids are filtered out, in its order, the
-    same number of clusters, the same first branching cluster (more edges
-    inside it than members), members in emission order, and the same first
-    cycle exit, the first edge of a cluster, in member order, 0-digit first,
-    to a live state outside it.  Every depth-6 row, seeded deep and
-    open-denominator draws and the hand-built graphs, which give the
-    branching cluster and the exit."""
+    """The cold pass, one Tarjan on the core, then the count of its single
+    states and the prefix sweep, against Tarjan from every id and one count
+    pass over its components (the reference in _oracles): the same counts,
+    profiles and liveness everywhere, and the reference's cycle clusters,
+    once the prefix ids are filtered out, in its order and member order.
+    The count pass's entry texts, from id 0, name the first max ray, else
+    the first of those clusters that branches (more edges inside it than
+    members), with its members' labels, and the first cycle exit, the first
+    edge of a cluster, in member order, 0-digit first, to a live state
+    outside it.  Every depth-6 row, seeded deep and open-denominator draws
+    and the hand-built graphs, which give the branching cluster and the
+    exit."""
     graphs = [close_graph(y) for y in [Fraction(j, 3 * 4**6) for j in range(2 * 4**6 + 1)]]
     graphs += [close_graph(y) for y in _seeded_ordinates(1718, (32, 64, 128), 40, 80)]
     graphs += _hand_graphs()
@@ -655,23 +660,43 @@ def test_core_tarjan_matches_whole_graph():
         if not graph.closed:
             continue
         y = graph.ordinate
-        counts, profiles, clusters, branching, exit_edge = machine._live_states(graph)
+        counts, profiles, cycles = machine._live_states(graph)
         ref_comps, ref_counts, ref_profiles, ref_live = oracles.whole_graph_live_states(graph)
         live = [n > 0 for n in counts]
         assert (counts, profiles, live) == (ref_counts, ref_profiles, ref_live), y
         cores = [c for c in ref_comps if len(c) > 1 and c[0] >= graph.prefix]
+        assert cycles == cores, y
         edges = [[(v, w) for v in c for w in (graph.child0[v], graph.child1[v])] for c in cores]
         ref_branching = next(
             (c for c, out in zip(cores, edges) if sum(w in c for _, w in out) > len(c)), []
         )
         ref_exit = next(
             ((v, w) for c, out in zip(cores, edges) for v, w in out if w not in c and ref_live[w]),
-            (-1, -1),
+            None,
         )
-        assert (clusters, branching, exit_edge) == (len(cores), ref_branching, ref_exit), y
-        found["cycles"] += clusters
-        found["branching"] += bool(branching)
-        found["exits"] += exit_edge[0] >= 0
+        entry = machine._counted(graph, 0, 1, None, None)[2]
+
+        def label(v):
+            return machine._state_label(graph, v)
+
+        if MAX_RAY in graph.flags:
+            assert entry.uncountable == (
+                f"max-envelope state {label(graph.flags.index(MAX_RAY))} reached"
+            ), y
+        elif ref_branching:
+            assert entry.uncountable.startswith("branching cycle cluster {"), y
+            named = _LABEL.findall(entry.uncountable)
+            assert sorted(named) == sorted(map(label, ref_branching)), y
+        else:
+            assert entry.uncountable == "", y
+        exit_text = (
+            f"cycle through {label(ref_exit[0])} can be left towards {label(ref_exit[1])}"
+            if ref_exit else ""
+        )
+        assert entry.exit == exit_text, y
+        found["cycles"] += len(cycles)
+        found["branching"] += bool(ref_branching)
+        found["exits"] += ref_exit is not None
     assert found["cycles"] > 10_000 and found["branching"] > 100 and found["exits"] > 1000, found
 
 
@@ -1007,10 +1032,12 @@ def _tarjan_runs(monkeypatch):
     return runs
 
 
-def _close_to(monkeypatch, graph):
+def _close_to(monkeypatch, graph, level=(0, 0, 1)):
     """Make classify's closure, under either ``listing`` value, give back
-    ``graph`` as its only stage, whole, whatever the ordinate."""
-    monkeypatch.setattr(machine, "_closure", lambda y, max_states: iter([graph]))
+    ``graph`` as its only stage, whole, whatever the ordinate, with ``level``
+    as its keyed level: by default the root, as for a hand-built graph,
+    which has no prefix."""
+    monkeypatch.setattr(machine, "_closure", lambda y, max_states: iter([(graph, level)]))
 
 
 def _hand_graphs():
@@ -1187,10 +1214,55 @@ def test_memo_keeps_tarjan_for_cluster_witnesses(monkeypatch):
         _clear_memo()  # the hand-built facts are not the closure's
 
 
+def test_witness_names_the_first_cluster_in_tarjans_order(monkeypatch):
+    """With two candidate clusters, the witness names the first one Tarjan
+    emits, not the one with the smaller ids.  Two hand-built graphs over
+    den(y) = 7, whose root's 0-digit leads into a cluster A and its 1-digit
+    into a cluster B with smaller ids; Tarjan, run from the root, 0-digit
+    first, emits A before B.  In one both clusters branch; in the other
+    each can be left towards the exit-free cycle C.  The witness is pinned
+    under both ``listing`` values, from analyze cold and from classify,
+    handed the graph as its closure, count-only twice (the second call
+    reads the entry the first wrote and runs no Tarjan), then listing."""
+    y = Fraction(1, 7)
+    root, b1, b2 = (0, y), (1, Fraction(2, 7)), (2, Fraction(3, 7))
+    a1, a2, c1, c2 = (1, Fraction(4, 7)), (2, Fraction(5, 7)), (3, Fraction(6, 7)), (2, y)
+    branching = {root: {0: a1, 1: b1}, b1: {0: b2, 1: b2}, b2: {1: b1},
+                 a1: {0: a2, 1: a2}, a2: {1: a1}}
+    exits = {root: {0: a1, 1: b1}, b1: {0: b2}, b2: {0: c1, 1: b1}, c1: {1: c2}, c2: {0: c1},
+             a1: {0: a2}, a2: {0: c1, 1: a1}}
+    cases = [
+        (branching, Verdict.UNCOUNTABLE, 2, None,
+         "branching cycle cluster {(D=1, R=4/7), (D=2, R=5/7)}"),
+        (exits, Verdict.COUNTABLY_INFINITE, 3, Fraction(1, 12),  # 0.000(10)
+         "cycle through (D=2, R=5/7) can be left towards (D=3, R=6/7)"),
+    ]
+    tarjan = _tarjan_runs(monkeypatch)
+    try:
+        for edges, verdict, cycles, preimage, witness in cases:
+            graph = _hand_graph(y, edges)
+            _close_to(monkeypatch, graph)
+            _clear_memo()
+            reports = [analyze(graph, listing=listing) for listing in (True, False)]
+            runs = []
+            for listing in (False, False, True):
+                ran = len(tarjan)
+                reports.append(classify(y, listing=listing))
+                runs.append(len(tarjan) - ran)
+            assert runs == [1, 0, 1]
+            for report in reports:
+                assert (report.verdict, report.witness) == (verdict, witness)
+                assert report.diagnostics["cycles"] == cycles
+            assert [r.witness_preimage for r in reports] == [preimage, None, None, None, preimage]
+    finally:
+        _clear_memo()  # the hand-built facts are not the closure's
+
+
 def test_memo_shifts_witnesses_behind_a_prefix(monkeypatch):
     """The cycle-exit graph behind two tagged states, with den(y) = 4 * 3:
-    its entry level is the bare graph's root a alone (``level`` is set as
-    the closure would set it), so its key is the bare graph's, and after
+    its entry level is the bare graph's root a alone (the keyed level
+    handed to classify is the one the closure would give, ids 2 to 3), so
+    its key is the bare graph's, and after
     count-only classify(1/3) on the bare graph, count-only classify on this
     one reads the entry written at prefix 0 and must name the same cycle
     and exit at ids two higher.  Both orders give the reports analyze gives
@@ -1203,9 +1275,8 @@ def test_memo_shifts_witnesses_behind_a_prefix(monkeypatch):
     edges = {root: {0: tagged}, tagged: {0: a}}
     edges.update({a: {0: b}, b: {0: c, 1: a}, c: {1: d}, d: {0: c}})
     graphs = {"bare": _hand_graphs()[0]}
-    graphs["behind"] = dataclasses.replace(
-        _hand_graph(y, edges), prefix=2, lattice_depth=2, level=(2, 2, 3)
-    )
+    graphs["behind"] = dataclasses.replace(_hand_graph(y, edges), prefix=2, lattice_depth=2)
+    levels = {"bare": (0, 0, 1), "behind": (2, 2, 3)}
     cold = {
         (name, listing): analyze(graph, listing=listing)
         for name, graph in graphs.items()
@@ -1221,7 +1292,7 @@ def test_memo_shifts_witnesses_behind_a_prefix(monkeypatch):
             counted = []
             for name in order:
                 graph = graphs[name]
-                _close_to(monkeypatch, graph)
+                _close_to(monkeypatch, graph, levels[name])
                 for listing in (False, True):
                     ran = len(tarjan)
                     assert classify(graph.ordinate, listing=listing) == cold[name, listing], name
@@ -1329,8 +1400,8 @@ def test_equal_keyed_level_keys_give_equal_subgraphs():
         assert all(n % (1 << shift) == 0 for n in graph.num[start:]), y
         key = (lattice - depth, k - shift, odd, tuple(graph.slope[v] for v in ids),
                tuple(graph.num[v] >> shift for v in ids))
-        stop = next(machine._closure(y, machine.DEFAULT_MAX_STATES))
-        assert machine._entry_key(stop, k, odd) == key, y
+        stop, level = next(machine._closure(y, machine.DEFAULT_MAX_STATES))
+        assert level[1] == start and machine._entry_key(stop, level, k, odd) == key, y
         subgraph = tuple(
             tuple(-1 if child < 0 else child - start for child in children[start:])
             for children in (graph.child0, graph.child1)
@@ -1348,19 +1419,21 @@ def test_warm_witnesses_behind_a_prefix_match_cold(monkeypatch):
     with odd m <= 63 and k = 1..3, each count-only, listing, then count-only
     again: the same reports.  All 104 branching rows have a tagged prefix,
     and each one's last call reads its cluster off the entry the first
-    wrote or found, and runs no Tarjan.  classify is handed close_graph(y),
-    which the cold reports are read from when they are not built yet, so
+    wrote or found, and runs no Tarjan.  classify is handed close_graph(y)
+    with its own keyed level, as the closure's last stage gives them; the
+    cold reports are read from that graph when they are not built yet, so
     each ordinate is closed once."""
     ordinates = sorted({
         y for m in range(1, 64, 2) for k in (1, 2, 3) for j in range(1, 2 * (m << k) // 3 + 1)
         if (y := Fraction(j, m << k)).denominator == m << k
     })
-    graphs = [close_graph(y) for y in ordinates]  # before close_graph's closure is patched
+    # the closure's last stage, before the closure is patched
+    stages = [list(machine._closure(y, machine.DEFAULT_MAX_STATES))[-1] for y in ordinates]
     tarjan = _tarjan_runs(monkeypatch)
     _clear_memo()
     branching = 0
-    for y, graph in zip(ordinates, graphs):
-        _close_to(monkeypatch, graph)
+    for y, (graph, level) in zip(ordinates, stages):
+        _close_to(monkeypatch, graph, level)
         for listing in (False, True, False):
             cold = _cold(y, listing, graph=graph)[0]
             ran = len(tarjan)
@@ -1407,7 +1480,7 @@ def test_core_memo_stays_within_its_bound(monkeypatch):
     monkeypatch.setattr(machine, "_CORE_MEMO_STATES", 1)
     _clear_memo()
     large, small = Fraction(1, 12), Fraction(2, 3)
-    levels = [next(machine._closure(y, machine.DEFAULT_MAX_STATES)).level for y in (large, small)]
+    levels = [next(machine._closure(y, machine.DEFAULT_MAX_STATES))[1] for y in (large, small)]
     assert levels == [(2, 3, 5), (0, 0, 1)]
     for y in (small, large):
         assert classify(y, listing=False) == analyze(close_graph(y), listing=False), y
