@@ -832,13 +832,13 @@ def analyze(
         witness = f"budget exceeded ({graph.budget_reason})"
         return _report(y, Verdict.INDETERMINATE, diagnostics, witness=witness)
 
-    counts, profiles, entry = _counted(graph, *_keyed)
-    base = _keyed[0]  # a remembered entry's graph may end at this level
-    diagnostics["states"] = base + entry.size
+    start, end, key, found = _keyed  # a remembered entry's graph may end at start
+    counts, profiles, entry = _counted(graph, start, end, key, found)
+    diagnostics["states"] = start + entry.size
     diagnostics["cycles"] = entry.clusters
-    diagnostics["live_states"] = sum(map(bool, counts[:base])) + entry.live
+    diagnostics["live_states"] = sum(map(bool, counts[:start])) + entry.live
 
-    above = graph.flags[:base]
+    above = graph.flags[:start]
     if MAX_RAY in above:
         witness = f"max-envelope state {_state_label(graph, above.index(MAX_RAY))} reached"
     else:

@@ -649,9 +649,10 @@ def test_core_tarjan_matches_whole_graph():
     the first of those clusters that branches (more edges inside it than
     members), with its members' labels, and the first cycle exit, the first
     edge of a cluster, in member order, 0-digit first, to a live state
-    outside it.  Every depth-6 row, seeded deep and open-denominator draws
-    and the hand-built graphs, which give the branching cluster and the
-    exit."""
+    outside it.  The branching cluster is checked on every graph, on a copy
+    with its max-ray flags cleared.  Every depth-6 row, seeded deep and
+    open-denominator draws and the hand-built graphs, which give a branching
+    cluster and an exit."""
     graphs = [close_graph(y) for y in [Fraction(j, 3 * 4**6) for j in range(2 * 4**6 + 1)]]
     graphs += [close_graph(y) for y in _seeded_ordinates(1718, (32, 64, 128), 40, 80)]
     graphs += _hand_graphs()
@@ -675,6 +676,11 @@ def test_core_tarjan_matches_whole_graph():
             None,
         )
         entry = machine._counted(graph, 0, 1, None, None)[2]
+        # no count reads MAX_RAY: without the flags the same pass names the
+        # branching cluster on every graph, max rays or not
+        rayless = dataclasses.replace(graph, flags=[f & ~MAX_RAY for f in graph.flags])
+        stripped_counts, _, stripped = machine._counted(rayless, 0, 1, None, None)
+        assert stripped_counts == counts and stripped.exit == entry.exit, y
 
         def label(v):
             return machine._state_label(graph, v)
@@ -683,19 +689,21 @@ def test_core_tarjan_matches_whole_graph():
             assert entry.uncountable == (
                 f"max-envelope state {label(graph.flags.index(MAX_RAY))} reached"
             ), y
-        elif ref_branching:
-            assert entry.uncountable.startswith("branching cycle cluster {"), y
-            named = _LABEL.findall(entry.uncountable)
-            assert sorted(named) == sorted(map(label, ref_branching)), y
         else:
-            assert entry.uncountable == "", y
+            assert entry.uncountable == stripped.uncountable, y
+        if ref_branching:
+            assert stripped.uncountable.startswith("branching cycle cluster {"), y
+            named = _LABEL.findall(stripped.uncountable)
+            assert sorted(named) == sorted(map(label, ref_branching)), y
+            found["branching"] += 1
+        else:
+            assert stripped.uncountable == "", y
         exit_text = (
             f"cycle through {label(ref_exit[0])} can be left towards {label(ref_exit[1])}"
             if ref_exit else ""
         )
         assert entry.exit == exit_text, y
         found["cycles"] += len(cycles)
-        found["branching"] += bool(ref_branching)
         found["exits"] += ref_exit is not None
     assert found["cycles"] > 10_000 and found["branching"] > 100 and found["exits"] > 1000, found
 
